@@ -1,26 +1,26 @@
 """Command-line entry point: ``evaluate`` and ``roc`` subcommands.
 
 Results go to stdout, diagnostics to stderr. Exit status is 0 on
-success, 1 on a validation or parse failure (strict mode) or degenerate
-input, and 2 on a usage error. Identical argv and input bytes produce
-identical output bytes.
+success, 1 on a validation or parse failure (strict mode), input that is
+not UTF-8 or degenerate input, with nothing written to stdout, and 2 on
+a usage error. Identical argv and input bytes produce identical output
+bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from binaryeval.counts import apply_threshold, from_predictions
 from binaryeval.ingest import InputConfig, InputMode, ParseError, ParseReport, parse_hard_labels, parse_scores
 from binaryeval.metrics import all_metrics
-from binaryeval.report import EvaluationReport, _format_meta_value, curve_payload, render_json, render_svg, render_text
-from binaryeval.roc import RocCurve, roc_points
+from binaryeval.report import EvaluationReport, render_json, render_svg, render_text
+from binaryeval.roc import roc_points
 
 
 class _UsageError(Exception):
@@ -66,12 +66,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The input's text: strict UTF-8, one leading BOM dropped, CR and CRLF read as LF."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            # A text stream standing in for stdin (io.StringIO) has no byte buffer.
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            data = Path(path).read_bytes()
     except OSError as exc:
         raise _UsageError(f"cannot open input {path!r}: {exc.strerror or exc}") from None
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogateescape")
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line_number = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_number, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
+    if "\r" in text:  # much cheaper than two replace() scans that find nothing
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _input_config(args: argparse.Namespace, mode: InputMode) -> InputConfig:
@@ -107,6 +120,11 @@ def _warn_failures(parse_report: ParseReport, err: TextIO) -> None:
         err.write(f"warning: line {line_number}: {reason}\n")
 
 
+def _render(report: EvaluationReport, args: argparse.Namespace) -> str:
+    render = render_json if args.format == "json" else render_text
+    return render(report, zero_division=args.zero_division)
+
+
 def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     mode = InputMode(args.mode)
     if mode is InputMode.SCORES and args.threshold is None:
@@ -129,28 +147,8 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     meta = _common_meta(args, parse_report)
     meta["threshold"] = args.threshold
     meta["zero_division"] = args.zero_division
-    report = EvaluationReport(counts=counts, metrics=all_metrics(counts), meta=meta)
-    if args.format == "json":
-        out.write(render_json(report, zero_division=args.zero_division))
-    else:
-        out.write(render_text(report, zero_division=args.zero_division))
+    out.write(_render(EvaluationReport(metrics=all_metrics(counts), meta=meta), args))
     return 0
-
-
-def _roc_text(curve: RocCurve, meta: Mapping[str, object]) -> str:
-    lines = [f"{key} {_format_meta_value(value)}" for key, value in meta.items()]
-    lines.append("")
-    lines.append("fpr tpr threshold")
-    for p in curve.points:
-        threshold = "inf" if math.isinf(p.threshold) else repr(p.threshold)
-        lines.append(f"{p.fpr:.6f} {p.tpr:.6f} {threshold}")
-    lines.append(f"AUC {curve.auc:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def _roc_json(curve: RocCurve, meta: Mapping[str, object]) -> str:
-    return json.dumps({"roc": curve_payload(curve), "meta": dict(meta)},
-                      indent=2, allow_nan=False) + "\n"
 
 
 def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
@@ -167,18 +165,13 @@ def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         err.write(f"error: {exc}\n")
         return 1
 
-    meta = _common_meta(args, parse_report)
-    if args.format == "json":
-        out.write(_roc_json(curve, meta))
-    else:
-        out.write(_roc_text(curve, meta))
     if args.svg is not None:
-        svg = render_svg(curve, title=f"ROC curve ({args.input})")
         try:
-            Path(args.svg).write_text(svg, encoding="utf-8")
+            Path(args.svg).write_text(render_svg(curve, title=f"ROC curve ({args.input})"), encoding="utf-8")
         except OSError as exc:
             err.write(f"error: cannot write --svg file {args.svg!r}: {exc.strerror or exc}\n")
             return 1
+    out.write(_render(EvaluationReport(curve=curve, meta=_common_meta(args, parse_report)), args))
     return 0
 
 

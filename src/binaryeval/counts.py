@@ -42,7 +42,10 @@ class ScoredSample:
     actual: Label
 
     def __post_init__(self) -> None:
-        score = float(self.score)
+        try:
+            score = float(self.score)
+        except OverflowError:  # an integer beyond the float range
+            score = math.inf
         if not math.isfinite(score):
             raise ValueError(f"score must be finite, got {self.score!r}")
         object.__setattr__(self, "score", score)
@@ -93,17 +96,7 @@ def empty() -> ConfusionCounts:
 
 def record(counts: ConfusionCounts, prediction: LabeledPrediction) -> ConfusionCounts:
     """Return a new tally with the cell for ``prediction`` incremented by one."""
-    tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
-    if prediction.actual is Label.POSITIVE:
-        if prediction.predicted is Label.POSITIVE:
-            tp += 1
-        else:
-            fn += 1
-    elif prediction.predicted is Label.POSITIVE:
-        fp += 1
-    else:
-        tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    return merge(counts, from_predictions((prediction,)))
 
 
 def merge(a: ConfusionCounts, b: ConfusionCounts) -> ConfusionCounts:

@@ -13,9 +13,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from binaryeval.counts import Label, LabeledPrediction, ScoredSample, binarize
+
+
+T = TypeVar("T")
 
 
 class InputMode(Enum):
@@ -64,7 +67,7 @@ class ParseReport:
 
 
 class ParseError(ValueError):
-    """Raised in strict mode at the first malformed row."""
+    """Raised in strict mode at the first malformed row, and on input that is not UTF-8."""
 
     def __init__(self, line_number: int, reason: str) -> None:
         super().__init__(f"line {line_number}: {reason}")
@@ -102,6 +105,32 @@ def _label_for(field_text: str, cfg: InputConfig) -> Label:
     return binarize(field_text, cfg.positive_label)
 
 
+def _parse_rows(
+    source: Iterable[str] | str,
+    cfg: InputConfig,
+    strict: bool,
+    convert: Callable[[str, str], T],
+) -> tuple[list[T], ParseReport]:
+    """Split each data row into two fields and convert them, in input order.
+
+    A ``ValueError`` from splitting or converting is the row's failure
+    reason: raised as :class:`ParseError` when ``strict``, else recorded.
+    """
+    records: list[T] = []
+    failures: list[tuple[int, str]] = []
+    read = 0
+    for line_number, row in _data_rows(source, cfg.has_header):
+        read += 1
+        try:
+            first, second = _split_row(row, cfg.delimiter)
+            records.append(convert(first, second))
+        except ValueError as exc:
+            if strict:
+                raise ParseError(line_number, str(exc)) from None
+            failures.append((line_number, str(exc)))
+    return records, ParseReport(read, len(records), tuple(failures))
+
+
 def parse_hard_labels(
     source: Iterable[str] | str,
     cfg: InputConfig,
@@ -111,24 +140,11 @@ def parse_hard_labels(
     """Parse ``actual<delim>predicted`` rows into label pairs, in input order."""
     if cfg.mode is not InputMode.HARD_LABELS:
         raise ValueError("parse_hard_labels requires cfg.mode == InputMode.HARD_LABELS")
-    pairs: list[LabeledPrediction] = []
-    failures: list[tuple[int, str]] = []
-    read = 0
-    for line_number, row in _data_rows(source, cfg.has_header):
-        read += 1
-        try:
-            actual_text, predicted_text = _split_row(row, cfg.delimiter)
-            pairs.append(
-                LabeledPrediction(
-                    actual=_label_for(actual_text, cfg),
-                    predicted=_label_for(predicted_text, cfg),
-                )
-            )
-        except ValueError as exc:
-            if strict:
-                raise ParseError(line_number, str(exc)) from None
-            failures.append((line_number, str(exc)))
-    return pairs, ParseReport(read, len(pairs), tuple(failures))
+
+    def convert(actual: str, predicted: str) -> LabeledPrediction:
+        return LabeledPrediction(actual=_label_for(actual, cfg), predicted=_label_for(predicted, cfg))
+
+    return _parse_rows(source, cfg, strict, convert)
 
 
 def parse_scores(
@@ -144,21 +160,11 @@ def parse_scores(
     """
     if cfg.mode is not InputMode.SCORES:
         raise ValueError("parse_scores requires cfg.mode == InputMode.SCORES")
-    samples: list[ScoredSample] = []
-    failures: list[tuple[int, str]] = []
-    read = 0
-    for line_number, row in _data_rows(source, cfg.has_header):
-        read += 1
-        try:
-            actual_text, score_text = _split_row(row, cfg.delimiter)
-            samples.append(
-                ScoredSample(score=_parse_score(score_text), actual=_label_for(actual_text, cfg))
-            )
-        except ValueError as exc:
-            if strict:
-                raise ParseError(line_number, str(exc)) from None
-            failures.append((line_number, str(exc)))
-    return samples, ParseReport(read, len(samples), tuple(failures))
+
+    def convert(actual: str, score: str) -> ScoredSample:
+        return ScoredSample(score=_parse_score(score), actual=_label_for(actual, cfg))
+
+    return _parse_rows(source, cfg, strict, convert)
 
 
 def _split_row(row: str, delimiter: str) -> tuple[str, str]:

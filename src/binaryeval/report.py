@@ -5,11 +5,15 @@ Undefined metric values render as ``"undefined"`` (text) or ``null``
 (JSON) by default; ``zero_division="zero"`` maps them to 0 at render time
 only, the computed values are never touched.
 
-JSON key order is part of the contract: ``counts``, ``metrics``,
-``roc`` (when a curve is present), ``meta`` (when non-empty); metric keys
-follow :meth:`binaryeval.metrics.MetricSet.as_dict`. The initial curve
-point's infinite threshold is encoded as ``null`` (standard JSON has no
-Infinity literal).
+An :class:`EvaluationReport` holds optional ``metrics`` (a
+:class:`~binaryeval.metrics.MetricSet`, which carries its tally), an
+optional ROC ``curve`` and a ``meta`` echo; each renderer emits only the
+parts that are present. JSON key order is part of the contract:
+``counts`` and ``metrics`` (when metrics are present), ``roc`` (when a
+curve is present), ``meta`` (when non-empty); metric keys follow
+:meth:`binaryeval.metrics.MetricSet.as_dict`. The initial curve point's
+infinite threshold is encoded as ``null`` (standard JSON has no Infinity
+literal).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Mapping
 
 from binaryeval.counts import ConfusionCounts
 from binaryeval.metrics import MetricSet
-from binaryeval.roc import RocCurve, auc_trapezoid
+from binaryeval.roc import RocCurve
 
 _ZERO_DIVISION_MODES = ("undefined", "zero")
 
@@ -35,21 +39,15 @@ _MARGIN = 50
 class EvaluationReport:
     """Everything one evaluation produced, ready to render.
 
-    ``meta`` echoes the input name, record counts and configuration so the
-    rendered output is self-describing.
+    ``metrics`` (with the tally in ``metrics.counts``) is set by a
+    threshold evaluation, ``curve`` by a threshold sweep; ``meta`` echoes
+    the input name, record counts and configuration so the rendered
+    output is self-describing.
     """
 
-    counts: ConfusionCounts
-    metrics: MetricSet
+    metrics: MetricSet | None = None
     curve: RocCurve | None = None
-    auc: float | None = None
     meta: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if (self.curve is None) != (self.auc is None):
-            raise ValueError("auc must be present exactly when curve is")
-        if self.curve is not None and self.auc != auc_trapezoid(self.curve):
-            raise ValueError("auc must equal the trapezoidal area of the curve")
 
 
 def _check_zero_division(zero_division: str) -> None:
@@ -83,22 +81,38 @@ def _matrix_lines(c: ConfusionCounts) -> list[str]:
     ]
 
 
+def _curve_lines(curve: RocCurve) -> list[str]:
+    lines = ["fpr tpr threshold"]
+    for p in curve.points:
+        threshold = "inf" if math.isinf(p.threshold) else repr(p.threshold)
+        lines.append(f"{p.fpr:.6f} {p.tpr:.6f} {threshold}")
+    lines.append(f"AUC {curve.auc:.6f}")
+    return lines
+
+
 def render_text(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
-    """Fixed-order plain-text report: meta echo, matrix, one line per metric."""
+    """Fixed-order plain-text report, one blank line between blocks.
+
+    The blocks are the meta echo; the matrix and one line per metric, when
+    metrics are present; the ``fpr tpr threshold`` table and the AUC, when
+    a curve is present.
+    """
     _check_zero_division(zero_division)
-    lines: list[str] = []
+    blocks: list[list[str]] = []
     if report.meta:
-        lines.extend(f"{key} {_format_meta_value(value)}" for key, value in report.meta.items())
-        lines.append("")
-    lines.extend(_matrix_lines(report.counts))
-    lines.append("")
-    lines.extend(
-        f"{name.upper()} {_format_metric(value, zero_division)}"
-        for name, value in report.metrics.as_dict().items()
-    )
+        blocks.append([f"{key} {_format_meta_value(value)}" for key, value in report.meta.items()])
+    if report.metrics is not None:
+        blocks.append(_matrix_lines(report.metrics.counts) + [""] + [
+            f"{name.upper()} {_format_metric(value, zero_division)}"
+            for name, value in report.metrics.as_dict().items()
+        ])
     if report.curve is not None:
-        lines.append("")
-        lines.append(f"AUC {report.auc:.6f}")
+        blocks.append(_curve_lines(report.curve))
+    lines: list[str] = []
+    for block in blocks:
+        if lines:
+            lines.append("")
+        lines.extend(block)
     return "\n".join(lines) + "\n"
 
 
@@ -108,7 +122,7 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def curve_payload(curve: RocCurve) -> dict[str, object]:
+def _curve_payload(curve: RocCurve) -> dict[str, object]:
     """JSON-ready view of a curve; the initial +inf threshold becomes null."""
     return {
         "points": [
@@ -126,22 +140,16 @@ def curve_payload(curve: RocCurve) -> dict[str, object]:
 def render_json(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
     """Machine-readable report; floats use shortest round-trip formatting."""
     _check_zero_division(zero_division)
-    metrics: dict[str, object] = {}
-    for name, value in report.metrics.as_dict().items():
-        if value is None and zero_division == "zero":
-            value = 0.0
-        metrics[name] = value
-    payload: dict[str, object] = {
-        "counts": {
-            "tp": report.counts.tp,
-            "fp": report.counts.fp,
-            "fn": report.counts.fn,
-            "tn": report.counts.tn,
-        },
-        "metrics": metrics,
-    }
+    payload: dict[str, object] = {}
+    if report.metrics is not None:
+        counts = report.metrics.counts
+        payload["counts"] = {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn}
+        payload["metrics"] = {
+            name: 0.0 if value is None and zero_division == "zero" else value
+            for name, value in report.metrics.as_dict().items()
+        }
     if report.curve is not None:
-        payload["roc"] = curve_payload(report.curve)
+        payload["roc"] = _curve_payload(report.curve)
     if report.meta:
         payload["meta"] = {key: _json_safe(value) for key, value in report.meta.items()}
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"

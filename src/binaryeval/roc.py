@@ -29,9 +29,6 @@ __all__ = [
     "diagonal_position",
 ]
 
-# Largest positive*negative pair count still evaluated by brute force.
-_BRUTE_FORCE_PAIR_LIMIT = 250_000
-
 # Half-width of the band around the diagonal treated as "on" it.
 DIAGONAL_TOLERANCE = 1e-12
 
@@ -143,13 +140,6 @@ def auc_trapezoid(curve: RocCurve) -> float:
     return _trapezoid_area(curve.points)
 
 
-def _pair_tallies_brute(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
-    """Outer comparison of every positive score against every negative one."""
-    greater = int(np.sum(pos[:, None] > neg[None, :]))
-    equal = int(np.sum(pos[:, None] == neg[None, :]))
-    return greater, equal
-
-
 def _pair_tallies_ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
     """Rank-based tallies: sort the negatives once, binary-search each positive."""
     neg_sorted = np.sort(neg)
@@ -163,11 +153,10 @@ def _pair_tallies_ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
 def auc_pair_count(samples: Sequence[ScoredSample]) -> float:
     """AUC as the probability a random positive outscores a random negative.
 
-    Ties get half credit. Small inputs are tallied by brute force over all
-    positive-negative pairs; large ones by the rank-based route. Both
-    produce identical integer tallies, so the result does not depend on
-    which route ran. This is deliberately independent of the threshold
-    sweep in :func:`roc_points` and serves as its cross-check.
+    Ties get half credit. The tallies are exact integers: the negatives
+    are sorted once and each positive is binary-searched among them. This
+    is deliberately independent of the threshold sweep in
+    :func:`roc_points` and serves as its cross-check.
     """
     pos = np.array(
         [s.score for s in samples if s.actual is Label.POSITIVE], dtype=np.float64
@@ -180,10 +169,7 @@ def auc_pair_count(samples: Sequence[ScoredSample]) -> float:
         raise ValueError(
             f"need both classes: got {pos.size} positive and {neg.size} negative samples"
         )
-    if pairs <= _BRUTE_FORCE_PAIR_LIMIT:
-        greater, equal = _pair_tallies_brute(pos, neg)
-    else:
-        greater, equal = _pair_tallies_ranked(pos, neg)
+    greater, equal = _pair_tallies_ranked(pos, neg)
     # One exact integer ratio, one float rounding.
     return (2 * greater + equal) / (2 * pairs)
 

@@ -156,6 +156,37 @@ class TestRoc:
         code, _, _ = invoke("roc", "scores.csv", "--mode", "scores")
         assert code == 0
 
+    def test_unwritable_svg_fails_before_any_report_output(self, worked_files):
+        code, out, err = invoke("roc", "scores.csv", "--svg", "no_such_dir/out.svg")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write --svg file")
+
+
+class TestDecoding:
+    BOM_ROWS = b"\xef\xbb\xbf1,1\n0,0\n1,0\n"
+
+    def test_leading_bom_is_dropped_from_a_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bom.csv").write_bytes(self.BOM_ROWS)
+        code, out, _ = invoke("evaluate", "bom.csv", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"tp": 1, "fp": 0, "fn": 1, "tn": 1}
+
+    def test_leading_bom_is_dropped_from_standard_input(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(self.BOM_ROWS)))
+        code, out, _ = invoke("evaluate", "-", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"tp": 1, "fp": 0, "fn": 1, "tn": 1}
+
+    def test_invalid_utf8_is_an_error_line_not_a_traceback(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.csv").write_bytes(b"1,1\n\xff,0\n")
+        code, out, err = invoke("evaluate", "latin1.csv")
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 2: invalid UTF-8 byte 0xff\n"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, worked_files):

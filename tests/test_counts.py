@@ -208,7 +208,7 @@ class TestApplyThreshold:
 
 class TestScoredSample:
     def test_non_finite_scores_rejected(self):
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, 10**400):
             with pytest.raises(ValueError):
                 ScoredSample(bad, P)
 

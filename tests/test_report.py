@@ -7,11 +7,15 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from binaryeval.counts import ConfusionCounts, Label, ScoredSample
 from binaryeval.metrics import all_metrics
 from binaryeval.report import EvaluationReport, render_json, render_svg, render_text
 from binaryeval.roc import RocCurve, RocPoint, roc_points
+
+from oracles import roc_json, roc_text
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -30,7 +34,7 @@ FOUR_SAMPLE_CURVE = roc_points(
 
 
 def c_star_report(**kwargs) -> EvaluationReport:
-    return EvaluationReport(counts=C_STAR, metrics=all_metrics(C_STAR), **kwargs)
+    return EvaluationReport(metrics=all_metrics(C_STAR), **kwargs)
 
 
 def svg_elements(svg: str) -> list[ET.Element]:
@@ -40,20 +44,6 @@ def svg_elements(svg: str) -> list[ET.Element]:
 
 def local_name(element: ET.Element) -> str:
     return element.tag.rsplit("}", 1)[-1]
-
-
-class TestEvaluationReport:
-    def test_auc_requires_curve(self):
-        with pytest.raises(ValueError):
-            c_star_report(auc=0.75)
-        with pytest.raises(ValueError):
-            c_star_report(curve=FOUR_SAMPLE_CURVE)
-
-    def test_auc_must_match_the_curve(self):
-        with pytest.raises(ValueError):
-            c_star_report(curve=FOUR_SAMPLE_CURVE, auc=0.8)
-        report = c_star_report(curve=FOUR_SAMPLE_CURVE, auc=FOUR_SAMPLE_CURVE.auc)
-        assert report.auc == 0.75
 
 
 class TestRenderText:
@@ -78,13 +68,13 @@ class TestRenderText:
         assert names == ["ERR", "ACC", "FPR", "TPR", "PRE", "REC", "F1", "SEN", "SPC", "TNR", "MCC"]
 
     def test_undefined_metrics_render_as_undefined(self):
-        text = render_text(EvaluationReport(counts=EMPTY, metrics=all_metrics(EMPTY)))
+        text = render_text(EvaluationReport(metrics=all_metrics(EMPTY)))
         for name in ("ERR", "ACC", "FPR", "TPR", "PRE", "REC", "F1", "SEN", "SPC", "TNR", "MCC"):
             assert f"{name} undefined" in text
 
     def test_zero_policy_renders_zeros_instead(self):
         text = render_text(
-            EvaluationReport(counts=EMPTY, metrics=all_metrics(EMPTY)),
+            EvaluationReport(metrics=all_metrics(EMPTY)),
             zero_division="zero",
         )
         assert "undefined" not in text
@@ -106,7 +96,7 @@ class TestRenderText:
         assert render_text(report) == render_text(report)
 
     def test_auc_line_present_when_curve_attached(self):
-        report = c_star_report(curve=FOUR_SAMPLE_CURVE, auc=FOUR_SAMPLE_CURVE.auc)
+        report = c_star_report(curve=FOUR_SAMPLE_CURVE)
         assert render_text(report).rstrip().endswith("AUC 0.750000")
 
 
@@ -127,20 +117,20 @@ class TestRenderJson:
             assert payload["metrics"][name] == value
 
     def test_undefined_encoded_as_null(self):
-        payload = json.loads(render_json(EvaluationReport(counts=EMPTY, metrics=all_metrics(EMPTY))))
+        payload = json.loads(render_json(EvaluationReport(metrics=all_metrics(EMPTY))))
         assert all(value is None for value in payload["metrics"].values())
 
     def test_zero_policy_encodes_zero(self):
         payload = json.loads(
             render_json(
-                EvaluationReport(counts=EMPTY, metrics=all_metrics(EMPTY)),
+                EvaluationReport(metrics=all_metrics(EMPTY)),
                 zero_division="zero",
             )
         )
         assert all(value == 0.0 for value in payload["metrics"].values())
 
     def test_key_order_is_documented_and_fixed(self):
-        report = c_star_report(curve=FOUR_SAMPLE_CURVE, auc=0.75, meta={"input": "x"})
+        report = c_star_report(curve=FOUR_SAMPLE_CURVE, meta={"input": "x"})
         payload = json.loads(render_json(report))
         assert list(payload) == ["counts", "metrics", "roc", "meta"]
         assert list(payload["counts"]) == ["tp", "fp", "fn", "tn"]
@@ -149,7 +139,7 @@ class TestRenderJson:
         ]
 
     def test_roc_block_with_null_initial_threshold(self):
-        report = c_star_report(curve=FOUR_SAMPLE_CURVE, auc=0.75)
+        report = c_star_report(curve=FOUR_SAMPLE_CURVE)
         payload = json.loads(render_json(report))
         points = payload["roc"]["points"]
         assert points[0] == {"fpr": 0.0, "tpr": 0.0, "threshold": None}
@@ -164,6 +154,46 @@ class TestRenderJson:
         text = render_json(c_star_report(meta={"threshold": math.inf}))
         payload = json.loads(text)
         assert payload["meta"]["threshold"] == "inf"
+
+
+@st.composite
+def curve_and_meta(draw):
+    """A curve over tie-heavy or continuous scores, with the roc subcommand's meta echo."""
+    if draw(st.booleans()):
+        scores = st.integers(0, 6).map(lambda v: v / 4)
+    else:
+        scores = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    pos = draw(st.lists(scores, min_size=1, max_size=25))
+    neg = draw(st.lists(scores, min_size=1, max_size=25))
+    curve = roc_points([ScoredSample(x, P) for x in pos] + [ScoredSample(x, N) for x in neg])
+    meta = {
+        "input": draw(st.text(max_size=12)),
+        "mode": "scores",
+        "positive_label": "1",
+        "negative_label": draw(st.none() | st.just("0")),
+        "delimiter": ",",
+        "header": draw(st.booleans()),
+        "strict": draw(st.booleans()),
+        "records_read": len(pos) + len(neg),
+        "records_accepted": len(pos) + len(neg),
+    }
+    return curve, meta
+
+
+class TestCurveOnlyReport:
+    @given(curve_and_meta())
+    def test_text_matches_the_reference_roc_renderer(self, case):
+        curve, meta = case
+        assert render_text(EvaluationReport(curve=curve, meta=meta)) == roc_text(curve, meta)
+
+    @given(curve_and_meta())
+    def test_json_matches_the_reference_roc_renderer(self, case):
+        curve, meta = case
+        assert render_json(EvaluationReport(curve=curve, meta=meta)) == roc_json(curve, meta)
+
+    def test_metrics_and_curve_render_both_blocks(self):
+        text = render_text(c_star_report(curve=FOUR_SAMPLE_CURVE))
+        assert "MCC 0.408248\n\nfpr tpr threshold\n0.000000 0.000000 inf\n" in text
 
 
 class TestRenderSvg:

@@ -16,13 +16,14 @@ from binaryeval.roc import (
     DiagonalPosition,
     RocCurve,
     RocPoint,
-    _pair_tallies_brute,
     _pair_tallies_ranked,
     auc_pair_count,
     auc_trapezoid,
     diagonal_position,
     roc_points,
 )
+
+from oracles import pair_tallies_brute
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -166,7 +167,7 @@ class TestAucPairCount:
     def test_brute_and_ranked_tallies_agree(self, pos, neg):
         pos_arr = np.asarray(pos, dtype=np.float64)
         neg_arr = np.asarray(neg, dtype=np.float64)
-        assert _pair_tallies_brute(pos_arr, neg_arr) == _pair_tallies_ranked(pos_arr, neg_arr)
+        assert pair_tallies_brute(pos_arr, neg_arr) == _pair_tallies_ranked(pos_arr, neg_arr)
 
     def test_large_input_uses_ranked_route_and_matches_brute(self):
         rng = np.random.default_rng(3)
@@ -176,7 +177,7 @@ class TestAucPairCount:
         pos = np.array([x.score for x in s if x.actual is P])
         neg = np.array([x.score for x in s if x.actual is N])
         assert pos.size * neg.size > 250_000
-        greater, equal = _pair_tallies_brute(pos, neg)
+        greater, equal = pair_tallies_brute(pos, neg)
         expected = (2 * greater + equal) / (2 * pos.size * neg.size)
         assert auc_pair_count(s) == expected
 
