@@ -16,11 +16,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from binaryeval.counts import apply_threshold, from_predictions
+from binaryeval.counts import from_predictions, threshold_counts
 from binaryeval.ingest import InputConfig, InputMode, ParseError, ParseReport, parse_hard_labels, parse_scores
 from binaryeval.metrics import all_metrics
 from binaryeval.report import EvaluationReport, render_json, render_svg, render_text
 from binaryeval.roc import roc_points
+
+
+# Lenient mode prints this many per-row warnings, then one summary line.
+_MAX_ROW_WARNINGS = 20
 
 
 class _UsageError(Exception):
@@ -88,17 +92,18 @@ def _read_input(path: str) -> str:
 
 
 def _input_config(args: argparse.Namespace, mode: InputMode) -> InputConfig:
-    if len(args.delimiter) != 1 or args.delimiter in "\r\n":
-        raise _UsageError(f"--delimiter must be a single character, got {args.delimiter!r}")
-    if args.negative_label is not None and args.negative_label == args.positive_label:
-        raise _UsageError("--negative-label must differ from --positive-label")
-    return InputConfig(
-        mode=mode,
-        positive_label=args.positive_label,
-        negative_label=args.negative_label,
-        delimiter=args.delimiter,
-        has_header=args.header,
-    )
+    try:
+        return InputConfig(
+            mode=mode,
+            positive_label=args.positive_label,
+            negative_label=args.negative_label,
+            delimiter=args.delimiter,
+            has_header=args.header,
+        )
+    except ValueError as exc:
+        # InputConfig's messages start with the field at fault; name its flag.
+        field_name, _, rest = str(exc).partition(" ")
+        raise _UsageError(f"--{field_name.replace('_', '-')} {rest}") from None
 
 
 def _common_meta(args: argparse.Namespace, parse_report: ParseReport) -> dict[str, object]:
@@ -116,8 +121,12 @@ def _common_meta(args: argparse.Namespace, parse_report: ParseReport) -> dict[st
 
 
 def _warn_failures(parse_report: ParseReport, err: TextIO) -> None:
-    for line_number, reason in parse_report.failures:
+    """The first skipped rows with their reasons, then how many of all rows read were skipped."""
+    failures = parse_report.failures
+    for line_number, reason in failures[:_MAX_ROW_WARNINGS]:
         err.write(f"warning: line {line_number}: {reason}\n")
+    if failures:
+        err.write(f"warning: {len(failures)} of {parse_report.records_read} rows skipped\n")
 
 
 def _render(report: EvaluationReport, args: argparse.Namespace) -> str:
@@ -138,12 +147,12 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     text = _read_input(args.input)
     if mode is InputMode.HARD_LABELS:
         pairs, parse_report = parse_hard_labels(text, cfg, strict=args.strict)
+        counts = from_predictions(pairs)
     else:
         samples, parse_report = parse_scores(text, cfg, strict=args.strict)
-        pairs = apply_threshold(samples, args.threshold)
+        counts = threshold_counts(samples, args.threshold)
     _warn_failures(parse_report, err)
 
-    counts = from_predictions(pairs)
     meta = _common_meta(args, parse_report)
     meta["threshold"] = args.threshold
     meta["zero_division"] = args.zero_division

@@ -38,6 +38,8 @@ class InputConfig:
     With ``negative_label`` unset, any value other than ``positive_label``
     maps to the negative class (one-vs-rest); when set, only the two
     declared labels are accepted and anything else is a parse failure.
+    A rejected configuration raises ValueError whose message starts with
+    the name of the field at fault.
     """
 
     mode: InputMode
@@ -50,7 +52,7 @@ class InputConfig:
         if len(self.delimiter) != 1 or self.delimiter in "\r\n":
             raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
         if self.negative_label is not None and self.negative_label == self.positive_label:
-            raise ValueError("positive_label and negative_label must be distinct")
+            raise ValueError("negative_label must differ from the positive label")
 
 
 @dataclass(frozen=True, slots=True)

@@ -130,8 +130,9 @@ def matthews_corrcoef(c: ConfusionCounts) -> MetricValue:
 
     Undefined when any of the four marginal sums is zero. The numerator
     and the product under the root are computed in exact integer
-    arithmetic, so cells up to and beyond 2**31 cannot overflow an
-    intermediate; only the final division rounds.
+    arithmetic, so no cell size can overflow an intermediate. A product
+    beyond the float range takes its integer square root instead, which
+    is at least 2**512, so its truncation is far below one ulp.
     """
     predicted_pos = c.tp + c.fp
     actual_pos = c.tp + c.fn
@@ -141,7 +142,10 @@ def matthews_corrcoef(c: ConfusionCounts) -> MetricValue:
         return None
     numerator = c.tp * c.tn - c.fp * c.fn
     denominator = predicted_pos * actual_pos * actual_neg * predicted_neg
-    value = numerator / math.sqrt(denominator)
+    try:
+        value = numerator / math.sqrt(denominator)
+    except OverflowError:
+        value = numerator / math.isqrt(denominator)
     # |MCC| <= 1 holds exactly in real arithmetic; clamp the last-ulp
     # rounding of the float division.
     return max(-1.0, min(1.0, value))

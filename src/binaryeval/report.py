@@ -83,9 +83,10 @@ def _matrix_lines(c: ConfusionCounts) -> list[str]:
 
 def _curve_lines(curve: RocCurve) -> list[str]:
     lines = ["fpr tpr threshold"]
-    for p in curve.points:
-        threshold = "inf" if math.isinf(p.threshold) else repr(p.threshold)
-        lines.append(f"{p.fpr:.6f} {p.tpr:.6f} {threshold}")
+    lines.extend(
+        f"{fpr:.6f} {tpr:.6f} {'inf' if math.isinf(threshold) else repr(threshold)}"
+        for fpr, tpr, threshold in zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.threshold.tolist())
+    )
     lines.append(f"AUC {curve.auc:.6f}")
     return lines
 
@@ -122,37 +123,47 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def _curve_payload(curve: RocCurve) -> dict[str, object]:
-    """JSON-ready view of a curve; the initial +inf threshold becomes null."""
-    return {
-        "points": [
-            {
-                "fpr": p.fpr,
-                "tpr": p.tpr,
-                "threshold": None if math.isinf(p.threshold) else p.threshold,
-            }
-            for p in curve.points
-        ],
-        "auc": curve.auc,
-    }
+def _curve_json(curve: RocCurve) -> str:
+    """The ``roc`` value as ``json.dumps(indent=2)`` writes it one level deep.
+
+    Each point is laid out by hand; ``!r`` is ``float.__repr__``, which is
+    what json uses for floats. The initial +inf threshold becomes null.
+    """
+    points = ",\n".join(
+        f'      {{\n        "fpr": {fpr!r},\n        "tpr": {tpr!r},\n'
+        f'        "threshold": {"null" if math.isinf(threshold) else repr(threshold)}\n      }}'
+        for fpr, tpr, threshold in zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.threshold.tolist())
+    )
+    return f'{{\n    "points": [\n{points}\n    ],\n    "auc": {json.dumps(curve.auc)}\n  }}'
 
 
 def render_json(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
-    """Machine-readable report; floats use shortest round-trip formatting."""
+    """Machine-readable report; floats use shortest round-trip formatting.
+
+    The text is what ``json.dumps(..., indent=2)`` writes for the whole
+    report; only the curve points are laid out here instead of by json.
+    """
     _check_zero_division(zero_division)
-    payload: dict[str, object] = {}
+    members: dict[str, str] = {}
+
+    def nested(value: object) -> str:
+        # Indented one level deeper: json only writes a newline between tokens.
+        return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+
     if report.metrics is not None:
         counts = report.metrics.counts
-        payload["counts"] = {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn}
-        payload["metrics"] = {
+        members["counts"] = nested({"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn})
+        members["metrics"] = nested({
             name: 0.0 if value is None and zero_division == "zero" else value
             for name, value in report.metrics.as_dict().items()
-        }
+        })
     if report.curve is not None:
-        payload["roc"] = _curve_payload(report.curve)
+        members["roc"] = _curve_json(report.curve)
     if report.meta:
-        payload["meta"] = {key: _json_safe(value) for key, value in report.meta.items()}
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        members["meta"] = nested({key: _json_safe(value) for key, value in report.meta.items()})
+    if not members:
+        return "{}\n"
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in members.items()) + "\n}\n"
 
 
 def _escape(text: str) -> str:
@@ -177,10 +188,10 @@ def render_svg(curve: RocCurve, title: str) -> str:
     right = _WIDTH - _MARGIN
     bottom = _HEIGHT - _MARGIN
 
-    def x_px(fpr: float) -> float:
+    def x_px(fpr):
         return left + fpr * (right - left)
 
-    def y_px(tpr: float) -> float:
+    def y_px(tpr):
         return bottom - tpr * (bottom - top)
 
     lines = [
@@ -218,7 +229,9 @@ def render_svg(curve: RocCurve, title: str) -> str:
         f'<line x1="{x_px(0.0):.2f}" y1="{y_px(0.0):.2f}" x2="{x_px(1.0):.2f}" y2="{y_px(1.0):.2f}" '
         'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>'
     )
-    polyline = " ".join(f"{x_px(p.fpr):.2f},{y_px(p.tpr):.2f}" for p in curve.points)
+    polyline = " ".join(
+        f"{x:.2f},{y:.2f}" for x, y in zip(x_px(curve.fpr).tolist(), y_px(curve.tpr).tolist())
+    )
     lines.append(
         f'<polyline points="{polyline}" fill="none" stroke="#1f77b4" stroke-width="2"/>'
     )

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from binaryeval.counts import Label, ScoredSample
+from binaryeval.counts import ScoredSample, _columns
 
 __all__ = [
     "ScoredSample",
@@ -56,46 +56,64 @@ class RocPoint:
             raise ValueError(f"tpr must be in [0, 1], got {self.tpr!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RocCurve:
-    """An ordered threshold sweep from (0, 0) to (1, 1) plus its area."""
+    """An ordered threshold sweep from (0, 0) to (1, 1) plus its area.
 
-    points: tuple[RocPoint, ...]
+    ``fpr``, ``tpr`` and ``threshold`` are read-only ``float64`` arrays of
+    one length, index ``i`` being the curve's ``i``-th point; ``points``
+    is the same curve as :class:`RocPoint` values.
+    """
+
+    fpr: np.ndarray
+    tpr: np.ndarray
+    threshold: np.ndarray
     auc: float
 
     def __post_init__(self) -> None:
-        pts = self.points
-        if len(pts) < 2:
+        for name in ("fpr", "tpr", "threshold"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        fpr, tpr, threshold = self.fpr, self.tpr, self.threshold
+        if fpr.ndim != 1 or fpr.shape != tpr.shape or fpr.shape != threshold.shape:
+            raise ValueError("fpr, tpr and threshold must be 1-d arrays of one length")
+        for name, rate in (("fpr", fpr), ("tpr", tpr)):
+            outside = ~((rate >= 0.0) & (rate <= 1.0))
+            if outside.any():
+                raise ValueError(f"{name} must be in [0, 1], got {rate[outside][0].item()!r}")
+        if fpr.size < 2:
             raise ValueError("a curve needs at least the initial and final point")
-        first, last = pts[0], pts[-1]
-        if (first.fpr, first.tpr) != (0.0, 0.0) or first.threshold != math.inf:
+        if (fpr[0], tpr[0]) != (0.0, 0.0) or threshold[0] != math.inf:
             raise ValueError("curve must start at (fpr=0, tpr=0, threshold=+inf)")
-        if (last.fpr, last.tpr) != (1.0, 1.0):
+        if (fpr[-1], tpr[-1]) != (1.0, 1.0):
             raise ValueError("curve must end at (fpr=1, tpr=1)")
-        for prev, cur in zip(pts, pts[1:]):
-            if cur.fpr < prev.fpr or cur.tpr < prev.tpr:
-                raise ValueError("fpr and tpr must be non-decreasing along the curve")
-            if cur.threshold >= prev.threshold:
-                raise ValueError("thresholds must be strictly decreasing")
+        if (fpr[1:] < fpr[:-1]).any() or (tpr[1:] < tpr[:-1]).any():
+            raise ValueError("fpr and tpr must be non-decreasing along the curve")
+        if not (threshold[1:] < threshold[:-1]).all():
+            raise ValueError("thresholds must be strictly decreasing")
         if not 0.0 <= self.auc <= 1.0:
             raise ValueError(f"auc must be in [0, 1], got {self.auc!r}")
 
+    @property
+    def points(self) -> tuple[RocPoint, ...]:
+        """The curve as one :class:`RocPoint` per threshold, in sweep order."""
+        return tuple(map(RocPoint, self.fpr.tolist(), self.tpr.tolist(), self.threshold.tolist()))
 
-def _trapezoid_area(points: Sequence[RocPoint]) -> float:
-    terms = [
-        (cur.fpr - prev.fpr) * (prev.tpr + cur.tpr) / 2.0
-        for prev, cur in zip(points, points[1:])
-    ]
-    return min(1.0, max(0.0, math.fsum(terms)))
+
+def _trapezoid_area(fpr: np.ndarray, tpr: np.ndarray) -> float:
+    terms = (fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0
+    return min(1.0, max(0.0, math.fsum(terms.tolist())))
 
 
 def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
     """Sweep the decision threshold over ``samples`` and build the curve.
 
-    Samples are sorted by score descending and scanned once with running
-    tp/fp counters; each distinct score value emits one point whose rates
-    are the exact integer ratios fp/negatives and tp/positives at that
-    threshold (positive iff score >= threshold). The initial point is
+    Samples are stably sorted by score descending and the labels are
+    cumulatively summed in that order; each distinct score value emits one
+    point whose rates are the exact integer ratios fp/negatives and
+    tp/positives at that threshold (positive iff score >= threshold),
+    taken at the last sample of its tie group. The initial point is
     (0, 0) at threshold +inf and the lowest distinct score lands on (1, 1).
 
     Raises ValueError on empty input, on a non-finite score (naming the
@@ -104,40 +122,32 @@ def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
     """
     if len(samples) == 0:
         raise ValueError("cannot build a curve from an empty sample sequence")
-    positives = 0
-    for index, sample in enumerate(samples):
-        if not math.isfinite(sample.score):
-            raise ValueError(f"non-finite score at record {index}: {sample.score!r}")
-        if sample.actual is Label.POSITIVE:
-            positives += 1
-    negatives = len(samples) - positives
+    score, positive = _columns(samples)
+    positives = int(np.count_nonzero(positive))
+    negatives = score.size - positives
     if positives == 0 or negatives == 0:
         raise ValueError(
             "need both classes: got "
             f"{positives} positive and {negatives} negative samples"
         )
 
-    ordered = sorted(samples, key=lambda s: s.score, reverse=True)
-    points = [RocPoint(fpr=0.0, tpr=0.0, threshold=math.inf)]
-    tp = fp = 0
-    i = 0
-    n = len(ordered)
-    while i < n:
-        score = ordered[i].score
-        while i < n and ordered[i].score == score:
-            if ordered[i].actual is Label.POSITIVE:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append(RocPoint(fpr=fp / negatives, tpr=tp / positives, threshold=score))
-
-    return RocCurve(points=tuple(points), auc=_trapezoid_area(points))
+    order = np.argsort(-score, kind="stable")
+    ordered = score[order]
+    tp = np.cumsum(positive[order])
+    # Indices of the last and the first sample of each tie group (-0.0 ties 0.0).
+    last = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    fpr = np.concatenate(([0.0], (last + 1 - tp[last]) / negatives))
+    tpr = np.concatenate(([0.0], tp[last] / positives))
+    # The first member's score, as the reference sweep takes it: a group of
+    # -0.0 and 0.0 keeps the sign of whichever came first in input order.
+    threshold = np.concatenate(([math.inf], ordered[first]))
+    return RocCurve(fpr=fpr, tpr=tpr, threshold=threshold, auc=_trapezoid_area(fpr, tpr))
 
 
 def auc_trapezoid(curve: RocCurve) -> float:
     """Area under the curve by the trapezoidal rule over consecutive points."""
-    return _trapezoid_area(curve.points)
+    return _trapezoid_area(curve.fpr, curve.tpr)
 
 
 def _pair_tallies_ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
@@ -158,12 +168,8 @@ def auc_pair_count(samples: Sequence[ScoredSample]) -> float:
     is deliberately independent of the threshold sweep in
     :func:`roc_points` and serves as its cross-check.
     """
-    pos = np.array(
-        [s.score for s in samples if s.actual is Label.POSITIVE], dtype=np.float64
-    )
-    neg = np.array(
-        [s.score for s in samples if s.actual is not Label.POSITIVE], dtype=np.float64
-    )
+    score, positive = _columns(samples)
+    pos, neg = score[positive], score[~positive]
     pairs = pos.size * neg.size
     if pairs == 0:
         raise ValueError(

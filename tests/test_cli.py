@@ -134,6 +134,16 @@ class TestEvaluate:
         assert payload["meta"]["records_read"] == 3
         assert payload["meta"]["records_accepted"] == 2
 
+    def test_lenient_warnings_are_capped_and_summarised(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "junk.csv").write_text("1,1\n" + "broken\n" * 1000 + "0,0\n", newline="")
+        code, out, err = invoke("evaluate", "junk.csv", "--format", "json")
+        assert code == 0
+        lines = err.splitlines()
+        assert lines[:20] == [f"warning: line {n}: expected 2 fields, got 1" for n in range(2, 22)]
+        assert lines[20:] == ["warning: 1000 of 1002 rows skipped"]
+        assert json.loads(out)["meta"]["records_accepted"] == 2
+
 
 class TestRoc:
     def test_json_output(self, worked_files):

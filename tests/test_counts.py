@@ -20,6 +20,7 @@ from binaryeval.counts import (
     from_predictions,
     merge,
     record,
+    threshold_counts,
 )
 
 P = Label.POSITIVE
@@ -204,6 +205,23 @@ class TestApplyThreshold:
     def test_actual_labels_and_order_preserved(self, samples, threshold):
         out = apply_threshold(samples, threshold)
         assert [p.actual for p in out] == [s.actual for s in samples]
+
+
+class TestThresholdCounts:
+    @given(
+        st.one_of(
+            samples_strategy,
+            st.lists(st.builds(ScoredSample, st.integers(0, 4).map(lambda v: v / 4), labels), max_size=40),
+        ),
+        st.data(),
+    )
+    def test_equals_the_tally_of_apply_threshold(self, samples, data):
+        threshold = data.draw(st.sampled_from([s.score for s in samples] + [math.inf, -math.inf]))
+        assert threshold_counts(samples, threshold) == from_predictions(apply_threshold(samples, threshold))
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            threshold_counts([ScoredSample(0.5, P)], math.nan)
 
 
 class TestScoredSample:

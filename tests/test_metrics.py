@@ -266,6 +266,19 @@ class TestMccOracles:
             )
             assert matthews_corrcoef(c) == pytest.approx(float(expected), abs=1e-12)
 
+    @pytest.mark.parametrize("exponent", [80, 200])
+    def test_cells_beyond_the_float_range_match_a_decimal_oracle(self, exponent):
+        from decimal import Context
+
+        ctx = Context(prec=50)
+        scale = 10**exponent
+        for tp, fp, fn, tn in ((3, 1, 2, 5), (7, 3, 3, 1), (1, 9, 8, 2), (5, 5, 5, 5)):
+            c = ConfusionCounts(tp=tp * scale + 1, fp=fp * scale, fn=fn * scale + 3, tn=tn * scale)
+            numerator = ctx.create_decimal(c.tp * c.tn - c.fp * c.fn)
+            product = ctx.create_decimal((c.tp + c.fp) * (c.tp + c.fn) * (c.tn + c.fp) * (c.tn + c.fn))
+            expected = float(ctx.divide(numerator, ctx.sqrt(product)))
+            assert abs(matthews_corrcoef(c) - expected) <= 2 * math.ulp(expected)
+
     def test_never_leaves_the_unit_band_near_perfection(self):
         c = ConfusionCounts(tp=(2**31) - 1, fp=0, fn=0, tn=(2**31) - 7)
         assert matthews_corrcoef(c) == 1.0

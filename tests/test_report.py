@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from binaryeval.counts import ConfusionCounts, Label, ScoredSample
 from binaryeval.metrics import all_metrics
 from binaryeval.report import EvaluationReport, render_json, render_svg, render_text
-from binaryeval.roc import RocCurve, RocPoint, roc_points
+from binaryeval.roc import RocCurve, roc_points
 
 from oracles import roc_json, roc_text
 
@@ -156,6 +156,10 @@ class TestRenderJson:
         assert payload["meta"]["threshold"] == "inf"
 
 
+# Meta text, often with the characters JSON must escape and non-ASCII.
+META_TEXT = st.text(max_size=12) | st.text(alphabet='"\\/\'é€😀\u2028\x00\x1f\t\n', max_size=12)
+
+
 @st.composite
 def curve_and_meta(draw):
     """A curve over tie-heavy or continuous scores, with the roc subcommand's meta echo."""
@@ -167,9 +171,9 @@ def curve_and_meta(draw):
     neg = draw(st.lists(scores, min_size=1, max_size=25))
     curve = roc_points([ScoredSample(x, P) for x in pos] + [ScoredSample(x, N) for x in neg])
     meta = {
-        "input": draw(st.text(max_size=12)),
+        "input": draw(META_TEXT),
         "mode": "scores",
-        "positive_label": "1",
+        "positive_label": draw(META_TEXT),
         "negative_label": draw(st.none() | st.just("0")),
         "delimiter": ",",
         "header": draw(st.booleans()),
@@ -190,6 +194,18 @@ class TestCurveOnlyReport:
     def test_json_matches_the_reference_roc_renderer(self, case):
         curve, meta = case
         assert render_json(EvaluationReport(curve=curve, meta=meta)) == roc_json(curve, meta)
+
+    @given(curve_and_meta())
+    def test_json_with_metrics_matches_one_json_dumps(self, case):
+        curve, meta = case
+        report = c_star_report(curve=curve, meta=meta)
+        expected = {
+            "counts": {"tp": 4, "fp": 1, "fn": 2, "tn": 3},
+            "metrics": report.metrics.as_dict(),
+            "roc": json.loads(roc_json(curve, {}))["roc"],
+            "meta": meta,
+        }
+        assert render_json(report) == json.dumps(expected, indent=2) + "\n"
 
     def test_metrics_and_curve_render_both_blocks(self):
         text = render_text(c_star_report(curve=FOUR_SAMPLE_CURVE))
@@ -234,10 +250,7 @@ class TestRenderSvg:
         assert "50.00,50.00" in polyline.get("points").split()
 
     def test_two_point_tie_curve_coincides_with_the_diagonal(self):
-        curve = RocCurve(
-            points=(RocPoint(0.0, 0.0, math.inf), RocPoint(1.0, 1.0, 0.5)),
-            auc=0.5,
-        )
+        curve = RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 1.0], threshold=[math.inf, 0.5], auc=0.5)
         root = ET.fromstring(render_svg(curve, title="tie"))
         polyline = next(e for e in root.iter() if local_name(e) == "polyline")
         assert polyline.get("points") == "50.00,430.00 590.00,50.00"

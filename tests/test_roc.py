@@ -23,7 +23,7 @@ from binaryeval.roc import (
     roc_points,
 )
 
-from oracles import pair_tallies_brute
+from oracles import pair_tallies_brute, roc_sweep
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -128,6 +128,67 @@ class TestRocPoints:
             assert curve.auc == pytest.approx(base.auc, abs=1e-12)
 
 
+# Score sets for the differential test against the reference sweep.
+CONTINUOUS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+TIE_HEAVY = st.integers(0, 6).map(lambda v: v / 4)
+INTEGER = st.integers(-100, 100).map(float)
+# Signed zeros tie with each other; magnitudes near 1e+-300 and the float limits.
+EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=-1e-299, max_value=-1e-301),
+)
+
+
+@st.composite
+def scored_sets(draw, scores):
+    pos = draw(st.lists(st.builds(ScoredSample, scores, st.just(P)), min_size=1, max_size=25))
+    neg = draw(st.lists(st.builds(ScoredSample, scores, st.just(N)), min_size=1, max_size=25))
+    return draw(st.permutations(pos + neg))
+
+
+def bits(values) -> list[str]:
+    """Exact bit patterns: unlike ==, these tell -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+class TestReferenceSweep:
+    @pytest.mark.parametrize(
+        "scores", [CONTINUOUS, TIE_HEAVY, INTEGER, EDGES], ids=["continuous", "tie-heavy", "integer", "edges"]
+    )
+    @given(data=st.data())
+    def test_curve_is_bit_identical_to_the_per_row_sweep(self, scores, data):
+        s = data.draw(scored_sets(scores))
+        curve = roc_points(s)
+        points, auc = roc_sweep(s)
+        assert bits(curve.fpr) == bits(p.fpr for p in points)
+        assert bits(curve.tpr) == bits(p.tpr for p in points)
+        assert bits(curve.threshold) == bits(p.threshold for p in points)
+        assert bits([curve.auc]) == bits([auc])
+
+    def test_signed_zero_group_keeps_its_first_members_sign(self):
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            curve = roc_points(samples((first, P), (second, N), (1.0, N)))
+            assert bits(curve.threshold) == bits([math.inf, 1.0, first])
+
+
+class TestCurveColumns:
+    def test_columns_are_read_only_and_points_view_matches(self):
+        curve = roc_points(FOUR_SAMPLES)
+        with pytest.raises(ValueError):
+            curve.fpr[0] = 0.5
+        assert curve.points == tuple(
+            RocPoint(f, t, th) for f, t, th in zip(curve.fpr, curve.tpr, curve.threshold)
+        )
+
+    def test_nan_threshold_and_ragged_columns_rejected(self):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 1.0], threshold=[math.inf, math.nan], auc=0.5)
+        with pytest.raises(ValueError, match="one length"):
+            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 0.5, 1.0], threshold=[math.inf, 0.5], auc=0.5)
+
+
 class TestAucTrapezoid:
     def test_worked_four_sample_area(self):
         assert auc_trapezoid(roc_points(FOUR_SAMPLES)) == pytest.approx(0.75, abs=1e-12)
@@ -211,38 +272,27 @@ class TestCurveTypes:
 
     def test_curve_must_start_at_origin_with_infinite_threshold(self):
         with pytest.raises(ValueError, match="start"):
-            RocCurve(
-                points=(RocPoint(0.0, 0.0, 5.0), RocPoint(1.0, 1.0, 0.5)),
-                auc=0.5,
-            )
+            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 1.0], threshold=[5.0, 0.5], auc=0.5)
 
     def test_curve_must_end_at_one_one(self):
         with pytest.raises(ValueError, match="end"):
-            RocCurve(
-                points=(RocPoint(0.0, 0.0, math.inf), RocPoint(1.0, 0.5, 0.5)),
-                auc=0.5,
-            )
+            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 0.5], threshold=[math.inf, 0.5], auc=0.5)
 
     def test_curve_rejects_decreasing_rates(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             RocCurve(
-                points=(
-                    RocPoint(0.0, 0.0, math.inf),
-                    RocPoint(0.5, 0.8, 0.7),
-                    RocPoint(0.4, 1.0, 0.6),
-                    RocPoint(1.0, 1.0, 0.5),
-                ),
+                fpr=[0.0, 0.5, 0.4, 1.0],
+                tpr=[0.0, 0.8, 1.0, 1.0],
+                threshold=[math.inf, 0.7, 0.6, 0.5],
                 auc=0.5,
             )
 
     def test_curve_rejects_non_decreasing_thresholds(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
             RocCurve(
-                points=(
-                    RocPoint(0.0, 0.0, math.inf),
-                    RocPoint(0.5, 0.5, 0.5),
-                    RocPoint(1.0, 1.0, 0.5),
-                ),
+                fpr=[0.0, 0.5, 1.0],
+                tpr=[0.0, 0.5, 1.0],
+                threshold=[math.inf, 0.5, 0.5],
                 auc=0.5,
             )
 
