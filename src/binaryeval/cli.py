@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -25,6 +27,8 @@ from binaryeval.roc import roc_points
 
 # Lenient mode prints this many per-row warnings, then one summary line.
 _MAX_ROW_WARNINGS = 20
+# The row-specific tail of a failure reason: a field count or a quoted value.
+_REASON_DETAIL = re.compile(r", got \d+\Z| ['\"].*\Z")
 
 
 class _UsageError(Exception):
@@ -121,12 +125,18 @@ def _common_meta(args: argparse.Namespace, parse_report: ParseReport) -> dict[st
 
 
 def _warn_failures(parse_report: ParseReport, err: TextIO) -> None:
-    """The first skipped rows with their reasons, then how many of all rows read were skipped."""
+    """The first skipped rows with their reasons, then how many of all rows read were skipped, and why.
+
+    The summary counts each kind of reason, in order of first occurrence;
+    a reason's kind is the reason without its field count or quoted value.
+    """
     failures = parse_report.failures
     for line_number, reason in failures[:_MAX_ROW_WARNINGS]:
         err.write(f"warning: line {line_number}: {reason}\n")
     if failures:
-        err.write(f"warning: {len(failures)} of {parse_report.records_read} rows skipped\n")
+        kinds = Counter(_REASON_DETAIL.sub("", reason) for _, reason in failures)
+        why = ", ".join(f"{count} {kind}" for kind, count in kinds.items())
+        err.write(f"warning: {len(failures)} of {parse_report.records_read} rows skipped ({why})\n")
 
 
 def _render(report: EvaluationReport, args: argparse.Namespace) -> str:

@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +52,46 @@ class ScoredSample:
         if not math.isfinite(score):
             raise ValueError(f"score must be finite, got {self.score!r}")
         object.__setattr__(self, "score", score)
+
+
+# The label of each value of a positive-class mask, indexed by the mask value.
+_LABELS = (Label.NEGATIVE, Label.POSITIVE)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ScoredColumns(Sequence[ScoredSample]):
+    """Scored samples as two read-only columns of one length.
+
+    ``score`` is a ``float64`` array of finite scores and ``positive`` a
+    ``bool`` array, true where the actual label is positive; index ``i``
+    of each is sample ``i``. Both are copied and checked once, here. As a
+    sequence it holds one :class:`ScoredSample` per index, built on access.
+    """
+
+    score: np.ndarray
+    positive: np.ndarray
+
+    def __post_init__(self) -> None:
+        score = np.array(self.score, dtype=np.float64)
+        positive = np.array(self.positive, dtype=bool)
+        if score.ndim != 1 or score.shape != positive.shape:
+            raise ValueError("score and positive must be 1-d arrays of one length")
+        finite = np.isfinite(score)
+        if not finite.all():
+            index = int(np.argmin(finite))
+            raise ValueError(f"non-finite score at record {index}: {score[index].item()!r}")
+        for name, column in (("score", score), ("positive", positive)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.score.size
+
+    def __getitem__(self, index: int) -> ScoredSample:
+        return ScoredSample(self.score[index].item(), _LABELS[self.positive[index].item()])
+
+    def __iter__(self) -> Iterator[ScoredSample]:
+        return map(ScoredSample, self.score.tolist(), map(_LABELS.__getitem__, self.positive.tolist()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,8 +181,12 @@ def binarize(actual_class: Hashable, positive_class: Hashable) -> Label:
 def _columns(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray]:
     """The scores as ``float64[n]`` and the positive-class mask as ``bool[n]``, in sample order.
 
-    Raises ValueError naming the first record whose score is not finite.
+    A :class:`ScoredColumns` hands over its own read-only arrays. Any
+    other sequence is read row by row, and a ValueError names its first
+    record whose score is not finite.
     """
+    if isinstance(samples, ScoredColumns):
+        return samples.score, samples.positive
     score = np.fromiter(map(attrgetter("score"), samples), dtype=np.float64, count=len(samples))
     finite = np.isfinite(score)
     if not finite.all():

@@ -5,6 +5,16 @@ fields split on a single-character delimiter, no quoting. Hard-label rows
 are ``actual<delim>predicted`` and score rows are ``actual<delim>score``.
 Parsing is lenient by default (malformed rows are reported per line and
 skipped); ``strict=True`` aborts on the first failure instead.
+
+A whole-text ``str`` source without CR takes a bulk path first: the text
+is cut into chunks of about 256 Ki characters that end on line
+boundaries, each chunk is checked to hold exactly one delimiter per line
+and split once, and its fields become columns through whole-column
+checks (score characters, ``float()``, finiteness, declared labels). If
+any check fails on any chunk, the row loop parses the whole input
+instead, so line-numbered failures, strict mode and header handling mean
+exactly what they mean there; the bulk path only ever returns inputs in
+which every row is valid.
 """
 
 from __future__ import annotations
@@ -13,9 +23,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from binaryeval.counts import Label, LabeledPrediction, ScoredSample, binarize
+import numpy as np
+
+from binaryeval.counts import Label, LabeledPrediction, ScoredColumns, binarize
 
 
 T = TypeVar("T")
@@ -26,9 +39,26 @@ class InputMode(Enum):
     SCORES = "scores"
 
 
-# Plain decimal or scientific notation; rejects nan/inf spellings, hex,
-# underscores and locale-specific decimal commas.
-_SCORE_PATTERN = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+# Plain decimal or scientific notation in ASCII digits; rejects nan/inf
+# spellings, hex, underscores, other scripts' digits and locale-specific
+# decimal commas.
+_SCORE_PATTERN = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+# The characters of that grammar. A text made of them only, and accepted
+# by float(), is exactly a text _SCORE_PATTERN matches.
+_SCORE_CHARS = b"0123456789.+-eE"
+
+# The bulk path cuts the text in chunks of about this many characters, so
+# at most one chunk's field strings and code points are alive at a time.
+# On 2x10^5-row inputs, 1 Mi-character chunks gave the CLI an 8-20 MB
+# higher peak RSS than this size, and ran no faster.
+_CHUNK_CHARS = 1 << 18
+
+# The four label pairs, indexed by 2 * actual_is_positive + predicted_is_positive.
+_PAIRS = tuple(
+    LabeledPrediction(actual=actual, predicted=predicted)
+    for actual in (Label.NEGATIVE, Label.POSITIVE)
+    for predicted in (Label.NEGATIVE, Label.POSITIVE)
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +81,10 @@ class InputConfig:
     def __post_init__(self) -> None:
         if len(self.delimiter) != 1 or self.delimiter in "\r\n":
             raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
+        for name in ("positive_label", "negative_label"):
+            label = getattr(self, name)
+            if label is not None and any(c in label for c in (self.delimiter, "\n", "\r")):
+                raise ValueError(f"{name} must not contain the delimiter or a line break, got {label!r}")
         if self.negative_label is not None and self.negative_label == self.positive_label:
             raise ValueError("negative_label must differ from the positive label")
 
@@ -133,6 +167,62 @@ def _parse_rows(
     return records, ParseReport(read, len(records), tuple(failures))
 
 
+def _parse_chunks(
+    source: Iterable[str] | str,
+    cfg: InputConfig,
+    convert: Callable[[list[str], list[str]], T],
+) -> list[T] | None:
+    """Each chunk's first and second fields, converted as two whole columns.
+
+    Returns None when the row loop must parse ``source`` instead: it is
+    not a ``str``, it holds a CR, a data line lacks a delimiter or holds
+    two, or ``convert`` raises ValueError for a chunk.
+    """
+    if not isinstance(source, str) or "\r" in source:
+        return None
+    start = 0
+    if cfg.has_header:
+        start = source.find("\n") + 1 or len(source)
+    delimiter, line_end = ord(cfg.delimiter), ord("\n")
+    converted: list[T] = []
+    while start < len(source):
+        end = source.find("\n", start + _CHUNK_CHARS) + 1 or len(source)
+        chunk = source[start:end]
+        start = end
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        codes = np.array([chunk]).view(np.uint32)  # numpy holds str as UCS-4 code points
+        separators = codes[(codes == delimiter) | (codes == line_end)]
+        # Delimiter, line end, delimiter, line end, ...: one delimiter per line.
+        if separators.size % 2 or (separators[0::2] != delimiter).any() or (separators[1::2] != line_end).any():
+            return None
+        fields = chunk.replace("\n", cfg.delimiter).split(cfg.delimiter)
+        try:
+            converted.append(convert(fields[0:-1:2], fields[1::2]))
+        except ValueError:
+            return None
+    return converted
+
+
+def _positive_mask(labels: list[str], cfg: InputConfig) -> np.ndarray:
+    """Which labels are the positive one; ValueError if a declared negative label leaves others."""
+    if cfg.negative_label is not None:
+        if labels.count(cfg.positive_label) + labels.count(cfg.negative_label) != len(labels):
+            raise ValueError("a label is neither of the declared labels")
+    return np.fromiter(map(cfg.positive_label.__eq__, labels), dtype=bool, count=len(labels))
+
+
+def _score_column(texts: list[str]) -> np.ndarray:
+    """The scores as ``float64``; ValueError unless every text is a finite score."""
+    joined = "".join(texts)
+    if not joined.isascii() or joined.encode("ascii").translate(None, _SCORE_CHARS):
+        raise ValueError("a score holds a character outside the score grammar")
+    score = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    if not np.isfinite(score).all():
+        raise ValueError("a score is not finite")
+    return score
+
+
 def parse_hard_labels(
     source: Iterable[str] | str,
     cfg: InputConfig,
@@ -142,6 +232,15 @@ def parse_hard_labels(
     """Parse ``actual<delim>predicted`` rows into label pairs, in input order."""
     if cfg.mode is not InputMode.HARD_LABELS:
         raise ValueError("parse_hard_labels requires cfg.mode == InputMode.HARD_LABELS")
+
+    def convert_chunk(actual: list[str], predicted: list[str]) -> list[LabeledPrediction]:
+        index = 2 * _positive_mask(actual, cfg) + _positive_mask(predicted, cfg)
+        return list(map(_PAIRS.__getitem__, index.tolist()))
+
+    chunks = _parse_chunks(source, cfg, convert_chunk)
+    if chunks is not None:
+        pairs = list(chain.from_iterable(chunks))
+        return pairs, ParseReport(len(pairs), len(pairs))
 
     def convert(actual: str, predicted: str) -> LabeledPrediction:
         return LabeledPrediction(actual=_label_for(actual, cfg), predicted=_label_for(predicted, cfg))
@@ -154,19 +253,26 @@ def parse_scores(
     cfg: InputConfig,
     *,
     strict: bool = False,
-) -> tuple[list[ScoredSample], ParseReport]:
-    """Parse ``actual<delim>score`` rows into scored samples, in input order.
+) -> tuple[ScoredColumns, ParseReport]:
+    """Parse ``actual<delim>score`` rows into scored columns, in input order.
 
-    Scores must be finite decimals (plain or scientific notation); an empty
-    input yields an empty sequence rather than an error.
+    Scores must be finite decimals (plain or scientific notation in ASCII
+    digits); an empty input yields an empty sequence rather than an error.
     """
     if cfg.mode is not InputMode.SCORES:
         raise ValueError("parse_scores requires cfg.mode == InputMode.SCORES")
 
-    def convert(actual: str, score: str) -> ScoredSample:
-        return ScoredSample(score=_parse_score(score), actual=_label_for(actual, cfg))
+    chunks = _parse_chunks(source, cfg, lambda actual, score: (_score_column(score), _positive_mask(actual, cfg)))
+    if chunks is not None:
+        score = np.concatenate([np.empty(0), *(score for score, _ in chunks)])
+        positive = np.concatenate([np.empty(0, dtype=bool), *(positive for _, positive in chunks)])
+        return ScoredColumns(score, positive), ParseReport(score.size, score.size)
 
-    return _parse_rows(source, cfg, strict, convert)
+    def convert(actual: str, score: str) -> tuple[float, bool]:
+        return _parse_score(score), _label_for(actual, cfg) is Label.POSITIVE
+
+    rows, report = _parse_rows(source, cfg, strict, convert)
+    return ScoredColumns([score for score, _ in rows], [positive for _, positive in rows]), report
 
 
 def _split_row(row: str, delimiter: str) -> tuple[str, str]:

@@ -141,7 +141,7 @@ class TestEvaluate:
         assert code == 0
         lines = err.splitlines()
         assert lines[:20] == [f"warning: line {n}: expected 2 fields, got 1" for n in range(2, 22)]
-        assert lines[20:] == ["warning: 1000 of 1002 rows skipped"]
+        assert lines[20:] == ["warning: 1000 of 1002 rows skipped (1000 expected 2 fields)"]
         assert json.loads(out)["meta"]["records_accepted"] == 2
 
 
@@ -242,6 +242,16 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "--negative-label" in err
+
+    def test_positive_label_holding_the_delimiter_rejected(self, worked_files):
+        code, out, err = invoke("evaluate", "preds.csv", "--positive-label", "1,")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --positive-label must not contain the delimiter or a line break")
+
+    def test_negative_label_holding_a_line_break_rejected(self, worked_files):
+        code, out, err = invoke("evaluate", "preds.csv", "--negative-label", "0\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --negative-label must not contain the delimiter or a line break")
 
     def test_missing_subcommand(self):
         code, _, err = invoke()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,9 @@ from binaryeval.counts import (
     ConfusionCounts,
     Label,
     LabeledPrediction,
+    ScoredColumns,
     ScoredSample,
+    _columns,
     apply_threshold,
     binarize,
     empty,
@@ -218,6 +221,8 @@ class TestThresholdCounts:
     def test_equals_the_tally_of_apply_threshold(self, samples, data):
         threshold = data.draw(st.sampled_from([s.score for s in samples] + [math.inf, -math.inf]))
         assert threshold_counts(samples, threshold) == from_predictions(apply_threshold(samples, threshold))
+        columns = ScoredColumns([s.score for s in samples], [s.actual is P for s in samples])
+        assert threshold_counts(columns, threshold) == threshold_counts(samples, threshold)
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -233,3 +238,34 @@ class TestScoredSample:
     def test_score_coerced_to_float(self):
         assert ScoredSample(1, P).score == 1.0
         assert type(ScoredSample(1, P).score) is float
+
+
+class TestScoredColumns:
+    @given(samples_strategy)
+    def test_sequence_views_equal_the_samples(self, samples):
+        columns = ScoredColumns([s.score for s in samples], [s.actual is P for s in samples])
+        assert len(columns) == len(samples)
+        assert list(columns) == samples
+        assert [columns[i] for i in range(len(columns))] == samples
+        if samples:
+            assert columns[-1] == samples[-1]
+
+    def test_columns_are_read_only_copies_handed_over_as_they_are(self):
+        score, positive = [0.5, -1.0], [True, False]
+        columns = ScoredColumns(score, positive)
+        assert columns.score.dtype == np.float64 and columns.positive.dtype == bool
+        with pytest.raises(ValueError):
+            columns.score[0] = 2.0
+        with pytest.raises(ValueError):
+            columns.positive[0] = False
+        assert all(a is b for a, b in zip(_columns(columns), (columns.score, columns.positive)))
+        with pytest.raises(IndexError):
+            columns[2]
+
+    def test_shape_and_finiteness_checked_once_at_construction(self):
+        with pytest.raises(ValueError, match="one length"):
+            ScoredColumns([0.5, 0.25], [True])
+        with pytest.raises(ValueError, match="1-d"):
+            ScoredColumns([[0.5]], [[True]])
+        with pytest.raises(ValueError, match="non-finite score at record 1: nan"):
+            ScoredColumns([0.5, math.nan], [True, False])

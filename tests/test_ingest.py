@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from binaryeval import ingest
 from binaryeval.counts import Label
 from binaryeval.ingest import (
     InputConfig,
@@ -39,6 +41,12 @@ class TestConfig:
     def test_newline_delimiter_rejected(self):
         with pytest.raises(ValueError):
             InputConfig(mode=InputMode.HARD_LABELS, delimiter="\n")
+
+    @pytest.mark.parametrize("field", ["positive_label", "negative_label"])
+    @pytest.mark.parametrize("label", ["1,", ",", "a\nb", "0\r"])
+    def test_label_holding_the_delimiter_or_a_line_break_rejected(self, field, label):
+        with pytest.raises(ValueError, match=f"^{field} must not contain the delimiter or a line break"):
+            InputConfig(mode=InputMode.HARD_LABELS, **{field: label})
 
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError):
@@ -151,13 +159,19 @@ class TestScores:
         assert report.records_accepted == 0
         assert report.failures[0][0] == 1
 
+    def test_digits_of_other_scripts_are_malformed(self):
+        _, report = parse_scores("1,\u0660.\u0665\n0,0.5\n", SCORE_CFG)
+        assert report.records_accepted == 1
+        assert report.failures[0][0] == 1
+        assert "malformed score" in report.failures[0][1]
+
     def test_failure_reason_names_the_problem(self):
         _, report = parse_scores("1,nan\n", SCORE_CFG)
         assert "score" in report.failures[0][1]
 
     def test_empty_stream_is_empty_sequence_not_error(self):
         scored, report = parse_scores("", SCORE_CFG)
-        assert scored == []
+        assert len(scored) == 0
         assert report.records_read == 0
 
     def test_strict_mode_aborts(self):
@@ -199,7 +213,7 @@ class TestProperties:
         assert report.failures == ()
         assert [s.score for s in parsed] == values
         reparsed, _ = parse_scores("\n".join(f"1,{s.score!r}" for s in parsed), SCORE_CFG)
-        assert reparsed == parsed
+        assert list(reparsed) == list(parsed)
 
     @given(st.lists(st.text(alphabet=st.characters(blacklist_characters="\r\n"), max_size=12), max_size=30))
     def test_accounting_identity_on_arbitrary_line_soup(self, lines):
@@ -208,3 +222,101 @@ class TestProperties:
             cfg = HARD_CFG if parse is parse_hard_labels else SCORE_CFG
             _, report = parse(source, cfg)
             assert report.records_accepted + len(report.failures) == report.records_read
+
+
+# Line soup for the bulk/row differential: mostly valid rows, so that whole
+# inputs often take the bulk path, plus each kind of row the bulk path must
+# hand back to the row loop.
+_valid_line = st.one_of(
+    st.tuples(st.sampled_from(["1", "0"]),
+              st.floats(allow_nan=False, allow_infinity=False).map(repr)).map(",".join),
+    st.sampled_from(["1,0", "0,1", "1,-.5e-3", "0,+7.", "1,1E+2", "0,00.50"]),
+)
+_odd_line = st.sampled_from([
+    "", "1", "1,0.5,0.5", "0,,1", "2,0.5", ",0.5", "x,1", "1,nan", "0,inf", "1,1e999", "0,1_0",
+    "1, 0.5", "1,0.5\r", "\r", "1,\u0665", "1,0x1p3", "\u00e9,1",
+])
+_soup = st.lists(st.one_of(*[_valid_line] * 9, _odd_line), max_size=25)
+_configs = st.sampled_from([
+    {},
+    {"negative_label": "0"},
+    {"has_header": True},
+    {"negative_label": "0", "has_header": True},
+])
+
+
+def _scored(source, cfg, strict=False):
+    """Scores as float.hex, the positive mask and the report, or the strict-mode failure."""
+    try:
+        columns, report = parse_scores(source, cfg, strict=strict)
+    except ParseError as exc:
+        return ("error", exc.line_number, exc.reason)
+    return [s.hex() for s in columns.score.tolist()], columns.positive.tolist(), report
+
+
+def _labeled(source, cfg, strict=False):
+    try:
+        return parse_hard_labels(source, cfg, strict=strict)
+    except ParseError as exc:
+        return ("error", exc.line_number, exc.reason)
+
+
+class TestBulkPath:
+    """The chunked bulk path against the row loop it falls back to.
+
+    A non-``str`` source always takes the row loop, so ``io.StringIO`` of
+    the same text is the reference.
+    """
+
+    @given(_soup, st.booleans(), _configs, st.integers(1, 40), st.booleans())
+    def test_scores_equal_the_row_loop(self, lines, final_newline, options, chunk_chars, strict):
+        source = "\n".join(lines) + ("\n" if final_newline and lines else "")
+        cfg = InputConfig(mode=InputMode.SCORES, **options)
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+            bulk = _scored(source, cfg, strict)
+        assert bulk == _scored(io.StringIO(source), cfg, strict)
+
+    @given(_soup, st.booleans(), _configs, st.integers(1, 40), st.booleans())
+    def test_hard_labels_equal_the_row_loop(self, lines, final_newline, options, chunk_chars, strict):
+        source = "\n".join(line.replace(".", "") for line in lines) + ("\n" if final_newline and lines else "")
+        cfg = InputConfig(mode=InputMode.HARD_LABELS, **options)
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+            bulk = _labeled(source, cfg, strict)
+        assert bulk == _labeled(io.StringIO(source), cfg, strict)
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(["1", "0"]), st.floats(-1e6, 1e6).map(repr)), max_size=30),
+        _configs,
+    )
+    def test_valid_text_never_reaches_the_row_loop(self, rows, options):
+        scores = "".join(f"{label},{score}\n" for label, score in rows)
+        labels = "".join(f"{label},{label}\n" for label, _ in rows)
+        with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop ran")):
+            columns, report = parse_scores(scores, InputConfig(mode=InputMode.SCORES, **options))
+            pairs, _ = parse_hard_labels(labels, InputConfig(mode=InputMode.HARD_LABELS, **options))
+        data_rows = rows[1:] if options.get("has_header") else rows
+        assert report == ParseReport(len(data_rows), len(data_rows))
+        assert columns.positive.tolist() == [label == "1" for label, _ in data_rows]
+        assert [(p.actual is P, p.predicted is P) for p in pairs] == [(label == "1",) * 2 for label, _ in data_rows]
+
+    @given(st.text(alphabet="0123456789.+-eE_infa \u0665", max_size=10))
+    def test_score_characters_and_float_accept_the_score_pattern(self, text):
+        try:
+            float(text)
+            converts = True
+        except ValueError:
+            converts = False
+        in_charset = set(text.encode("utf-8")) <= set(ingest._SCORE_CHARS)
+        assert (in_charset and converts) == bool(ingest._SCORE_PATTERN.match(text))
+
+    @pytest.mark.parametrize("chunk_chars", [1, 2, 3, 5, 8, 13])
+    def test_chunk_boundaries_change_nothing(self, chunk_chars):
+        source = "label,score\n1,0.25\n0,12.5\n1,-3e-2\n0,7\n1,0.125\n0,1e300"
+        cfg = InputConfig(mode=InputMode.SCORES, negative_label="0", has_header=True)
+        whole = _scored(source, cfg)
+        assert whole[2] == ParseReport(6, 6, ())
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop ran")):
+            assert _scored(source, cfg) == whole
+            labels = parse_hard_labels(source.replace(".", ""), InputConfig(mode=InputMode.HARD_LABELS, has_header=True))
+        assert labels == parse_hard_labels(source.replace(".", ""), InputConfig(mode=InputMode.HARD_LABELS, has_header=True))

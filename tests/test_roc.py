@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binaryeval.counts import Label, ScoredSample, apply_threshold, from_predictions
+from binaryeval.counts import Label, ScoredColumns, ScoredSample, apply_threshold, from_predictions
 from binaryeval.metrics import false_positive_rate, true_positive_rate
 from binaryeval.roc import (
     DiagonalPosition,
@@ -166,6 +166,10 @@ class TestReferenceSweep:
         assert bits(curve.tpr) == bits(p.tpr for p in points)
         assert bits(curve.threshold) == bits(p.threshold for p in points)
         assert bits([curve.auc]) == bits([auc])
+        columns = ScoredColumns([x.score for x in s], [x.actual is P for x in s])
+        from_columns = roc_points(columns)
+        assert bits(from_columns.threshold) == bits(curve.threshold)
+        assert bits([from_columns.auc, auc_pair_count(columns)]) == bits([curve.auc, auc_pair_count(s)])
 
     def test_signed_zero_group_keeps_its_first_members_sign(self):
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
