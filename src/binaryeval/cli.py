@@ -1,16 +1,19 @@
 """Command-line entry point: ``evaluate`` and ``roc`` subcommands.
 
-Results go to stdout, diagnostics to stderr. Exit status is 0 on
-success, 1 on a validation or parse failure (strict mode), input that is
-not UTF-8 or degenerate input, with nothing written to stdout, and 2 on
-a usage error. Identical argv and input bytes produce identical output
-bytes.
+Results go to stdout, diagnostics to stderr. Reports are streamed to
+stdout (and the ROC plot to its ``--svg`` file) in chunks, never built
+as one string. Exit status is 0 on success, 1 on a validation or parse
+failure (strict mode), input that is not UTF-8 or degenerate input, with
+nothing written to stdout, and 2 on a usage error. A stdout closed by
+its reader ends the run quietly with exit 1. Identical argv and input
+bytes produce identical output bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -21,7 +24,7 @@ from typing import Sequence, TextIO
 from binaryeval.counts import from_predictions, threshold_counts
 from binaryeval.ingest import InputConfig, InputMode, ParseError, ParseReport, parse_hard_labels, parse_scores
 from binaryeval.metrics import all_metrics
-from binaryeval.report import EvaluationReport, render_json, render_svg, render_text
+from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
 from binaryeval.roc import roc_points
 
 
@@ -139,9 +142,9 @@ def _warn_failures(parse_report: ParseReport, err: TextIO) -> None:
         err.write(f"warning: {len(failures)} of {parse_report.records_read} rows skipped ({why})\n")
 
 
-def _render(report: EvaluationReport, args: argparse.Namespace) -> str:
-    render = render_json if args.format == "json" else render_text
-    return render(report, zero_division=args.zero_division)
+def _write_report(report: EvaluationReport, args: argparse.Namespace, out: TextIO) -> None:
+    write = write_json if args.format == "json" else write_text
+    write(report, out, zero_division=args.zero_division)
 
 
 def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
@@ -166,7 +169,7 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     meta = _common_meta(args, parse_report)
     meta["threshold"] = args.threshold
     meta["zero_division"] = args.zero_division
-    out.write(_render(EvaluationReport(metrics=all_metrics(counts), meta=meta), args))
+    _write_report(EvaluationReport(metrics=all_metrics(counts), meta=meta), args, out)
     return 0
 
 
@@ -186,11 +189,12 @@ def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
     if args.svg is not None:
         try:
-            Path(args.svg).write_text(render_svg(curve, title=f"ROC curve ({args.input})"), encoding="utf-8")
+            with open(args.svg, "w", encoding="utf-8") as svg:
+                write_svg(curve, f"ROC curve ({args.input})", svg)
         except OSError as exc:
             err.write(f"error: cannot write --svg file {args.svg!r}: {exc.strerror or exc}\n")
             return 1
-    out.write(_render(EvaluationReport(curve=curve, meta=_common_meta(args, parse_report)), args))
+    _write_report(EvaluationReport(curve=curve, meta=_common_meta(args, parse_report)), args, out)
     return 0
 
 
@@ -225,4 +229,12 @@ def run(
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the
+        # interpreter's last flush of what is buffered does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

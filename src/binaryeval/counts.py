@@ -65,7 +65,8 @@ class ScoredColumns(Sequence[ScoredSample]):
     ``score`` is a ``float64`` array of finite scores and ``positive`` a
     ``bool`` array, true where the actual label is positive; index ``i``
     of each is sample ``i``. Both are copied and checked once, here. As a
-    sequence it holds one :class:`ScoredSample` per index, built on access.
+    sequence it holds one :class:`ScoredSample` per index, built on access;
+    a slice is a ``ScoredColumns`` of the sliced columns.
     """
 
     score: np.ndarray
@@ -87,7 +88,9 @@ class ScoredColumns(Sequence[ScoredSample]):
     def __len__(self) -> int:
         return self.score.size
 
-    def __getitem__(self, index: int) -> ScoredSample:
+    def __getitem__(self, index: int | slice) -> ScoredSample | ScoredColumns:
+        if isinstance(index, slice):
+            return ScoredColumns(self.score[index], self.positive[index])
         return ScoredSample(self.score[index].item(), _LABELS[self.positive[index].item()])
 
     def __iter__(self) -> Iterator[ScoredSample]:

@@ -1,13 +1,21 @@
 """Rendering of evaluation results as text, JSON, and an SVG ROC plot.
 
-All renderers are pure: identical inputs produce byte-identical output.
+Each format has one writer, ``write_text``, ``write_json`` or
+``write_svg``, which writes the report to a text stream: the fixed parts
+in a few writes, the curve points in chunks of ``_CHUNK_POINTS``, so
+memory does not grow with the size of the report. Everything that can
+raise (the argument checks, the JSON encoding of counts, metrics and
+meta, the title's escaping) runs before the first write. ``render_text``,
+``render_json`` and ``render_svg`` return the same text as one string.
+
+All writers are pure: identical inputs produce byte-identical output.
 Undefined metric values render as ``"undefined"`` (text) or ``null``
 (JSON) by default; ``zero_division="zero"`` maps them to 0 at render time
 only, the computed values are never touched.
 
 An :class:`EvaluationReport` holds optional ``metrics`` (a
 :class:`~binaryeval.metrics.MetricSet`, which carries its tally), an
-optional ROC ``curve`` and a ``meta`` echo; each renderer emits only the
+optional ROC ``curve`` and a ``meta`` echo; each writer emits only the
 parts that are present. JSON key order is part of the contract:
 ``counts`` and ``metrics`` (when metrics are present), ``roc`` (when a
 curve is present), ``meta`` (when non-empty); metric keys follow
@@ -18,10 +26,14 @@ literal).
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Sequence, TextIO
+
+import numpy as np
 
 from binaryeval.counts import ConfusionCounts
 from binaryeval.metrics import MetricSet
@@ -33,6 +45,14 @@ _ZERO_DIVISION_MODES = ("undefined", "zero")
 _WIDTH = 640
 _HEIGHT = 480
 _MARGIN = 50
+
+# Curve points formatted and written per chunk; larger chunks only cost memory.
+_CHUNK_POINTS = 4096
+
+# Characters XML 1.0 does not allow in a document: C0 controls other than
+# tab, LF and CR, lone surrogates, U+FFFE and U+FFFF. Kept as a pattern
+# string, so that only a run that writes an SVG compiles it.
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,17 +101,55 @@ def _matrix_lines(c: ConfusionCounts) -> list[str]:
     ]
 
 
-def _curve_lines(curve: RocCurve) -> list[str]:
-    lines = ["fpr tpr threshold"]
-    lines.extend(
-        f"{fpr:.6f} {tpr:.6f} {'inf' if math.isinf(threshold) else repr(threshold)}"
-        for fpr, tpr, threshold in zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.threshold.tolist())
-    )
-    lines.append(f"AUC {curve.auc:.6f}")
-    return lines
+def _run_strings(column: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
+    """``fmt`` of every value, called once per run of consecutive equal values.
+
+    Values are equal when their bit patterns are, so ``-0.0`` and ``0.0``
+    never share a string.
+    """
+    bits = column.view(np.uint64)
+    starts = np.empty(bits.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    strings = np.array(list(map(fmt, column[starts].tolist())), dtype=object)
+    return strings[np.cumsum(starts) - 1].tolist()
 
 
-def render_text(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
+def _write_points(
+    out: TextIO,
+    template: str,
+    columns: Sequence[tuple[np.ndarray, Callable[[float], str]]],
+    first: Mapping[int, str],
+) -> None:
+    """Write ``template`` once per curve point, each ``{}`` filled from one column.
+
+    ``columns`` holds one (values, format) pair per ``{}``. Point ``i``'s
+    parts are the template's literals with ``fmt(values[i])`` between
+    them; ``first`` replaces parts of point 0 by index (such as its
+    opening literal, which has no separator before it).
+    """
+    literals = template.split("{}")
+    point: list[str] = [""] * (2 * len(literals) - 1)
+    point[::2] = literals
+    size = columns[0][0].size
+    for start in range(0, size, _CHUNK_POINTS):
+        stop = min(start + _CHUNK_POINTS, size)
+        parts = point * (stop - start)
+        for slot, (values, fmt) in enumerate(columns):
+            parts[2 * slot + 1 :: len(point)] = _run_strings(values[start:stop], fmt)
+        if start == 0:
+            for index, text in first.items():
+                parts[index] = text
+        out.write("".join(parts))
+
+
+def _rendered(write: Callable[..., None], *args: object, **kwargs: object) -> str:
+    out = io.StringIO()
+    write(*args, out, **kwargs)
+    return out.getvalue()
+
+
+def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "undefined") -> None:
     """Fixed-order plain-text report, one blank line between blocks.
 
     The blocks are the meta echo; the matrix and one line per metric, when
@@ -99,22 +157,28 @@ def render_text(report: EvaluationReport, *, zero_division: str = "undefined") -
     a curve is present.
     """
     _check_zero_division(zero_division)
-    blocks: list[list[str]] = []
+    blocks: list[str] = []
     if report.meta:
-        blocks.append([f"{key} {_format_meta_value(value)}" for key, value in report.meta.items()])
+        blocks.append("\n".join(f"{key} {_format_meta_value(value)}" for key, value in report.meta.items()))
     if report.metrics is not None:
-        blocks.append(_matrix_lines(report.metrics.counts) + [""] + [
+        blocks.append("\n".join(_matrix_lines(report.metrics.counts) + [""] + [
             f"{name.upper()} {_format_metric(value, zero_division)}"
             for name, value in report.metrics.as_dict().items()
-        ])
-    if report.curve is not None:
-        blocks.append(_curve_lines(report.curve))
-    lines: list[str] = []
-    for block in blocks:
-        if lines:
-            lines.append("")
-        lines.extend(block)
-    return "\n".join(lines) + "\n"
+        ]))
+    curve = report.curve
+    if curve is None:
+        out.write("\n\n".join(blocks) + "\n")
+        return
+    out.write("\n\n".join(blocks + ["fpr tpr threshold"]))
+    # repr(+inf) is "inf", the text form of the initial point's threshold.
+    six_places = "{:.6f}".format
+    _write_points(out, "\n{} {} {}", ((curve.fpr, six_places), (curve.tpr, six_places), (curve.threshold, repr)), {})
+    out.write(f"\nAUC {curve.auc:.6f}\n")
+
+
+def render_text(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
+    """What :func:`write_text` writes, as one string."""
+    return _rendered(write_text, report, zero_division=zero_division)
 
 
 def _json_safe(value: object) -> object:
@@ -123,59 +187,59 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def _curve_json(curve: RocCurve) -> str:
-    """The ``roc`` value as ``json.dumps(indent=2)`` writes it one level deep.
-
-    Each point is laid out by hand; ``!r`` is ``float.__repr__``, which is
-    what json uses for floats. The initial +inf threshold becomes null.
-    """
-    points = ",\n".join(
-        f'      {{\n        "fpr": {fpr!r},\n        "tpr": {tpr!r},\n'
-        f'        "threshold": {"null" if math.isinf(threshold) else repr(threshold)}\n      }}'
-        for fpr, tpr, threshold in zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.threshold.tolist())
-    )
-    return f'{{\n    "points": [\n{points}\n    ],\n    "auc": {json.dumps(curve.auc)}\n  }}'
-
-
-def render_json(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
+def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "undefined") -> None:
     """Machine-readable report; floats use shortest round-trip formatting.
 
     The text is what ``json.dumps(..., indent=2)`` writes for the whole
-    report; only the curve points are laid out here instead of by json.
+    report; only the curve points are laid out here instead of by json,
+    ``repr`` being what json uses for a float.
     """
     _check_zero_division(zero_division)
-    members: dict[str, str] = {}
 
-    def nested(value: object) -> str:
+    def member(key: str, value: object) -> str:
         # Indented one level deeper: json only writes a newline between tokens.
-        return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+        return f'  "{key}": ' + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
+    head: list[str] = []
     if report.metrics is not None:
         counts = report.metrics.counts
-        members["counts"] = nested({"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn})
-        members["metrics"] = nested({
+        head.append(member("counts", {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn}))
+        head.append(member("metrics", {
             name: 0.0 if value is None and zero_division == "zero" else value
             for name, value in report.metrics.as_dict().items()
-        })
-    if report.curve is not None:
-        members["roc"] = _curve_json(report.curve)
-    if report.meta:
-        members["meta"] = nested({key: _json_safe(value) for key, value in report.meta.items()})
-    if not members:
-        return "{}\n"
-    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in members.items()) + "\n}\n"
+        }))
+    tail = [member("meta", {key: _json_safe(value) for key, value in report.meta.items()})] if report.meta else []
+    curve = report.curve
+    if curve is None:
+        out.write("{\n" + ",\n".join(head + tail) + "\n}\n" if head or tail else "{}\n")
+        return
+    auc = json.dumps(curve.auc)
+    out.write("{\n" + "".join(text + ",\n" for text in head) + '  "roc": {\n    "points": [')
+    # Point 0 has no comma before it, and its +inf threshold is null.
+    _write_points(
+        out,
+        ',\n      {\n        "fpr": {},\n        "tpr": {},\n        "threshold": {}\n      }',
+        ((curve.fpr, repr), (curve.tpr, repr), (curve.threshold, repr)),
+        {0: '\n      {\n        "fpr": ', 5: "null"},
+    )
+    out.write(f'\n    ],\n    "auc": {auc}\n  }}' + "".join(",\n" + text for text in tail) + "\n}\n")
+
+
+def render_json(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
+    """What :func:`write_json` writes, as one string."""
+    return _rendered(write_json, report, zero_division=zero_division)
 
 
 def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
+    """``text`` as XML character data; characters XML does not allow become U+FFFD."""
+    return re.sub(
+        _NOT_XML_CHAR,
+        "\ufffd",
+        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;"),
     )
 
 
-def render_svg(curve: RocCurve, title: str) -> str:
+def write_svg(curve: RocCurve, title: str, out: TextIO) -> None:
     """Standalone 640x480 SVG of the curve with the chance diagonal.
 
     Data (0, 0) maps to the plot's bottom-left corner and (1, 1) to its
@@ -229,24 +293,25 @@ def render_svg(curve: RocCurve, title: str) -> str:
         f'<line x1="{x_px(0.0):.2f}" y1="{y_px(0.0):.2f}" x2="{x_px(1.0):.2f}" y2="{y_px(1.0):.2f}" '
         'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>'
     )
-    polyline = " ".join(
-        f"{x:.2f},{y:.2f}" for x, y in zip(x_px(curve.fpr).tolist(), y_px(curve.tpr).tolist())
-    )
-    lines.append(
-        f'<polyline points="{polyline}" fill="none" stroke="#1f77b4" stroke-width="2"/>'
-    )
-    lines.append(
+    lines.append('<polyline points="')
+    out.write("\n".join(lines))
+    # Points are separated by a space, which point 0 does without.
+    two_places = "{:.2f}".format
+    _write_points(out, " {},{}", ((x_px(curve.fpr), two_places), (y_px(curve.tpr), two_places)), {0: ""})
+    lines = [
+        '" fill="none" stroke="#1f77b4" stroke-width="2"/>',
         f'<text x="{(left + right) / 2:.2f}" y="{bottom + 40}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="13">False Positive Rate</text>'
-    )
-    lines.append(
+        'font-family="sans-serif" font-size="13">False Positive Rate</text>',
         f'<text x="18.00" y="{(top + bottom) / 2:.2f}" text-anchor="middle" '
         'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(top + bottom) / 2:.2f})">True Positive Rate</text>'
-    )
-    lines.append(
+        f'transform="rotate(-90 18 {(top + bottom) / 2:.2f})">True Positive Rate</text>',
         f'<text x="{right - 10}" y="{bottom - 10}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="13">AUC = {curve.auc:.3f}</text>'
-    )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        f'font-family="sans-serif" font-size="13">AUC = {curve.auc:.3f}</text>',
+        "</svg>",
+    ]
+    out.write("\n".join(lines) + "\n")
+
+
+def render_svg(curve: RocCurve, title: str) -> str:
+    """What :func:`write_svg` writes, as one string."""
+    return _rendered(write_svg, curve, title)

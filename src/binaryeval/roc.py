@@ -62,7 +62,8 @@ class RocCurve:
 
     ``fpr``, ``tpr`` and ``threshold`` are read-only ``float64`` arrays of
     one length, index ``i`` being the curve's ``i``-th point; ``points``
-    is the same curve as :class:`RocPoint` values.
+    is the same curve as :class:`RocPoint` values. Only the initial
+    point's threshold is infinite (+inf).
     """
 
     fpr: np.ndarray
@@ -92,6 +93,8 @@ class RocCurve:
             raise ValueError("fpr and tpr must be non-decreasing along the curve")
         if not (threshold[1:] < threshold[:-1]).all():
             raise ValueError("thresholds must be strictly decreasing")
+        if not np.isfinite(threshold[1:]).all():
+            raise ValueError("thresholds after the first must be finite")
         if not 0.0 <= self.auc <= 1.0:
             raise ValueError(f"auc must be in [0, 1], got {self.auc!r}")
 

@@ -93,3 +93,84 @@ def roc_json(curve: RocCurve, meta: Mapping[str, object]) -> str:
     ]
     return json.dumps({"roc": {"points": points, "auc": curve.auc}, "meta": dict(meta)},
                       indent=2, allow_nan=False) + "\n"
+
+
+def _is_xml_char(c: str) -> bool:
+    """Whether XML 1.0's ``Char`` production allows ``c``."""
+    code = ord(c)
+    return code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF or 0xE000 <= code <= 0xFFFD or code >= 0x10000
+
+
+def _escape(text: str) -> str:
+    text = "".join(c if _is_xml_char(c) else "\ufffd" for c in text)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+
+
+def roc_svg(curve: RocCurve, title: str) -> str:
+    """The 640x480 SVG plot, one whole string built from one list of lines."""
+    width, height, margin = 640, 480, 50
+    left = margin
+    top = margin
+    right = width - margin
+    bottom = height - margin
+
+    def x_px(fpr):
+        return left + fpr * (right - left)
+
+    def y_px(tpr):
+        return bottom - tpr * (bottom - top)
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<rect x="{left}" y="{top}" width="{right - left}" height="{bottom - top}" '
+        'fill="none" stroke="#000000" stroke-width="1"/>',
+        f'<text x="{width / 2:.2f}" y="30.00" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="16">{_escape(title)}</text>',
+    ]
+
+    for i in range(6):
+        value = i / 5
+        x = x_px(value)
+        y = y_px(value)
+        lines.append(
+            f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 5}" '
+            'stroke="#000000" stroke-width="1"/>'
+        )
+        lines.append(
+            f'<text x="{x:.2f}" y="{bottom + 20}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{value:.1f}</text>'
+        )
+        lines.append(
+            f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" '
+            'stroke="#000000" stroke-width="1"/>'
+        )
+        lines.append(
+            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{value:.1f}</text>'
+        )
+
+    lines.append(
+        f'<line x1="{x_px(0.0):.2f}" y1="{y_px(0.0):.2f}" x2="{x_px(1.0):.2f}" y2="{y_px(1.0):.2f}" '
+        'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>'
+    )
+    polyline = " ".join(f"{x_px(p.fpr):.2f},{y_px(p.tpr):.2f}" for p in curve.points)
+    lines.append(
+        f'<polyline points="{polyline}" fill="none" stroke="#1f77b4" stroke-width="2"/>'
+    )
+    lines.append(
+        f'<text x="{(left + right) / 2:.2f}" y="{bottom + 40}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="13">False Positive Rate</text>'
+    )
+    lines.append(
+        f'<text x="18.00" y="{(top + bottom) / 2:.2f}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 18 {(top + bottom) / 2:.2f})">True Positive Rate</text>'
+    )
+    lines.append(
+        f'<text x="{right - 10}" y="{bottom - 10}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="13">AUC = {curve.auc:.3f}</text>'
+    )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

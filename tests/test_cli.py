@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from binaryeval.cli import run
@@ -171,6 +176,41 @@ class TestRoc:
         assert code == 1
         assert out == ""
         assert err.startswith("error: cannot write --svg file")
+
+    def test_svg_path_that_is_a_directory_fails_before_any_json_output(self, worked_files):
+        (worked_files / "plots").mkdir()
+        code, out, err = invoke("roc", "scores.csv", "--format", "json", "--svg", "plots")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write --svg file 'plots'")
+
+    @pytest.mark.parametrize(
+        ("name", "shown"),
+        [(os.fsdecode(b"\xff.csv"), "\ufffd.csv"), ("ctl\x01.csv", "ctl\ufffd.csv")],
+        ids=["undecodable-byte", "control"],
+    )
+    def test_svg_title_from_any_file_name_is_well_formed_utf8(self, worked_files, name, shown):
+        (worked_files / name).write_text(FOUR_SCORE_ROWS, newline="")
+        code, _, err = invoke("roc", name, "--svg", "out.svg")
+        assert code == 0, err
+        root = ET.fromstring((worked_files / "out.svg").read_bytes())
+        assert f"ROC curve ({shown})" in root.itertext()
+
+    def test_closed_stdout_ends_the_run_with_exit_one_and_no_traceback(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = 200_000
+        lines = map("{},{!r}".format, (rng.random(rows) < 0.3).astype(int).tolist(), rng.random(rows).tolist())
+        (tmp_path / "big.csv").write_text("\n".join(lines) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "binaryeval", "roc", "big.csv", "--format", "json"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert child.stdout.read(100).startswith(b'{\n  "roc": {')
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 1
+        assert err == b""
 
 
 class TestDecoding:

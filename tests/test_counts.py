@@ -250,6 +250,18 @@ class TestScoredColumns:
         if samples:
             assert columns[-1] == samples[-1]
 
+    @given(
+        samples_strategy,
+        st.none() | st.integers(-45, 45),
+        st.none() | st.integers(-45, 45),
+        st.none() | st.integers(-5, 5).filter(bool),
+    )
+    def test_slice_is_columns_of_the_sliced_samples(self, samples, start, stop, step):
+        columns = ScoredColumns([s.score for s in samples], [s.actual is P for s in samples])
+        part = columns[start:stop:step]
+        assert isinstance(part, ScoredColumns)
+        assert list(part) == list(columns)[start:stop:step]
+
     def test_columns_are_read_only_copies_handed_over_as_they_are(self):
         score, positive = [0.5, -1.0], [True, False]
         columns = ScoredColumns(score, positive)

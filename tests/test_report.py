@@ -2,20 +2,31 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from binaryeval import report as report_module
 from binaryeval.counts import ConfusionCounts, Label, ScoredSample
 from binaryeval.metrics import all_metrics
-from binaryeval.report import EvaluationReport, render_json, render_svg, render_text
+from binaryeval.report import (
+    EvaluationReport,
+    render_json,
+    render_svg,
+    render_text,
+    write_json,
+    write_svg,
+    write_text,
+)
 from binaryeval.roc import RocCurve, roc_points
 
-from oracles import roc_json, roc_text
+from oracles import roc_json, roc_svg, roc_text
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -44,6 +55,19 @@ def svg_elements(svg: str) -> list[ET.Element]:
 
 def local_name(element: ET.Element) -> str:
     return element.tag.rsplit("}", 1)[-1]
+
+
+# Curve points per written chunk, small enough that runs of equal rates
+# and the last point fall across chunk boundaries.
+CHUNK_POINTS = st.integers(1, 7)
+
+
+def written(write, *args, chunk_points: int, **kwargs) -> str:
+    """What ``write`` writes to a text stream, with ``chunk_points`` points per chunk."""
+    out = io.StringIO()
+    with mock.patch.object(report_module, "_CHUNK_POINTS", chunk_points):
+        write(*args, out, **kwargs)
+    return out.getvalue()
 
 
 class TestRenderText:
@@ -162,11 +186,15 @@ META_TEXT = st.text(max_size=12) | st.text(alphabet='"\\/\'é€😀\u2028\x00\x
 
 @st.composite
 def curve_and_meta(draw):
-    """A curve over tie-heavy or continuous scores, with the roc subcommand's meta echo."""
-    if draw(st.booleans()):
-        scores = st.integers(0, 6).map(lambda v: v / 4)
-    else:
-        scores = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    """A curve over tie-heavy, continuous or all-equal scores, with the roc subcommand's meta echo.
+
+    All-equal scores give the two-point curve.
+    """
+    scores = draw(st.sampled_from([
+        st.integers(0, 6).map(lambda v: v / 4),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.just(0.5),
+    ]))
     pos = draw(st.lists(scores, min_size=1, max_size=25))
     neg = draw(st.lists(scores, min_size=1, max_size=25))
     curve = roc_points([ScoredSample(x, P) for x in pos] + [ScoredSample(x, N) for x in neg])
@@ -185,18 +213,24 @@ def curve_and_meta(draw):
 
 
 class TestCurveOnlyReport:
-    @given(curve_and_meta())
-    def test_text_matches_the_reference_roc_renderer(self, case):
+    @given(curve_and_meta(), CHUNK_POINTS)
+    def test_text_matches_the_reference_roc_renderer(self, case, chunk_points):
         curve, meta = case
-        assert render_text(EvaluationReport(curve=curve, meta=meta)) == roc_text(curve, meta)
+        report = EvaluationReport(curve=curve, meta=meta)
+        expected = roc_text(curve, meta)
+        assert written(write_text, report, chunk_points=chunk_points) == expected
+        assert render_text(report) == expected
 
-    @given(curve_and_meta())
-    def test_json_matches_the_reference_roc_renderer(self, case):
+    @given(curve_and_meta(), CHUNK_POINTS)
+    def test_json_matches_the_reference_roc_renderer(self, case, chunk_points):
         curve, meta = case
-        assert render_json(EvaluationReport(curve=curve, meta=meta)) == roc_json(curve, meta)
+        report = EvaluationReport(curve=curve, meta=meta)
+        expected = roc_json(curve, meta)
+        assert written(write_json, report, chunk_points=chunk_points) == expected
+        assert render_json(report) == expected
 
-    @given(curve_and_meta())
-    def test_json_with_metrics_matches_one_json_dumps(self, case):
+    @given(curve_and_meta(), CHUNK_POINTS)
+    def test_json_with_metrics_matches_one_json_dumps(self, case, chunk_points):
         curve, meta = case
         report = c_star_report(curve=curve, meta=meta)
         expected = {
@@ -205,7 +239,27 @@ class TestCurveOnlyReport:
             "roc": json.loads(roc_json(curve, {}))["roc"],
             "meta": meta,
         }
+        assert written(write_json, report, chunk_points=chunk_points) == json.dumps(expected, indent=2) + "\n"
         assert render_json(report) == json.dumps(expected, indent=2) + "\n"
+
+    @given(curve_and_meta(), CHUNK_POINTS)
+    def test_svg_matches_the_reference_renderer(self, case, chunk_points):
+        curve, meta = case
+        expected = roc_svg(curve, meta["input"])
+        assert written(write_svg, curve, meta["input"], chunk_points=chunk_points) == expected
+        assert render_svg(curve, meta["input"]) == expected
+
+    def test_signed_zero_rates_keep_their_own_strings(self):
+        # -0.0 == 0.0, but each is formatted as itself, as the references do.
+        curve = RocCurve(fpr=[0.0, -0.0, 0.0, 1.0], tpr=[0.0, 0.0, -0.0, 1.0],
+                         threshold=[math.inf, 0.75, 0.5, 0.25], auc=0.0)
+        meta = {"input": "zeros.csv"}
+        report = EvaluationReport(curve=curve, meta=meta)
+        assert "\n-0.000000 0.000000 0.75\n0.000000 -0.000000 0.5\n" in render_text(report)
+        for chunk_points in (1, 2, 4096):
+            assert written(write_text, report, chunk_points=chunk_points) == roc_text(curve, meta)
+            assert written(write_json, report, chunk_points=chunk_points) == roc_json(curve, meta)
+            assert written(write_svg, curve, "t", chunk_points=chunk_points) == roc_svg(curve, "t")
 
     def test_metrics_and_curve_render_both_blocks(self):
         text = render_text(c_star_report(curve=FOUR_SAMPLE_CURVE))
@@ -260,6 +314,20 @@ class TestRenderSvg:
         svg = render_svg(FOUR_SAMPLE_CURVE, title='<&"title>')
         ET.fromstring(svg)
         assert "&lt;&amp;&quot;title&gt;" in svg
+
+    @given(st.text(st.characters(exclude_categories=()) | st.sampled_from("\x00\x0b\ud800\udfff\ufffe\uffff"),
+                   max_size=20))
+    def test_any_title_gives_well_formed_utf8_xml(self, title):
+        svg = render_svg(FOUR_SAMPLE_CURVE, title=title)
+        root = ET.fromstring(svg.encode("utf-8"))
+        shown = next(e for e in root.iter() if local_name(e) == "text").text or ""
+        allowed = "".join(
+            c if c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+            else "\ufffd"
+            for c in title
+        )
+        # An XML parser reads CRLF and CR as LF.
+        assert shown == allowed.replace("\r\n", "\n").replace("\r", "\n")
 
     def test_identical_across_runs(self):
         assert render_svg(FOUR_SAMPLE_CURVE, "t") == render_svg(FOUR_SAMPLE_CURVE, "t")

@@ -193,6 +193,11 @@ class TestCurveColumns:
             RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 0.5, 1.0], threshold=[math.inf, 0.5], auc=0.5)
 
 
+    def test_infinite_threshold_after_the_first_rejected(self):
+        with pytest.raises(ValueError, match="after the first must be finite"):
+            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 1.0], threshold=[math.inf, -math.inf], auc=0.5)
+
+
 class TestAucTrapezoid:
     def test_worked_four_sample_area(self):
         assert auc_trapezoid(roc_points(FOUR_SAMPLES)) == pytest.approx(0.75, abs=1e-12)
