@@ -157,12 +157,12 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         raise _UsageError("--threshold must not be NaN")
 
     cfg = _input_config(args, mode)
-    text = _read_input(args.input)
+    # The decoded text is not kept in a variable, so it is freed once parsed.
     if mode is InputMode.HARD_LABELS:
-        pairs, parse_report = parse_hard_labels(text, cfg, strict=args.strict)
+        pairs, parse_report = parse_hard_labels(_read_input(args.input), cfg, strict=args.strict)
         counts = from_predictions(pairs)
     else:
-        samples, parse_report = parse_scores(text, cfg, strict=args.strict)
+        samples, parse_report = parse_scores(_read_input(args.input), cfg, strict=args.strict)
         counts = threshold_counts(samples, args.threshold)
     _warn_failures(parse_report, err)
 
@@ -177,8 +177,8 @@ def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.mode != "scores":
         raise _UsageError("--mode must be 'scores' for the roc subcommand")
     cfg = _input_config(args, InputMode.SCORES)
-    text = _read_input(args.input)
-    samples, parse_report = parse_scores(text, cfg, strict=args.strict)
+    # The decoded text is not kept in a variable, so it is freed before the sweep and the writers.
+    samples, parse_report = parse_scores(_read_input(args.input), cfg, strict=args.strict)
     _warn_failures(parse_report, err)
 
     try:

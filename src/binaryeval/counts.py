@@ -97,6 +97,41 @@ class ScoredColumns(Sequence[ScoredSample]):
         return map(ScoredSample, self.score.tolist(), map(_LABELS.__getitem__, self.positive.tolist()))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class LabeledColumns(Sequence[LabeledPrediction]):
+    """Label pairs as two read-only ``bool`` columns of one length.
+
+    ``actual`` and ``predicted`` are true where that label is positive;
+    index ``i`` of each is pair ``i``. Both are copied and checked once,
+    here. As a sequence it holds one :class:`LabeledPrediction` per index,
+    built on access; a slice is a ``LabeledColumns`` of the sliced columns.
+    """
+
+    actual: np.ndarray
+    predicted: np.ndarray
+
+    def __post_init__(self) -> None:
+        actual = np.array(self.actual, dtype=bool)
+        predicted = np.array(self.predicted, dtype=bool)
+        if actual.ndim != 1 or actual.shape != predicted.shape:
+            raise ValueError("actual and predicted must be 1-d arrays of one length")
+        for name, column in (("actual", actual), ("predicted", predicted)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.actual.size
+
+    def __getitem__(self, index: int | slice) -> LabeledPrediction | LabeledColumns:
+        if isinstance(index, slice):
+            return LabeledColumns(self.actual[index], self.predicted[index])
+        return LabeledPrediction(_LABELS[self.actual[index].item()], _LABELS[self.predicted[index].item()])
+
+    def __iter__(self) -> Iterator[LabeledPrediction]:
+        actual, predicted = (map(_LABELS.__getitem__, column.tolist()) for column in (self.actual, self.predicted))
+        return map(LabeledPrediction, actual, predicted)
+
+
 @dataclass(frozen=True, slots=True)
 class ConfusionCounts:
     """The four cells of a 2x2 confusion matrix (rows actual, columns predicted).
@@ -155,8 +190,21 @@ def merge(a: ConfusionCounts, b: ConfusionCounts) -> ConfusionCounts:
     )
 
 
+def _tally(actual: np.ndarray, predicted: np.ndarray) -> ConfusionCounts:
+    """The tally of two ``bool`` masks of one length, true where that label is positive."""
+    tp = int(np.count_nonzero(actual & predicted))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=actual.size - tp - fp - fn)
+
+
 def from_predictions(pairs: Iterable[LabeledPrediction]) -> ConfusionCounts:
-    """Tally a sequence of label pairs; equal to folding :func:`record` over :func:`empty`."""
+    """Tally label pairs; equal to folding :func:`record` over :func:`empty`.
+
+    A :class:`LabeledColumns` is counted over its columns, any other iterable pair by pair.
+    """
+    if isinstance(pairs, LabeledColumns):
+        return _tally(pairs.actual, pairs.predicted)
     tp = fp = fn = tn = 0
     for pair in pairs:
         if pair.actual is Label.POSITIVE:
@@ -201,41 +249,15 @@ def _columns(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray]:
     return score, positive
 
 
-def _real_threshold(threshold: float) -> float:
+def threshold_counts(samples: Sequence[ScoredSample], threshold: float) -> ConfusionCounts:
+    """The tally of hard predictions that are positive iff score >= ``threshold``.
+
+    ``+inf`` predicts everything negative and ``-inf`` everything positive;
+    NaN is rejected. Counted over the score column, without building one
+    prediction per sample.
+    """
     threshold = float(threshold)
     if math.isnan(threshold):
         raise ValueError("threshold must be a real number or +/-inf, not NaN")
-    return threshold
-
-
-def apply_threshold(
-    samples: Sequence[ScoredSample], threshold: float
-) -> list[LabeledPrediction]:
-    """Turn scores into hard predictions: positive iff score >= threshold.
-
-    ``+inf`` predicts everything negative and ``-inf`` everything positive;
-    NaN is rejected. Actual labels pass through and order is preserved.
-    """
-    threshold = _real_threshold(threshold)
-    return [
-        LabeledPrediction(
-            actual=sample.actual,
-            predicted=Label.POSITIVE if sample.score >= threshold else Label.NEGATIVE,
-        )
-        for sample in samples
-    ]
-
-
-def threshold_counts(samples: Sequence[ScoredSample], threshold: float) -> ConfusionCounts:
-    """The tally of :func:`apply_threshold`, counted over the score column.
-
-    Equal to ``from_predictions(apply_threshold(samples, threshold))``
-    without building one prediction per sample.
-    """
-    threshold = _real_threshold(threshold)
     score, positive = _columns(samples)
-    predicted = score >= threshold
-    tp = int(np.count_nonzero(predicted & positive))
-    fp = int(np.count_nonzero(predicted)) - tp
-    fn = int(np.count_nonzero(positive)) - tp
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=len(samples) - tp - fp - fn)
+    return _tally(positive, score >= threshold)

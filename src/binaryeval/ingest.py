@@ -8,13 +8,13 @@ skipped); ``strict=True`` aborts on the first failure instead.
 
 A whole-text ``str`` source without CR takes a bulk path first: the text
 is cut into chunks of about 256 Ki characters that end on line
-boundaries, each chunk is checked to hold exactly one delimiter per line
-and split once, and its fields become columns through whole-column
-checks (score characters, ``float()``, finiteness, declared labels). If
-any check fails on any chunk, the row loop parses the whole input
-instead, so line-numbered failures, strict mode and header handling mean
-exactly what they mean there; the bulk path only ever returns inputs in
-which every row is valid.
+boundaries, each chunk's code points are checked to hold exactly one
+delimiter per line, labels are matched on those code points, and scores
+are split once and checked as a whole column (score characters,
+``float()``, finiteness). If any check fails on any chunk, the row loop
+parses the whole input instead, so line-numbered failures, strict mode
+and header handling mean exactly what they mean there; the bulk path only
+ever returns inputs in which every row is valid.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from binaryeval.counts import Label, LabeledPrediction, ScoredColumns, binarize
+from binaryeval.counts import LabeledColumns, ScoredColumns
 
 
 T = TypeVar("T")
@@ -52,13 +51,6 @@ _SCORE_CHARS = b"0123456789.+-eE"
 # On 2x10^5-row inputs, 1 Mi-character chunks gave the CLI an 8-20 MB
 # higher peak RSS than this size, and ran no faster.
 _CHUNK_CHARS = 1 << 18
-
-# The four label pairs, indexed by 2 * actual_is_positive + predicted_is_positive.
-_PAIRS = tuple(
-    LabeledPrediction(actual=actual, predicted=predicted)
-    for actual in (Label.NEGATIVE, Label.POSITIVE)
-    for predicted in (Label.NEGATIVE, Label.POSITIVE)
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,14 +123,10 @@ def _data_rows(source: Iterable[str] | str, has_header: bool) -> Iterator[tuple[
         yield line_number, line.rstrip("\r\n")
 
 
-def _label_for(field_text: str, cfg: InputConfig) -> Label:
-    if cfg.negative_label is not None:
-        if field_text == cfg.positive_label:
-            return Label.POSITIVE
-        if field_text == cfg.negative_label:
-            return Label.NEGATIVE
+def _is_positive(field_text: str, cfg: InputConfig) -> bool:
+    if cfg.negative_label is not None and field_text not in (cfg.positive_label, cfg.negative_label):
         raise ValueError(f"unknown label {field_text!r}")
-    return binarize(field_text, cfg.positive_label)
+    return field_text == cfg.positive_label
 
 
 def _parse_rows(
@@ -167,16 +155,27 @@ def _parse_rows(
     return records, ParseReport(read, len(records), tuple(failures))
 
 
-def _parse_chunks(
-    source: Iterable[str] | str,
-    cfg: InputConfig,
-    convert: Callable[[list[str], list[str]], T],
-) -> list[T] | None:
-    """Each chunk's first and second fields, converted as two whole columns.
+def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) -> np.ndarray:
+    """Which fields equal ``label``, compared code point by code point.
 
-    Returns None when the row loop must parse ``source`` instead: it is
-    not a ``str``, it holds a CR, a data line lacks a delimiter or holds
-    two, or ``convert`` raises ValueError for a chunk.
+    Field ``i`` is ``gaps[i] - 1`` code points long and ends just before
+    ``codes[ends[i]]``. A field of another length is unmatched before any
+    of its code points is read, so clipping the indices changes no result.
+    """
+    match = gaps == len(label) + 1
+    for back, char in zip(range(len(label), 0, -1), label):
+        match &= codes.take(ends - back, mode="clip") == ord(char)
+    return match
+
+
+def _parse_chunks(source: Iterable[str] | str, cfg: InputConfig) -> tuple[np.ndarray, np.ndarray] | None:
+    """The positive mask of the label fields and the score column, read chunk by chunk.
+
+    Label fields are both fields of a hard-label row and the first field
+    of a score row; hard labels have an empty score column. Returns None
+    when the row loop must parse ``source`` instead: it is not a ``str``,
+    it holds a CR, a data line lacks a delimiter or holds two, a label is
+    neither of the declared labels, or a score is not a finite decimal.
     """
     if not isinstance(source, str) or "\r" in source:
         return None
@@ -184,7 +183,9 @@ def _parse_chunks(
     if cfg.has_header:
         start = source.find("\n") + 1 or len(source)
     delimiter, line_end = ord(cfg.delimiter), ord("\n")
-    converted: list[T] = []
+    scores = cfg.mode is InputMode.SCORES
+    step = 2 if scores else 1
+    positives, score_columns = [np.empty(0, dtype=bool)], [np.empty(0)]
     while start < len(source):
         end = source.find("\n", start + _CHUNK_CHARS) + 1 or len(source)
         chunk = source[start:end]
@@ -192,24 +193,29 @@ def _parse_chunks(
         if not chunk.endswith("\n"):
             chunk += "\n"
         codes = np.array([chunk]).view(np.uint32)  # numpy holds str as UCS-4 code points
-        separators = codes[(codes == delimiter) | (codes == line_end)]
+        # Each temporary is deleted once used: they set the peak RSS of a large input.
+        is_separator = codes == delimiter
+        is_separator |= codes == line_end
+        separators = np.flatnonzero(is_separator)
+        del is_separator
+        kinds = codes[separators]
         # Delimiter, line end, delimiter, line end, ...: one delimiter per line.
-        if separators.size % 2 or (separators[0::2] != delimiter).any() or (separators[1::2] != line_end).any():
+        if kinds.size % 2 or (kinds[0::2] != delimiter).any() or (kinds[1::2] != line_end).any():
             return None
-        fields = chunk.replace("\n", cfg.delimiter).split(cfg.delimiter)
-        try:
-            converted.append(convert(fields[0:-1:2], fields[1::2]))
-        except ValueError:
+        del kinds
+        # A field's length plus one is its distance from the separator before it.
+        ends, gaps = separators[::step], np.diff(separators, prepend=-1)[::step]
+        positive = _matches(codes, ends, gaps, cfg.positive_label)
+        if cfg.negative_label is not None and not (positive | _matches(codes, ends, gaps, cfg.negative_label)).all():
             return None
-    return converted
-
-
-def _positive_mask(labels: list[str], cfg: InputConfig) -> np.ndarray:
-    """Which labels are the positive one; ValueError if a declared negative label leaves others."""
-    if cfg.negative_label is not None:
-        if labels.count(cfg.positive_label) + labels.count(cfg.negative_label) != len(labels):
-            raise ValueError("a label is neither of the declared labels")
-    return np.fromiter(map(cfg.positive_label.__eq__, labels), dtype=bool, count=len(labels))
+        positives.append(positive)
+        del codes, separators, ends, gaps
+        if scores:
+            try:
+                score_columns.append(_score_column(chunk.replace("\n", cfg.delimiter).split(cfg.delimiter)[1::2]))
+            except ValueError:
+                return None
+    return np.concatenate(positives), np.concatenate(score_columns)
 
 
 def _score_column(texts: list[str]) -> np.ndarray:
@@ -228,24 +234,22 @@ def parse_hard_labels(
     cfg: InputConfig,
     *,
     strict: bool = False,
-) -> tuple[list[LabeledPrediction], ParseReport]:
-    """Parse ``actual<delim>predicted`` rows into label pairs, in input order."""
+) -> tuple[LabeledColumns, ParseReport]:
+    """Parse ``actual<delim>predicted`` rows into label columns, in input order."""
     if cfg.mode is not InputMode.HARD_LABELS:
         raise ValueError("parse_hard_labels requires cfg.mode == InputMode.HARD_LABELS")
 
-    def convert_chunk(actual: list[str], predicted: list[str]) -> list[LabeledPrediction]:
-        index = 2 * _positive_mask(actual, cfg) + _positive_mask(predicted, cfg)
-        return list(map(_PAIRS.__getitem__, index.tolist()))
+    bulk = _parse_chunks(source, cfg)
+    if bulk is not None:
+        positive, _ = bulk  # each row's actual label, then its predicted one
+        columns = LabeledColumns(positive[0::2], positive[1::2])
+        return columns, ParseReport(len(columns), len(columns))
 
-    chunks = _parse_chunks(source, cfg, convert_chunk)
-    if chunks is not None:
-        pairs = list(chain.from_iterable(chunks))
-        return pairs, ParseReport(len(pairs), len(pairs))
+    def convert(actual: str, predicted: str) -> tuple[bool, bool]:
+        return _is_positive(actual, cfg), _is_positive(predicted, cfg)
 
-    def convert(actual: str, predicted: str) -> LabeledPrediction:
-        return LabeledPrediction(actual=_label_for(actual, cfg), predicted=_label_for(predicted, cfg))
-
-    return _parse_rows(source, cfg, strict, convert)
+    rows, report = _parse_rows(source, cfg, strict, convert)
+    return LabeledColumns([actual for actual, _ in rows], [predicted for _, predicted in rows]), report
 
 
 def parse_scores(
@@ -262,14 +266,13 @@ def parse_scores(
     if cfg.mode is not InputMode.SCORES:
         raise ValueError("parse_scores requires cfg.mode == InputMode.SCORES")
 
-    chunks = _parse_chunks(source, cfg, lambda actual, score: (_score_column(score), _positive_mask(actual, cfg)))
-    if chunks is not None:
-        score = np.concatenate([np.empty(0), *(score for score, _ in chunks)])
-        positive = np.concatenate([np.empty(0, dtype=bool), *(positive for _, positive in chunks)])
+    bulk = _parse_chunks(source, cfg)
+    if bulk is not None:
+        positive, score = bulk
         return ScoredColumns(score, positive), ParseReport(score.size, score.size)
 
     def convert(actual: str, score: str) -> tuple[float, bool]:
-        return _parse_score(score), _label_for(actual, cfg) is Label.POSITIVE
+        return _parse_score(score), _is_positive(actual, cfg)
 
     rows, report = _parse_rows(source, cfg, strict, convert)
     return ScoredColumns([score for score, _ in rows], [positive for _, positive in rows]), report

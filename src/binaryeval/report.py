@@ -19,9 +19,9 @@ optional ROC ``curve`` and a ``meta`` echo; each writer emits only the
 parts that are present. JSON key order is part of the contract:
 ``counts`` and ``metrics`` (when metrics are present), ``roc`` (when a
 curve is present), ``meta`` (when non-empty); metric keys follow
-:meth:`binaryeval.metrics.MetricSet.as_dict`. The initial curve point's
-infinite threshold is encoded as ``null`` (standard JSON has no Infinity
-literal).
+:meth:`binaryeval.metrics.MetricSet.as_dict`. Standard JSON has no
+Infinity literal, so an infinite float (in ``meta``, or the initial
+curve point's threshold) is the string ``"inf"`` or ``"-inf"``.
 """
 
 from __future__ import annotations
@@ -215,12 +215,12 @@ def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
         return
     auc = json.dumps(curve.auc)
     out.write("{\n" + "".join(text + ",\n" for text in head) + '  "roc": {\n    "points": [')
-    # Point 0 has no comma before it, and its +inf threshold is null.
+    # Point 0 has no comma before it, and its +inf threshold is "inf", as in meta.
     _write_points(
         out,
         ',\n      {\n        "fpr": {},\n        "tpr": {},\n        "threshold": {}\n      }',
         ((curve.fpr, repr), (curve.tpr, repr), (curve.threshold, repr)),
-        {0: '\n      {\n        "fpr": ', 5: "null"},
+        {0: '\n      {\n        "fpr": ', 5: '"inf"'},
     )
     out.write(f'\n    ],\n    "auc": {auc}\n  }}' + "".join(",\n" + text for text in tail) + "\n}\n")
 

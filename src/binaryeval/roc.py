@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -22,23 +21,10 @@ __all__ = [
     "ScoredSample",
     "RocPoint",
     "RocCurve",
-    "DiagonalPosition",
     "roc_points",
     "auc_trapezoid",
     "auc_pair_count",
-    "diagonal_position",
 ]
-
-# Half-width of the band around the diagonal treated as "on" it.
-DIAGONAL_TOLERANCE = 1e-12
-
-
-class DiagonalPosition(Enum):
-    """Where a point sits relative to the chance diagonal tpr == fpr."""
-
-    ABOVE = "above"
-    ON = "on"
-    BELOW = "below"
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,11 +167,3 @@ def auc_pair_count(samples: Sequence[ScoredSample]) -> float:
     greater, equal = _pair_tallies_ranked(pos, neg)
     # One exact integer ratio, one float rounding.
     return (2 * greater + equal) / (2 * pairs)
-
-
-def diagonal_position(point: RocPoint) -> DiagonalPosition:
-    """Classify a point against the chance diagonal within a 1e-12 band."""
-    delta = point.tpr - point.fpr
-    if abs(delta) <= DIAGONAL_TOLERANCE:
-        return DiagonalPosition.ON
-    return DiagonalPosition.ABOVE if delta > 0 else DiagonalPosition.BELOW

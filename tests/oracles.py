@@ -13,8 +13,26 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from binaryeval.counts import Label, ScoredSample
+from binaryeval.counts import Label, LabeledPrediction, ScoredSample
 from binaryeval.roc import RocCurve, RocPoint
+
+
+def apply_threshold(samples: Sequence[ScoredSample], threshold: float) -> list[LabeledPrediction]:
+    """Turn scores into hard predictions: positive iff score >= threshold.
+
+    ``+inf`` predicts everything negative and ``-inf`` everything positive;
+    NaN is rejected. Actual labels pass through and order is preserved.
+    ``threshold_counts`` is the tally of this, counted over the columns.
+    """
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a real number or +/-inf, not NaN")
+    return [
+        LabeledPrediction(
+            actual=sample.actual,
+            predicted=Label.POSITIVE if sample.score >= threshold else Label.NEGATIVE,
+        )
+        for sample in samples
+    ]
 
 
 def trapezoid_area(points: Sequence[RocPoint]) -> float:
@@ -88,7 +106,7 @@ def roc_text(curve: RocCurve, meta: Mapping[str, object]) -> str:
 def roc_json(curve: RocCurve, meta: Mapping[str, object]) -> str:
     """The ``roc`` subcommand's JSON report: ``roc`` then ``meta``."""
     points = [
-        {"fpr": p.fpr, "tpr": p.tpr, "threshold": None if math.isinf(p.threshold) else p.threshold}
+        {"fpr": p.fpr, "tpr": p.tpr, "threshold": repr(p.threshold) if math.isinf(p.threshold) else p.threshold}
         for p in curve.points
     ]
     return json.dumps({"roc": {"points": points, "auc": curve.auc}, "meta": dict(meta)},

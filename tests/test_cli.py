@@ -156,7 +156,7 @@ class TestRoc:
         assert code == 0
         payload = json.loads(out)
         assert payload["roc"]["auc"] == 0.75
-        assert payload["roc"]["points"][0]["threshold"] is None
+        assert payload["roc"]["points"][0]["threshold"] == "inf"
         assert payload["meta"]["records_read"] == 4
 
     def test_single_class_input_fails_with_exit_one(self, tmp_path, monkeypatch):

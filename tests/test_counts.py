@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from binaryeval.counts import (
     ConfusionCounts,
     Label,
+    LabeledColumns,
     LabeledPrediction,
     ScoredColumns,
     ScoredSample,
     _columns,
-    apply_threshold,
     binarize,
     empty,
     from_predictions,
@@ -25,6 +25,8 @@ from binaryeval.counts import (
     record,
     threshold_counts,
 )
+
+from oracles import apply_threshold
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -54,6 +56,10 @@ samples_strategy = st.lists(
     st.builds(ScoredSample, st.floats(allow_nan=False, allow_infinity=False), labels),
     max_size=40,
 )
+
+
+def columns_of(pairs: list[LabeledPrediction]) -> LabeledColumns:
+    return LabeledColumns([p.actual is P for p in pairs], [p.predicted is P for p in pairs])
 
 
 class TestConfusionCounts:
@@ -157,6 +163,18 @@ class TestFromPredictions:
         merged = reduce(merge, (from_predictions(shard) for shard in shards), empty())
         assert merged == from_predictions(whole)
 
+    @given(pairs_strategy)
+    def test_columns_equal_the_loop_over_their_pairs(self, pairs):
+        columns = columns_of(pairs)
+        assert from_predictions(columns) == from_predictions(list(columns)) == from_predictions(pairs)
+
+    @given(pairs_strategy, st.lists(st.integers(0, 60), max_size=5))
+    def test_merge_over_column_slices_equals_the_whole(self, pairs, cuts):
+        columns = columns_of(pairs)
+        bounds = [0, *sorted(min(cut, len(pairs)) for cut in cuts), len(pairs)]
+        shards = (columns[start:stop] for start, stop in zip(bounds, bounds[1:]))
+        assert reduce(merge, map(from_predictions, shards), empty()) == from_predictions(columns)
+
 
 class TestBinarize:
     def test_positive_class_match(self):
@@ -227,6 +245,33 @@ class TestThresholdCounts:
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             threshold_counts([ScoredSample(0.5, P)], math.nan)
+
+
+class TestLabeledColumns:
+    @given(pairs_strategy, st.none() | st.integers(-65, 65), st.none() | st.integers(-5, 5).filter(bool))
+    def test_sequence_views_and_slices_equal_the_pairs(self, pairs, start, step):
+        columns = columns_of(pairs)
+        assert len(columns) == len(pairs)
+        assert list(columns) == pairs
+        assert [columns[i] for i in range(len(columns))] == pairs
+        part = columns[start::step]
+        assert isinstance(part, LabeledColumns)
+        assert list(part) == pairs[start::step]
+
+    def test_columns_are_read_only_and_of_one_length(self):
+        columns = LabeledColumns([True, False], [False, False])
+        assert columns.actual.dtype == bool and columns.predicted.dtype == bool
+        with pytest.raises(ValueError):
+            columns.actual[0] = False
+        with pytest.raises(ValueError):
+            columns.predicted[0] = True
+        assert columns[0] == lp(P, N)
+        with pytest.raises(IndexError):
+            columns[2]
+        with pytest.raises(ValueError, match="one length"):
+            LabeledColumns([True, False], [True])
+        with pytest.raises(ValueError, match="1-d"):
+            LabeledColumns([[True]], [[True]])
 
 
 class TestScoredSample:

@@ -127,17 +127,17 @@ class TestHardLabels:
     def test_crlf_and_lf_parse_identically(self):
         unix, _ = parse_hard_labels("1,1\n0,1\n", HARD_CFG)
         dos, _ = parse_hard_labels("1,1\r\n0,1\r\n", HARD_CFG)
-        assert unix == dos
+        assert list(unix) == list(dos)
 
     def test_trailing_newline_is_irrelevant(self):
         with_newline, r1 = parse_hard_labels("1,1\n0,1\n", HARD_CFG)
         without, r2 = parse_hard_labels("1,1\n0,1", HARD_CFG)
-        assert with_newline == without
+        assert list(with_newline) == list(without)
         assert r1 == r2
 
     def test_empty_input(self):
         pairs, report = parse_hard_labels("", HARD_CFG)
-        assert pairs == []
+        assert list(pairs) == []
         assert report == ParseReport(0, 0, ())
 
 
@@ -204,7 +204,7 @@ class TestProperties:
         )
         assert serialized == rows
         reparsed, _ = parse_hard_labels(serialized, cfg)
-        assert reparsed == parsed
+        assert list(reparsed) == list(parsed)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
     def test_score_round_trip_through_repr(self, values):
@@ -255,10 +255,23 @@ def _scored(source, cfg, strict=False):
 
 
 def _labeled(source, cfg, strict=False):
+    """The actual and predicted masks and the report, or the strict-mode failure."""
     try:
-        return parse_hard_labels(source, cfg, strict=strict)
+        columns, report = parse_hard_labels(source, cfg, strict=strict)
     except ParseError as exc:
         return ("error", exc.line_number, exc.reason)
+    return columns.actual.tolist(), columns.predicted.tolist(), report
+
+
+# Labels for the hard-label differential: multi-character ones, ones that
+# are prefixes of each other, the empty field, NUL and a character outside
+# the BMP.
+_LABELS = ["1", "0", "10", "01", "", "\x00", "1\x00", "\U0001f600", "0\U0001f600"]
+_label_configs = st.fixed_dictionaries({
+    "positive_label": st.sampled_from(_LABELS),
+    "negative_label": st.none() | st.sampled_from(_LABELS),
+    "has_header": st.booleans(),
+}).filter(lambda options: options["positive_label"] != options["negative_label"])
 
 
 class TestBulkPath:
@@ -283,6 +296,28 @@ class TestBulkPath:
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             bulk = _labeled(source, cfg, strict)
         assert bulk == _labeled(io.StringIO(source), cfg, strict)
+
+    @given(_label_configs, st.data(), st.booleans(), st.integers(1, 40), st.booleans())
+    def test_labels_equal_the_row_loop_which_runs_only_on_invalid_rows(
+        self, options, data, final_newline, chunk_chars, strict
+    ):
+        declared = [options["positive_label"], options["negative_label"]]
+        field = st.sampled_from([label for label in declared if label is not None]) | st.sampled_from(_LABELS)
+        odd = st.sampled_from(_LABELS) | st.tuples(field, field, field).map(",".join)
+        lines = data.draw(st.lists(st.one_of(*[st.tuples(field, field).map(",".join)] * 9, odd), max_size=25))
+        source = "\n".join(lines) + ("\n" if final_newline and lines else "")
+        cfg = InputConfig(mode=InputMode.HARD_LABELS, **options)
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_loop:
+            bulk = _labeled(source, cfg, strict)
+        assert bulk == _labeled(io.StringIO(source), cfg, strict)
+        rows = source.split("\n")[1 if options["has_header"] else 0:]
+        if rows and rows[-1] == "":
+            rows.pop()
+        valid = all(
+            row.count(",") == 1 and (declared[1] is None or set(row.split(",")) <= set(declared)) for row in rows
+        )
+        assert row_loop.called != valid
 
     @given(
         st.lists(st.tuples(st.sampled_from(["1", "0"]), st.floats(-1e6, 1e6).map(repr)), max_size=30),
@@ -318,5 +353,5 @@ class TestBulkPath:
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
                 mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop ran")):
             assert _scored(source, cfg) == whole
-            labels = parse_hard_labels(source.replace(".", ""), InputConfig(mode=InputMode.HARD_LABELS, has_header=True))
-        assert labels == parse_hard_labels(source.replace(".", ""), InputConfig(mode=InputMode.HARD_LABELS, has_header=True))
+            labels = _labeled(source.replace(".", ""), InputConfig(mode=InputMode.HARD_LABELS, has_header=True))
+        assert labels == _labeled(source.replace(".", ""), InputConfig(mode=InputMode.HARD_LABELS, has_header=True))

@@ -166,7 +166,7 @@ class TestRenderJson:
         report = c_star_report(curve=FOUR_SAMPLE_CURVE)
         payload = json.loads(render_json(report))
         points = payload["roc"]["points"]
-        assert points[0] == {"fpr": 0.0, "tpr": 0.0, "threshold": None}
+        assert points[0] == {"fpr": 0.0, "tpr": 0.0, "threshold": "inf"}
         assert points[1]["threshold"] == 0.9
         assert payload["roc"]["auc"] == 0.75
 

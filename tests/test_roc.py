@@ -10,20 +10,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binaryeval.counts import Label, ScoredColumns, ScoredSample, apply_threshold, from_predictions
+from binaryeval.counts import Label, ScoredColumns, ScoredSample, from_predictions
 from binaryeval.metrics import false_positive_rate, true_positive_rate
 from binaryeval.roc import (
-    DiagonalPosition,
     RocCurve,
     RocPoint,
     _pair_tallies_ranked,
     auc_pair_count,
     auc_trapezoid,
-    diagonal_position,
     roc_points,
 )
 
-from oracles import pair_tallies_brute, roc_sweep
+from oracles import apply_threshold, pair_tallies_brute, roc_sweep
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -304,18 +302,3 @@ class TestCurveTypes:
                 threshold=[math.inf, 0.5, 0.5],
                 auc=0.5,
             )
-
-
-class TestDiagonalPosition:
-    def test_above(self):
-        assert diagonal_position(RocPoint(0.2, 0.9, 0.5)) is DiagonalPosition.ABOVE
-
-    def test_on(self):
-        assert diagonal_position(RocPoint(0.3, 0.3, 0.5)) is DiagonalPosition.ON
-
-    def test_below(self):
-        assert diagonal_position(RocPoint(0.6, 0.1, 0.5)) is DiagonalPosition.BELOW
-
-    def test_tolerance_band(self):
-        assert diagonal_position(RocPoint(0.3, 0.3 + 9e-13, 0.5)) is DiagonalPosition.ON
-        assert diagonal_position(RocPoint(0.3, 0.3 + 1e-11, 0.5)) is DiagonalPosition.ABOVE
