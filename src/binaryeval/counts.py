@@ -58,6 +58,14 @@ class ScoredSample:
 _LABELS = (Label.NEGATIVE, Label.POSITIVE)
 
 
+def _mask(values: object, name: str) -> np.ndarray:
+    """A ``bool`` array copy of ``values``; ValueError unless they are booleans or empty."""
+    mask = np.array(values)
+    if mask.dtype != bool and mask.size:
+        raise ValueError(f"{name} must hold booleans, got dtype {mask.dtype}")
+    return mask.astype(bool, copy=False)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class ScoredColumns(Sequence[ScoredSample]):
     """Scored samples as two read-only columns of one length.
@@ -74,7 +82,7 @@ class ScoredColumns(Sequence[ScoredSample]):
 
     def __post_init__(self) -> None:
         score = np.array(self.score, dtype=np.float64)
-        positive = np.array(self.positive, dtype=bool)
+        positive = _mask(self.positive, "positive")
         if score.ndim != 1 or score.shape != positive.shape:
             raise ValueError("score and positive must be 1-d arrays of one length")
         finite = np.isfinite(score)
@@ -111,8 +119,8 @@ class LabeledColumns(Sequence[LabeledPrediction]):
     predicted: np.ndarray
 
     def __post_init__(self) -> None:
-        actual = np.array(self.actual, dtype=bool)
-        predicted = np.array(self.predicted, dtype=bool)
+        actual = _mask(self.actual, "actual")
+        predicted = _mask(self.predicted, "predicted")
         if actual.ndim != 1 or actual.shape != predicted.shape:
             raise ValueError("actual and predicted must be 1-d arrays of one length")
         for name, column in (("actual", actual), ("predicted", predicted)):

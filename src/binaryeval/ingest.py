@@ -6,15 +6,14 @@ are ``actual<delim>predicted`` and score rows are ``actual<delim>score``.
 Parsing is lenient by default (malformed rows are reported per line and
 skipped); ``strict=True`` aborts on the first failure instead.
 
-A whole-text ``str`` source without CR takes a bulk path first: the text
-is cut into chunks of about 256 Ki characters that end on line
-boundaries, each chunk's code points are checked to hold exactly one
-delimiter per line, labels are matched on those code points, and scores
-are split once and checked as a whole column (score characters,
-``float()``, finiteness). If any check fails on any chunk, the row loop
-parses the whole input instead, so line-numbered failures, strict mode
-and header handling mean exactly what they mean there; the bulk path only
-ever returns inputs in which every row is valid.
+The source, a whole ``str`` or an iterable of lines, is read in chunks
+of about 256 Ki characters that end on line boundaries, with CR and CRLF
+read as LF. Each chunk is parsed in bulk: its code points are checked to
+hold exactly one delimiter per line, labels are matched on those code
+points, and scores are split once and checked as a whole column (score
+characters, ``float()``, finiteness). A chunk that fails any check is
+parsed again row by row, and only that chunk, so each failure carries
+its line number and strict mode stops at the first one.
 """
 
 from __future__ import annotations
@@ -23,14 +22,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from binaryeval.counts import LabeledColumns, ScoredColumns
-
-
-T = TypeVar("T")
 
 
 class InputMode(Enum):
@@ -46,8 +42,8 @@ _SCORE_PATTERN = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.A
 # by float(), is exactly a text _SCORE_PATTERN matches.
 _SCORE_CHARS = b"0123456789.+-eE"
 
-# The bulk path cuts the text in chunks of about this many characters, so
-# at most one chunk's field strings and code points are alive at a time.
+# The text is read in chunks of about this many characters, so at most
+# one chunk's field strings and code points are alive at a time.
 # On 2x10^5-row inputs, 1 Mi-character chunks gave the CLI an 8-20 MB
 # higher peak RSS than this size, and ran no faster.
 _CHUNK_CHARS = 1 << 18
@@ -103,56 +99,10 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-def _data_rows(source: Iterable[str] | str, has_header: bool) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line) pairs, header counted but skipped.
-
-    Accepts any iterable of lines (file object, list, generator) or a whole
-    string. Trailing CR/LF is stripped, so CRLF and LF inputs parse alike.
-    """
-    if isinstance(source, str):
-        # Records are newline-delimited only; splitlines() would also split
-        # on form feeds and similar, which are legal inside a label.
-        lines = source.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-    else:
-        lines = source
-    for line_number, line in enumerate(lines, start=1):
-        if has_header and line_number == 1:
-            continue
-        yield line_number, line.rstrip("\r\n")
-
-
 def _is_positive(field_text: str, cfg: InputConfig) -> bool:
     if cfg.negative_label is not None and field_text not in (cfg.positive_label, cfg.negative_label):
         raise ValueError(f"unknown label {field_text!r}")
     return field_text == cfg.positive_label
-
-
-def _parse_rows(
-    source: Iterable[str] | str,
-    cfg: InputConfig,
-    strict: bool,
-    convert: Callable[[str, str], T],
-) -> tuple[list[T], ParseReport]:
-    """Split each data row into two fields and convert them, in input order.
-
-    A ``ValueError`` from splitting or converting is the row's failure
-    reason: raised as :class:`ParseError` when ``strict``, else recorded.
-    """
-    records: list[T] = []
-    failures: list[tuple[int, str]] = []
-    read = 0
-    for line_number, row in _data_rows(source, cfg.has_header):
-        read += 1
-        try:
-            first, second = _split_row(row, cfg.delimiter)
-            records.append(convert(first, second))
-        except ValueError as exc:
-            if strict:
-                raise ParseError(line_number, str(exc)) from None
-            failures.append((line_number, str(exc)))
-    return records, ParseReport(read, len(records), tuple(failures))
 
 
 def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) -> np.ndarray:
@@ -168,54 +118,110 @@ def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) 
     return match
 
 
-def _parse_chunks(source: Iterable[str] | str, cfg: InputConfig) -> tuple[np.ndarray, np.ndarray] | None:
-    """The positive mask of the label fields and the score column, read chunk by chunk.
+def _chunks(source: Iterable[str] | str, has_header: bool) -> Iterator[str]:
+    """The data lines of ``source`` in chunks of about ``_CHUNK_CHARS`` characters, each ending on LF.
 
-    Label fields are both fields of a hard-label row and the first field
-    of a score row; hard labels have an empty score column. Returns None
-    when the row loop must parse ``source`` instead: it is not a ``str``,
-    it holds a CR, a data line lacks a delimiter or holds two, a label is
-    neither of the declared labels, or a score is not a finite decimal.
+    An iterable's lines are joined, each with its CR/LF ending stripped.
+    CR and CRLF read as LF; as a chunk ends on LF, reading them per chunk
+    reads them as over the whole text. The header is the first line of
+    the first chunk.
     """
-    if not isinstance(source, str) or "\r" in source:
-        return None
+    if not isinstance(source, str):
+        source = "".join(line.rstrip("\r\n") + "\n" for line in source)
     start = 0
-    if cfg.has_header:
-        start = source.find("\n") + 1 or len(source)
-    delimiter, line_end = ord(cfg.delimiter), ord("\n")
-    scores = cfg.mode is InputMode.SCORES
-    step = 2 if scores else 1
-    positives, score_columns = [np.empty(0, dtype=bool)], [np.empty(0)]
     while start < len(source):
         end = source.find("\n", start + _CHUNK_CHARS) + 1 or len(source)
         chunk = source[start:end]
-        start = end
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
         if not chunk.endswith("\n"):
             chunk += "\n"
-        codes = np.array([chunk]).view(np.uint32)  # numpy holds str as UCS-4 code points
-        # Each temporary is deleted once used: they set the peak RSS of a large input.
-        is_separator = codes == delimiter
-        is_separator |= codes == line_end
-        separators = np.flatnonzero(is_separator)
-        del is_separator
-        kinds = codes[separators]
-        # Delimiter, line end, delimiter, line end, ...: one delimiter per line.
-        if kinds.size % 2 or (kinds[0::2] != delimiter).any() or (kinds[1::2] != line_end).any():
-            return None
-        del kinds
-        # A field's length plus one is its distance from the separator before it.
-        ends, gaps = separators[::step], np.diff(separators, prepend=-1)[::step]
-        positive = _matches(codes, ends, gaps, cfg.positive_label)
-        if cfg.negative_label is not None and not (positive | _matches(codes, ends, gaps, cfg.negative_label)).all():
-            return None
+        if has_header and not start:
+            chunk = chunk[chunk.find("\n") + 1:]
+        start = end
+        if chunk:
+            yield chunk
+
+
+def _parse_chunks(
+    source: Iterable[str] | str, cfg: InputConfig, strict: bool
+) -> tuple[np.ndarray, np.ndarray, ParseReport]:
+    """The positive mask of the label fields, the score column and the report, chunk by chunk.
+
+    Label fields are both fields of a hard-label row and the first field
+    of a score row; hard labels have an empty score column. A chunk that
+    the bulk checks reject is explained row by row.
+    """
+    positives, score_columns, failures = [np.empty(0, dtype=bool)], [np.empty(0)], []
+    read = 0
+    for chunk in _chunks(source, cfg.has_header):
+        first_line = cfg.has_header + read + 1
+        positive, score, rows = _bulk_chunk(chunk, cfg) or _explain_chunk(chunk, cfg, first_line, strict, failures)
         positives.append(positive)
-        del codes, separators, ends, gaps
-        if scores:
-            try:
-                score_columns.append(_score_column(chunk.replace("\n", cfg.delimiter).split(cfg.delimiter)[1::2]))
-            except ValueError:
-                return None
-    return np.concatenate(positives), np.concatenate(score_columns)
+        score_columns.append(score)
+        read += rows
+    report = ParseReport(read, read - len(failures), tuple(failures))
+    return np.concatenate(positives), np.concatenate(score_columns), report
+
+
+def _bulk_chunk(chunk: str, cfg: InputConfig) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The chunk's label mask, score column and line count, or None unless every row is valid."""
+    delimiter, line_end = ord(cfg.delimiter), ord("\n")
+    codes = np.array([chunk]).view(np.uint32)  # numpy holds str as UCS-4 code points
+    # Each temporary is deleted once used: they set the peak RSS of a large input.
+    is_separator = codes == delimiter
+    is_separator |= codes == line_end
+    separators = np.flatnonzero(is_separator)
+    del is_separator
+    kinds = codes[separators]
+    # Delimiter, line end, delimiter, line end, ...: one delimiter per line.
+    if kinds.size % 2 or (kinds[0::2] != delimiter).any() or (kinds[1::2] != line_end).any():
+        return None
+    del kinds
+    # A field's length plus one is its distance from the separator before it.
+    step = 2 if cfg.mode is InputMode.SCORES else 1
+    ends, gaps = separators[::step], np.diff(separators, prepend=-1)[::step]
+    positive = _matches(codes, ends, gaps, cfg.positive_label)
+    if cfg.negative_label is not None and not (positive | _matches(codes, ends, gaps, cfg.negative_label)).all():
+        return None
+    rows = separators.size // 2
+    del codes, separators, ends, gaps
+    score = np.empty(0)
+    if cfg.mode is InputMode.SCORES:
+        try:
+            score = _score_column(chunk.replace("\n", cfg.delimiter).split(cfg.delimiter)[1::2])
+        except ValueError:
+            return None
+    return positive, score, rows
+
+
+def _explain_chunk(
+    chunk: str, cfg: InputConfig, first_line: int, strict: bool, failures: list[tuple[int, str]]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The chunk's label mask, score column and line count, converted row by row.
+
+    A ``ValueError`` from splitting or converting is the row's failure
+    reason: raised as :class:`ParseError` when ``strict``, else appended
+    to ``failures`` with the row's line number, counted from ``first_line``.
+    """
+    labels: list[bool] = []
+    scores: list[float] = []
+    rows = chunk.split("\n")
+    rows.pop()  # the empty text after the chunk's last LF
+    for line_number, row in enumerate(rows, start=first_line):
+        try:
+            first, second = _split_row(row, cfg.delimiter)
+            if cfg.mode is InputMode.SCORES:
+                score = _parse_score(second)
+                labels.append(_is_positive(first, cfg))
+                scores.append(score)
+            else:
+                labels += _is_positive(first, cfg), _is_positive(second, cfg)
+        except ValueError as exc:
+            if strict:
+                raise ParseError(line_number, str(exc)) from None
+            failures.append((line_number, str(exc)))
+    return np.array(labels, dtype=bool), np.array(scores, dtype=np.float64), len(rows)
 
 
 def _score_column(texts: list[str]) -> np.ndarray:
@@ -239,17 +245,8 @@ def parse_hard_labels(
     if cfg.mode is not InputMode.HARD_LABELS:
         raise ValueError("parse_hard_labels requires cfg.mode == InputMode.HARD_LABELS")
 
-    bulk = _parse_chunks(source, cfg)
-    if bulk is not None:
-        positive, _ = bulk  # each row's actual label, then its predicted one
-        columns = LabeledColumns(positive[0::2], positive[1::2])
-        return columns, ParseReport(len(columns), len(columns))
-
-    def convert(actual: str, predicted: str) -> tuple[bool, bool]:
-        return _is_positive(actual, cfg), _is_positive(predicted, cfg)
-
-    rows, report = _parse_rows(source, cfg, strict, convert)
-    return LabeledColumns([actual for actual, _ in rows], [predicted for _, predicted in rows]), report
+    positive, _, report = _parse_chunks(source, cfg, strict)  # each row's actual label, then its predicted one
+    return LabeledColumns(positive[0::2], positive[1::2]), report
 
 
 def parse_scores(
@@ -266,16 +263,8 @@ def parse_scores(
     if cfg.mode is not InputMode.SCORES:
         raise ValueError("parse_scores requires cfg.mode == InputMode.SCORES")
 
-    bulk = _parse_chunks(source, cfg)
-    if bulk is not None:
-        positive, score = bulk
-        return ScoredColumns(score, positive), ParseReport(score.size, score.size)
-
-    def convert(actual: str, score: str) -> tuple[float, bool]:
-        return _parse_score(score), _is_positive(actual, cfg)
-
-    rows, report = _parse_rows(source, cfg, strict, convert)
-    return ScoredColumns([score for score, _ in rows], [positive for _, positive in rows]), report
+    positive, score, report = _parse_chunks(source, cfg, strict)
+    return ScoredColumns(score, positive), report
 
 
 def _split_row(row: str, delimiter: str) -> tuple[str, str]:

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from binaryeval.counts import Label, LabeledPrediction, ScoredSample
+from binaryeval.counts import Label, LabeledColumns, LabeledPrediction, ScoredColumns, ScoredSample
+from binaryeval.ingest import InputConfig, ParseError, ParseReport, _is_positive, _parse_score, _split_row
 from binaryeval.roc import RocCurve, RocPoint
+
+T = TypeVar("T")
 
 
 def apply_threshold(samples: Sequence[ScoredSample], threshold: float) -> list[LabeledPrediction]:
@@ -33,6 +36,65 @@ def apply_threshold(samples: Sequence[ScoredSample], threshold: float) -> list[L
         )
         for sample in samples
     ]
+
+
+def _data_rows(text: str, has_header: bool) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) pairs, CR and CRLF read as LF, header counted but skipped."""
+    # Records are newline-delimited only; splitlines() would also split
+    # on form feeds and similar, which are legal inside a label.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    for line_number, line in enumerate(lines, start=1):
+        if has_header and line_number == 1:
+            continue
+        yield line_number, line
+
+
+def _parse_rows(
+    text: str,
+    cfg: InputConfig,
+    strict: bool,
+    convert: Callable[[str, str], T],
+) -> tuple[list[T], ParseReport]:
+    """Split each data row into two fields and convert them, in input order.
+
+    A ``ValueError`` from splitting or converting is the row's failure
+    reason: raised as :class:`ParseError` when ``strict``, else recorded.
+    """
+    records: list[T] = []
+    failures: list[tuple[int, str]] = []
+    read = 0
+    for line_number, row in _data_rows(text, cfg.has_header):
+        read += 1
+        try:
+            first, second = _split_row(row, cfg.delimiter)
+            records.append(convert(first, second))
+        except ValueError as exc:
+            if strict:
+                raise ParseError(line_number, str(exc)) from None
+            failures.append((line_number, str(exc)))
+    return records, ParseReport(read, len(records), tuple(failures))
+
+
+def parse_hard_labels_rows(text: str, cfg: InputConfig, strict: bool = False) -> tuple[LabeledColumns, ParseReport]:
+    """``parse_hard_labels`` as one row loop over the whole text."""
+
+    def convert(actual: str, predicted: str) -> tuple[bool, bool]:
+        return _is_positive(actual, cfg), _is_positive(predicted, cfg)
+
+    rows, report = _parse_rows(text, cfg, strict, convert)
+    return LabeledColumns([actual for actual, _ in rows], [predicted for _, predicted in rows]), report
+
+
+def parse_scores_rows(text: str, cfg: InputConfig, strict: bool = False) -> tuple[ScoredColumns, ParseReport]:
+    """``parse_scores`` as one row loop over the whole text."""
+
+    def convert(actual: str, score: str) -> tuple[float, bool]:
+        return _parse_score(score), _is_positive(actual, cfg)
+
+    rows, report = _parse_rows(text, cfg, strict, convert)
+    return ScoredColumns([score for score, _ in rows], [positive for _, positive in rows]), report
 
 
 def trapezoid_area(points: Sequence[RocPoint]) -> float:

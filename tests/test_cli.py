@@ -202,14 +202,14 @@ class TestRoc:
         lines = map("{},{!r}".format, (rng.random(rows) < 0.3).astype(int).tolist(), rng.random(rows).tolist())
         (tmp_path / "big.csv").write_text("\n".join(lines) + "\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        child = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "binaryeval", "roc", "big.csv", "--format", "json"],
             cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        assert child.stdout.read(100).startswith(b'{\n  "roc": {')
-        child.stdout.close()
-        err = child.stderr.read()
-        assert child.wait(timeout=120) == 1
+        ) as child:
+            assert child.stdout.read(100).startswith(b'{\n  "roc": {')
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=120) == 1
         assert err == b""
 
 

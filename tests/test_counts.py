@@ -326,3 +326,20 @@ class TestScoredColumns:
             ScoredColumns([[0.5]], [[True]])
         with pytest.raises(ValueError, match="non-finite score at record 1: nan"):
             ScoredColumns([0.5, math.nan], [True, False])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda mask: ScoredColumns([0.9] * len(mask), mask),
+        lambda mask: LabeledColumns(mask, [True] * len(mask)),
+        lambda mask: LabeledColumns([True] * len(mask), mask),
+    ],
+    ids=["ScoredColumns.positive", "LabeledColumns.actual", "LabeledColumns.predicted"],
+)
+def test_a_mask_that_is_not_boolean_is_rejected(make):
+    for values in ([N], [P, N], [1, 0], [0.0], ["1"], np.array([1], dtype=np.uint8)):
+        with pytest.raises(ValueError, match="must hold booleans"):
+            make(values)
+    assert len(make([])) == 0
+    assert len(make(np.array([True, False]))) == 2

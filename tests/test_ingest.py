@@ -19,6 +19,7 @@ from binaryeval.ingest import (
     parse_hard_labels,
     parse_scores,
 )
+from oracles import parse_hard_labels_rows, parse_scores_rows
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -121,13 +122,22 @@ class TestHardLabels:
         assert [(p.actual, p.predicted) for p in pairs] == [(P, N)]
 
     def test_accepts_file_like_streams(self):
-        pairs, _ = parse_hard_labels(io.StringIO("1,1\n0,0\n"), HARD_CFG)
-        assert len(pairs) == 2
+        text = "1,1\n0,0\n\n"  # the empty last line is a malformed row
+        for source in (io.StringIO(text), ["1,1", "0,0", ""], io.StringIO(text.replace("\n", "\r\n"))):
+            pairs, report = parse_hard_labels(source, HARD_CFG)
+            assert [(p.actual, p.predicted) for p in pairs] == [(P, P), (N, N)]
+            assert report == ParseReport(3, 2, ((3, "expected 2 fields, got 1"),))
 
     def test_crlf_and_lf_parse_identically(self):
         unix, _ = parse_hard_labels("1,1\n0,1\n", HARD_CFG)
         dos, _ = parse_hard_labels("1,1\r\n0,1\r\n", HARD_CFG)
         assert list(unix) == list(dos)
+        # A lone CR ends a line too, as it does in the CLI.
+        for parse, cfg, text in [(parse_scores, SCORE_CFG, "1\r,0.5\n"), (parse_hard_labels, HARD_CFG, "a,b\r\rc\n")]:
+            columns, report = parse(text, cfg)
+            lf_columns, lf_report = parse(text.replace("\r", "\n"), cfg)
+            assert (list(columns), report) == (list(lf_columns), lf_report)
+            assert report.failures
 
     def test_trailing_newline_is_irrelevant(self):
         with_newline, r1 = parse_hard_labels("1,1\n0,1\n", HARD_CFG)
@@ -224,9 +234,9 @@ class TestProperties:
             assert report.records_accepted + len(report.failures) == report.records_read
 
 
-# Line soup for the bulk/row differential: mostly valid rows, so that whole
-# inputs often take the bulk path, plus each kind of row the bulk path must
-# hand back to the row loop.
+# Line soup for the bulk/row differential: mostly valid rows, so that many
+# chunks pass the bulk checks, plus each kind of row that makes a chunk
+# fail them.
 _valid_line = st.one_of(
     st.tuples(st.sampled_from(["1", "0"]),
               st.floats(allow_nan=False, allow_infinity=False).map(repr)).map(",".join),
@@ -245,19 +255,19 @@ _configs = st.sampled_from([
 ])
 
 
-def _scored(source, cfg, strict=False):
+def _scored(source, cfg, strict=False, parse=parse_scores):
     """Scores as float.hex, the positive mask and the report, or the strict-mode failure."""
     try:
-        columns, report = parse_scores(source, cfg, strict=strict)
+        columns, report = parse(source, cfg, strict=strict)
     except ParseError as exc:
         return ("error", exc.line_number, exc.reason)
     return [s.hex() for s in columns.score.tolist()], columns.positive.tolist(), report
 
 
-def _labeled(source, cfg, strict=False):
+def _labeled(source, cfg, strict=False, parse=parse_hard_labels):
     """The actual and predicted masks and the report, or the strict-mode failure."""
     try:
-        columns, report = parse_hard_labels(source, cfg, strict=strict)
+        columns, report = parse(source, cfg, strict=strict)
     except ParseError as exc:
         return ("error", exc.line_number, exc.reason)
     return columns.actual.tolist(), columns.predicted.tolist(), report
@@ -275,11 +285,7 @@ _label_configs = st.fixed_dictionaries({
 
 
 class TestBulkPath:
-    """The chunked bulk path against the row loop it falls back to.
-
-    A non-``str`` source always takes the row loop, so ``io.StringIO`` of
-    the same text is the reference.
-    """
+    """The chunked parser against the row loop over the whole text in ``oracles``."""
 
     @given(_soup, st.booleans(), _configs, st.integers(1, 40), st.booleans())
     def test_scores_equal_the_row_loop(self, lines, final_newline, options, chunk_chars, strict):
@@ -287,7 +293,7 @@ class TestBulkPath:
         cfg = InputConfig(mode=InputMode.SCORES, **options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             bulk = _scored(source, cfg, strict)
-        assert bulk == _scored(io.StringIO(source), cfg, strict)
+        assert bulk == _scored(source, cfg, strict, parse_scores_rows)
 
     @given(_soup, st.booleans(), _configs, st.integers(1, 40), st.booleans())
     def test_hard_labels_equal_the_row_loop(self, lines, final_newline, options, chunk_chars, strict):
@@ -295,12 +301,13 @@ class TestBulkPath:
         cfg = InputConfig(mode=InputMode.HARD_LABELS, **options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             bulk = _labeled(source, cfg, strict)
-        assert bulk == _labeled(io.StringIO(source), cfg, strict)
+        assert bulk == _labeled(source, cfg, strict, parse_hard_labels_rows)
 
     @given(_label_configs, st.data(), st.booleans(), st.integers(1, 40), st.booleans())
     def test_labels_equal_the_row_loop_which_runs_only_on_invalid_rows(
         self, options, data, final_newline, chunk_chars, strict
     ):
+        """The row converter sees only chunks that hold an invalid row."""
         declared = [options["positive_label"], options["negative_label"]]
         field = st.sampled_from([label for label in declared if label is not None]) | st.sampled_from(_LABELS)
         odd = st.sampled_from(_LABELS) | st.tuples(field, field, field).map(",".join)
@@ -308,16 +315,20 @@ class TestBulkPath:
         source = "\n".join(lines) + ("\n" if final_newline and lines else "")
         cfg = InputConfig(mode=InputMode.HARD_LABELS, **options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
-                mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_loop:
+                mock.patch.object(ingest, "_explain_chunk", wraps=ingest._explain_chunk) as row_loop:
             bulk = _labeled(source, cfg, strict)
-        assert bulk == _labeled(io.StringIO(source), cfg, strict)
+        assert bulk == _labeled(source, cfg, strict, parse_hard_labels_rows)
+
+        def valid(row):
+            return row.count(",") == 1 and (declared[1] is None or set(row.split(",")) <= set(declared))
+
         rows = source.split("\n")[1 if options["has_header"] else 0:]
         if rows and rows[-1] == "":
             rows.pop()
-        valid = all(
-            row.count(",") == 1 and (declared[1] is None or set(row.split(",")) <= set(declared)) for row in rows
-        )
-        assert row_loop.called != valid
+        if all(map(valid, rows)):
+            assert not row_loop.called
+        for call in row_loop.call_args_list:
+            assert not all(map(valid, call.args[0].split("\n")[:-1]))
 
     @given(
         st.lists(st.tuples(st.sampled_from(["1", "0"]), st.floats(-1e6, 1e6).map(repr)), max_size=30),
@@ -326,7 +337,7 @@ class TestBulkPath:
     def test_valid_text_never_reaches_the_row_loop(self, rows, options):
         scores = "".join(f"{label},{score}\n" for label, score in rows)
         labels = "".join(f"{label},{label}\n" for label, _ in rows)
-        with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop ran")):
+        with mock.patch.object(ingest, "_explain_chunk", side_effect=AssertionError("row loop ran")):
             columns, report = parse_scores(scores, InputConfig(mode=InputMode.SCORES, **options))
             pairs, _ = parse_hard_labels(labels, InputConfig(mode=InputMode.HARD_LABELS, **options))
         data_rows = rows[1:] if options.get("has_header") else rows
@@ -351,7 +362,7 @@ class TestBulkPath:
         whole = _scored(source, cfg)
         assert whole[2] == ParseReport(6, 6, ())
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
-                mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop ran")):
+                mock.patch.object(ingest, "_explain_chunk", side_effect=AssertionError("row loop ran")):
             assert _scored(source, cfg) == whole
             labels = _labeled(source.replace(".", ""), InputConfig(mode=InputMode.HARD_LABELS, has_header=True))
         assert labels == _labeled(source.replace(".", ""), InputConfig(mode=InputMode.HARD_LABELS, has_header=True))
