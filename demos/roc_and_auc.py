@@ -23,7 +23,7 @@ curve = roc_points(samples)
 print(f"curve has {len(curve.points)} points "
       f"(one per distinct score, plus the (0,0) start)")
 
-# Two independent AUC algorithms agree to floating-point accuracy.
+# Two independent AUC algorithms divide the same integer ratio once: the floats are equal.
 trapezoid = auc_trapezoid(curve)
 pair_count = auc_pair_count(samples)
 print(f"AUC by trapezoidal rule: {trapezoid:.12f}")

@@ -91,7 +91,9 @@ def _read_input(path: str) -> str:
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line_number = exc.object.count(b"\n", 0, exc.start) + 1
+        # Lines end at LF, CR or CRLF, as the parsers read them.
+        head = exc.object[: exc.start]
+        line_number = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(line_number, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
 
 

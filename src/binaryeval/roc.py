@@ -1,10 +1,10 @@
 """ROC curves by threshold sweeping, and AUC by two independent routes.
 
 The sweep emits one point per distinct score (tied scores collapse into a
-single point, giving a diagonal segment instead of a staircase). That is
-the one convention under which trapezoidal integration of the curve
-equals the pair-counting statistic of :func:`auc_pair_count` exactly, so
-the two AUC algorithms cross-check each other.
+single point, giving a diagonal segment instead of a staircase) and keeps
+the integer fp/tp counts there. Under that convention the trapezoidal area
+of the curve, summed in integers, equals the pair-counting statistic of
+:func:`auc_pair_count` exactly, so the two AUC algorithms give equal floats.
 """
 
 from __future__ import annotations
@@ -42,47 +42,67 @@ class RocPoint:
             raise ValueError(f"tpr must be in [0, 1], got {self.tpr!r}")
 
 
+def _count_column(name: str, values: object) -> np.ndarray:
+    """``values`` as an ``int64`` copy, checked first: the cast would truncate 0.5 and wrap 2**63."""
+    column = np.asarray(values)
+    if column.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers in [0, 2**63), got dtype {column.dtype}")
+    outside = (column < 0) | (column >= 2**63)
+    if outside.any():
+        raise ValueError(f"{name} must hold integers in [0, 2**63), got {column[outside][0].item()}")
+    return np.array(column, dtype=np.int64)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class RocCurve:
-    """An ordered threshold sweep from (0, 0) to (1, 1) plus its area.
+    """An ordered threshold sweep from (0, 0) to (1, 1), held as integer counts.
 
-    ``fpr``, ``tpr`` and ``threshold`` are read-only ``float64`` arrays of
-    one length, index ``i`` being the curve's ``i``-th point; ``points``
-    is the same curve as :class:`RocPoint` values. Only the initial
-    point's threshold is infinite (+inf).
+    ``fp`` and ``tp`` are read-only ``int64`` arrays of the false- and
+    true-positive counts at each point and ``threshold`` a read-only
+    ``float64`` array, all of one length, index ``i`` being the curve's
+    ``i``-th point. Only the initial point's threshold is infinite (+inf).
+    The last point counts every negative and every positive, so the rates
+    ``fpr = fp / fp[-1]`` and ``tpr = tp / tp[-1]`` and the ``auc`` are
+    derived on each access; ``points`` is the same curve as
+    :class:`RocPoint` values.
     """
 
-    fpr: np.ndarray
-    tpr: np.ndarray
+    fp: np.ndarray
+    tp: np.ndarray
     threshold: np.ndarray
-    auc: float
 
     def __post_init__(self) -> None:
-        for name in ("fpr", "tpr", "threshold"):
-            column = np.array(getattr(self, name), dtype=np.float64)
+        fp, tp = _count_column("fp", self.fp), _count_column("tp", self.tp)
+        threshold = np.array(self.threshold, dtype=np.float64)
+        for name, column in (("fp", fp), ("tp", tp), ("threshold", threshold)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        fpr, tpr, threshold = self.fpr, self.tpr, self.threshold
-        if fpr.ndim != 1 or fpr.shape != tpr.shape or fpr.shape != threshold.shape:
-            raise ValueError("fpr, tpr and threshold must be 1-d arrays of one length")
-        for name, rate in (("fpr", fpr), ("tpr", tpr)):
-            outside = ~((rate >= 0.0) & (rate <= 1.0))
-            if outside.any():
-                raise ValueError(f"{name} must be in [0, 1], got {rate[outside][0].item()!r}")
-        if fpr.size < 2:
+        if fp.ndim != 1 or fp.shape != tp.shape or fp.shape != threshold.shape:
+            raise ValueError("fp, tp and threshold must be 1-d arrays of one length")
+        if fp.size < 2:
             raise ValueError("a curve needs at least the initial and final point")
-        if (fpr[0], tpr[0]) != (0.0, 0.0) or threshold[0] != math.inf:
-            raise ValueError("curve must start at (fpr=0, tpr=0, threshold=+inf)")
-        if (fpr[-1], tpr[-1]) != (1.0, 1.0):
-            raise ValueError("curve must end at (fpr=1, tpr=1)")
-        if (fpr[1:] < fpr[:-1]).any() or (tpr[1:] < tpr[:-1]).any():
-            raise ValueError("fpr and tpr must be non-decreasing along the curve")
+        if (fp[0], tp[0]) != (0, 0) or threshold[0] != math.inf:
+            raise ValueError("curve must start at (fp=0, tp=0, threshold=+inf)")
+        if fp[-1] == 0 or tp[-1] == 0:
+            raise ValueError(f"curve must end with fp > 0 and tp > 0, got fp={fp[-1]} and tp={tp[-1]}")
+        if (fp[1:] < fp[:-1]).any() or (tp[1:] < tp[:-1]).any():
+            raise ValueError("fp and tp must be non-decreasing along the curve")
         if not (threshold[1:] < threshold[:-1]).all():
             raise ValueError("thresholds must be strictly decreasing")
         if not np.isfinite(threshold[1:]).all():
             raise ValueError("thresholds after the first must be finite")
-        if not 0.0 <= self.auc <= 1.0:
-            raise ValueError(f"auc must be in [0, 1], got {self.auc!r}")
+
+    @property
+    def fpr(self) -> np.ndarray:
+        return self.fp / self.fp[-1]
+
+    @property
+    def tpr(self) -> np.ndarray:
+        return self.tp / self.tp[-1]
+
+    @property
+    def auc(self) -> float:
+        return auc_trapezoid(self)
 
     @property
     def points(self) -> tuple[RocPoint, ...]:
@@ -90,20 +110,15 @@ class RocCurve:
         return tuple(map(RocPoint, self.fpr.tolist(), self.tpr.tolist(), self.threshold.tolist()))
 
 
-def _trapezoid_area(fpr: np.ndarray, tpr: np.ndarray) -> float:
-    terms = (fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0
-    return min(1.0, max(0.0, math.fsum(terms.tolist())))
-
-
 def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
     """Sweep the decision threshold over ``samples`` and build the curve.
 
     Samples are stably sorted by score descending and the labels are
     cumulatively summed in that order; each distinct score value emits one
-    point whose rates are the exact integer ratios fp/negatives and
-    tp/positives at that threshold (positive iff score >= threshold),
-    taken at the last sample of its tie group. The initial point is
-    (0, 0) at threshold +inf and the lowest distinct score lands on (1, 1).
+    point holding the false- and true-positive counts at that threshold
+    (positive iff score >= threshold), taken at the last sample of its tie
+    group. The initial point is (0, 0) at threshold +inf and the lowest
+    distinct score lands on every negative and every positive, (1, 1).
 
     Raises ValueError on empty input, on a non-finite score (naming the
     offending record index), and when either class is absent (one rate
@@ -120,23 +135,37 @@ def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
             f"{positives} positive and {negatives} negative samples"
         )
 
+    # Each n-sized temporary is dropped once used, which lowers the peak memory of `roc`.
     order = np.argsort(-score, kind="stable")
     ordered = score[order]
-    tp = np.cumsum(positive[order])
+    tp = np.cumsum(positive[order], dtype=np.int64)
+    del order
     # Indices of the last and the first sample of each tie group (-0.0 ties 0.0).
     last = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
-    first = np.append(0, last[:-1] + 1)
-    fpr = np.concatenate(([0.0], (last + 1 - tp[last]) / negatives))
-    tpr = np.concatenate(([0.0], tp[last] / positives))
     # The first member's score, as the reference sweep takes it: a group of
     # -0.0 and 0.0 keeps the sign of whichever came first in input order.
-    threshold = np.concatenate(([math.inf], ordered[first]))
-    return RocCurve(fpr=fpr, tpr=tpr, threshold=threshold, auc=_trapezoid_area(fpr, tpr))
+    threshold = np.concatenate(([math.inf], ordered[np.append(0, last[:-1] + 1)]))
+    del ordered
+    tp = np.concatenate(([0], tp[last]))
+    fp = np.concatenate(([0], last + 1)) - tp
+    return RocCurve(fp=fp, tp=tp, threshold=threshold)
 
 
 def auc_trapezoid(curve: RocCurve) -> float:
-    """Area under the curve by the trapezoidal rule over consecutive points."""
-    return _trapezoid_area(curve.fpr, curve.tpr)
+    """Area under the curve by the trapezoidal rule over consecutive points.
+
+    The area is ``Σ Δfp·(tp_prev + tp_cur) / (2·P·N)``, with P and N the
+    last point's counts: summed exactly in integers and divided once.
+    """
+    fp, tp = curve.fp, curve.tp
+    doubled_pairs = 2 * int(fp[-1]) * int(tp[-1])
+    if doubled_pairs < 2**63:
+        # Every term and partial sum lies in [0, 2·P·N], so int64 cannot wrap.
+        doubled_area = int(np.dot(np.diff(fp), tp[:-1] + tp[1:]))
+    else:
+        fps, tps = fp.tolist(), tp.tolist()
+        doubled_area = sum((f1 - f0) * (t0 + t1) for f0, f1, t0, t1 in zip(fps, fps[1:], tps, tps[1:]))
+    return doubled_area / doubled_pairs
 
 
 def _pair_tallies_ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -97,13 +98,9 @@ def parse_scores_rows(text: str, cfg: InputConfig, strict: bool = False) -> tupl
     return ScoredColumns([score for score, _ in rows], [positive for _, positive in rows]), report
 
 
-def trapezoid_area(points: Sequence[RocPoint]) -> float:
-    """Trapezoidal area over consecutive points, summed exactly and clamped to [0, 1]."""
-    terms = [
-        (cur.fpr - prev.fpr) * (prev.tpr + cur.tpr) / 2.0
-        for prev, cur in zip(points, points[1:])
-    ]
-    return min(1.0, max(0.0, math.fsum(terms)))
+def trapezoid_area(rates: Sequence[tuple[Fraction, Fraction]]) -> float:
+    """Trapezoidal area over consecutive exact (fpr, tpr) points, summed exactly and rounded once."""
+    return float(sum((f1 - f0) * (t0 + t1) / 2 for (f0, t0), (f1, t1) in zip(rates, rates[1:])))
 
 
 def roc_sweep(samples: Sequence[ScoredSample]) -> tuple[list[RocPoint], float]:
@@ -111,13 +108,15 @@ def roc_sweep(samples: Sequence[ScoredSample]) -> tuple[list[RocPoint], float]:
 
     Sorts by score descending (stable, so ties keep input order), scans
     once with running tp/fp counters and emits one point per distinct
-    score, whose threshold is the first score of its tie group. Expects
+    score, whose threshold is the first score of its tie group. The area
+    is taken over the exact rates fp/negatives and tp/positives. Expects
     both classes and finite scores.
     """
     positives = sum(1 for sample in samples if sample.actual is Label.POSITIVE)
     negatives = len(samples) - positives
     ordered = sorted(samples, key=lambda s: s.score, reverse=True)
     points = [RocPoint(fpr=0.0, tpr=0.0, threshold=math.inf)]
+    rates = [(Fraction(0), Fraction(0))]
     tp = fp = 0
     i = 0
     n = len(ordered)
@@ -130,7 +129,8 @@ def roc_sweep(samples: Sequence[ScoredSample]) -> tuple[list[RocPoint], float]:
                 fp += 1
             i += 1
         points.append(RocPoint(fpr=fp / negatives, tpr=tp / positives, threshold=score))
-    return points, trapezoid_area(points)
+        rates.append((Fraction(fp, negatives), Fraction(tp, positives)))
+    return points, trapezoid_area(rates)
 
 
 def pair_tallies_brute(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:

@@ -231,11 +231,13 @@ class TestDecoding:
 
     def test_invalid_utf8_is_an_error_line_not_a_traceback(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "latin1.csv").write_bytes(b"1,1\n\xff,0\n")
-        code, out, err = invoke("evaluate", "latin1.csv")
-        assert code == 1
-        assert out == ""
-        assert err == "error: line 2: invalid UTF-8 byte 0xff\n"
+        # A line ends at LF, at a lone CR and at CRLF (counted once), as the parsers read it.
+        for data, line in ((b"1,1\n\xff,0\n", 2), (b"1,1\r0,0\r\xff\n", 3), (b"1,1\r\n0,0\r\n\xff\n", 3)):
+            (tmp_path / "latin1.csv").write_bytes(data)
+            code, out, err = invoke("evaluate", "latin1.csv")
+            assert code == 1
+            assert out == ""
+            assert err == f"error: line {line}: invalid UTF-8 byte 0xff\n"
 
 
 class TestUsageErrors:

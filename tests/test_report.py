@@ -250,12 +250,12 @@ class TestCurveOnlyReport:
         assert render_svg(curve, meta["input"]) == expected
 
     def test_signed_zero_rates_keep_their_own_strings(self):
-        # -0.0 == 0.0, but each is formatted as itself, as the references do.
-        curve = RocCurve(fpr=[0.0, -0.0, 0.0, 1.0], tpr=[0.0, 0.0, -0.0, 1.0],
-                         threshold=[math.inf, 0.75, 0.5, 0.25], auc=0.0)
+        # -0.0 == 0.0, but a -0.0 threshold is formatted as itself, as the references do.
+        curve = RocCurve(fp=[0, 1, 1, 2], tp=[0, 0, 1, 1], threshold=[math.inf, 0.75, -0.0, -0.25])
         meta = {"input": "zeros.csv"}
         report = EvaluationReport(curve=curve, meta=meta)
-        assert "\n-0.000000 0.000000 0.75\n0.000000 -0.000000 0.5\n" in render_text(report)
+        assert "\n0.500000 0.000000 0.75\n0.500000 1.000000 -0.0\n" in render_text(report)
+        assert '"threshold": -0.0\n' in render_json(report)
         for chunk_points in (1, 2, 4096):
             assert written(write_text, report, chunk_points=chunk_points) == roc_text(curve, meta)
             assert written(write_json, report, chunk_points=chunk_points) == roc_json(curve, meta)
@@ -304,7 +304,7 @@ class TestRenderSvg:
         assert "50.00,50.00" in polyline.get("points").split()
 
     def test_two_point_tie_curve_coincides_with_the_diagonal(self):
-        curve = RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 1.0], threshold=[math.inf, 0.5], auc=0.5)
+        curve = RocCurve(fp=[0, 1], tp=[0, 1], threshold=[math.inf, 0.5])
         root = ET.fromstring(render_svg(curve, title="tie"))
         polyline = next(e for e in root.iter() if local_name(e) == "polyline")
         assert polyline.get("points") == "50.00,430.00 590.00,50.00"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,22 +179,23 @@ class TestReferenceSweep:
 class TestCurveColumns:
     def test_columns_are_read_only_and_points_view_matches(self):
         curve = roc_points(FOUR_SAMPLES)
-        with pytest.raises(ValueError):
-            curve.fpr[0] = 0.5
+        for column in (curve.fp, curve.tp, curve.threshold):
+            with pytest.raises(ValueError):
+                column[0] = 1
         assert curve.points == tuple(
             RocPoint(f, t, th) for f, t, th in zip(curve.fpr, curve.tpr, curve.threshold)
         )
 
     def test_nan_threshold_and_ragged_columns_rejected(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 1.0], threshold=[math.inf, math.nan], auc=0.5)
+            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[math.inf, math.nan])
         with pytest.raises(ValueError, match="one length"):
-            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 0.5, 1.0], threshold=[math.inf, 0.5], auc=0.5)
+            RocCurve(fp=[0, 1], tp=[0, 1, 2], threshold=[math.inf, 0.5])
 
 
     def test_infinite_threshold_after_the_first_rejected(self):
         with pytest.raises(ValueError, match="after the first must be finite"):
-            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 1.0], threshold=[math.inf, -math.inf], auc=0.5)
+            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[math.inf, -math.inf])
 
 
 class TestAucTrapezoid:
@@ -212,6 +214,17 @@ class TestAucTrapezoid:
     def test_curve_auc_field_matches(self):
         curve = roc_points(FOUR_SAMPLES)
         assert curve.auc == auc_trapezoid(curve)
+
+    def test_area_beyond_int64_is_summed_exactly(self):
+        # 2·P·N is about 2**68 here: an int64 sum of the doubled trapezoids would wrap.
+        fp, tp = [0, 3 * 2**32 + 1, 2**33 + 2**32 + 7], [0, 2**33 - 5, 2**33 + 3]
+        curve = RocCurve(fp=fp, tp=tp, threshold=[math.inf, 1.0, 0.0])
+        assert 2 * fp[-1] * tp[-1] >= 2**63
+        expected = sum(
+            Fraction((f1 - f0) * (t0 + t1), 2 * fp[-1] * tp[-1])
+            for f0, f1, t0, t1 in zip(fp, fp[1:], tp, tp[1:])
+        )
+        assert auc_trapezoid(curve) == curve.auc == float(expected)
 
 
 class TestAucPairCount:
@@ -259,6 +272,19 @@ class TestOracleEquivalence:
     def test_trapezoid_equals_pair_count_continuous(self, s):
         assert auc_trapezoid(roc_points(s)) == pytest.approx(auc_pair_count(s), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "scores", [CONTINUOUS, TIE_HEAVY, INTEGER, EDGES], ids=["continuous", "tie-heavy", "integer", "edges"]
+    )
+    @given(data=st.data())
+    def test_trapezoid_equals_pair_count_exactly(self, scores, data):
+        s = data.draw(scored_sets(scores))
+        assert roc_points(s).auc == auc_pair_count(s)
+
+    def test_one_third_is_the_nearest_float_by_both_routes(self):
+        # A float trapezoid sum gave the next float above 1/3 here.
+        s = samples((0.0, P), (0.0, N), (0.0, N), (1.0, N))
+        assert roc_points(s).auc == auc_pair_count(s) == 1 / 3
+
     @given(sample_sets(tie_heavy=True))
     def test_label_flip_reverses_auc(self, s):
         flipped = [ScoredSample(x.score, N if x.actual is P else P) for x in s]
@@ -279,26 +305,35 @@ class TestCurveTypes:
 
     def test_curve_must_start_at_origin_with_infinite_threshold(self):
         with pytest.raises(ValueError, match="start"):
-            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 1.0], threshold=[5.0, 0.5], auc=0.5)
+            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[5.0, 0.5])
 
     def test_curve_must_end_at_one_one(self):
         with pytest.raises(ValueError, match="end"):
-            RocCurve(fpr=[0.0, 1.0], tpr=[0.0, 0.5], threshold=[math.inf, 0.5], auc=0.5)
+            RocCurve(fp=[0, 1], tp=[0, 0], threshold=[math.inf, 0.5])
+        with pytest.raises(ValueError, match="must end with fp > 0 and tp > 0, got fp=0 and tp=1"):
+            RocCurve(fp=[0, 0], tp=[0, 1], threshold=[math.inf, 0.5])
 
     def test_curve_rejects_decreasing_rates(self):
         with pytest.raises(ValueError, match="non-decreasing"):
-            RocCurve(
-                fpr=[0.0, 0.5, 0.4, 1.0],
-                tpr=[0.0, 0.8, 1.0, 1.0],
-                threshold=[math.inf, 0.7, 0.6, 0.5],
-                auc=0.5,
-            )
+            RocCurve(fp=[0, 5, 4, 10], tp=[0, 4, 5, 5], threshold=[math.inf, 0.7, 0.6, 0.5])
 
     def test_curve_rejects_non_decreasing_thresholds(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            RocCurve(
-                fpr=[0.0, 0.5, 1.0],
-                tpr=[0.0, 0.5, 1.0],
-                threshold=[math.inf, 0.5, 0.5],
-                auc=0.5,
-            )
+            RocCurve(fp=[0, 1, 2], tp=[0, 1, 2], threshold=[math.inf, 0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "fp, tp, match",
+        [
+            ([0, 0.5], [0, 1], r"fp must hold integers in \[0, 2\*\*63\), got dtype float64"),
+            ([0, 1.0], [0, 1], "fp must hold integers in .*, got dtype float64"),
+            ([0, 1], [0, -1], r"tp must hold integers in .*, got -1\Z"),
+            (np.array([0, 2**63], dtype=np.uint64), [0, 1], r"fp must hold integers in .*, got 9223372036854775808\Z"),
+            # numpy reads these lists of Python ints as float64 and as object.
+            ([0, 2**63], [0, 1], "fp must hold integers in .*, got dtype float64"),
+            ([0, 1], [0, 2**64], "tp must hold integers in .*, got dtype object"),
+        ],
+        ids=["fraction", "float", "negative", "beyond-int64", "beyond-int64-list", "beyond-uint64-list"],
+    )
+    def test_curve_rejects_counts_that_are_not_counts(self, fp, tp, match):
+        with pytest.raises(ValueError, match=match):
+            RocCurve(fp=fp, tp=tp, threshold=[math.inf, 0.5])
