@@ -5,7 +5,7 @@ from functools import reduce
 
 import numpy as np
 
-from binaryeval import Label, LabeledPrediction, empty, from_predictions, merge
+from binaryeval import Label, LabeledPrediction, empty, from_predictions, merge, record
 
 rng = np.random.default_rng(7)
 labels = (Label.NEGATIVE, Label.POSITIVE)
@@ -22,7 +22,8 @@ for worker, partial in enumerate(partials):
     print(f"worker {worker}: tp={partial.tp} fp={partial.fp} fn={partial.fn} tn={partial.tn}")
 
 combined = reduce(merge, partials, empty())
-sequential = from_predictions(stream)
+# The sequential tally records one pair at a time, as a single worker would.
+sequential = reduce(record, stream, empty())
 print(f"merged:    {combined}")
 print(f"sequential: {sequential}")
 print(f"bit-identical: {combined == sequential}")

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 from binaryeval.counts import from_predictions, threshold_counts
-from binaryeval.ingest import InputConfig, InputMode, ParseError, ParseReport, parse_hard_labels, parse_scores
+from binaryeval.ingest import InputConfig, ParseError, ParseReport, parse_hard_labels, parse_scores
 from binaryeval.metrics import all_metrics
 from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
 from binaryeval.roc import roc_points
@@ -97,10 +97,9 @@ def _read_input(path: str) -> str:
         raise ParseError(line_number, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
 
 
-def _input_config(args: argparse.Namespace, mode: InputMode) -> InputConfig:
+def _input_config(args: argparse.Namespace) -> InputConfig:
     try:
         return InputConfig(
-            mode=mode,
             positive_label=args.positive_label,
             negative_label=args.negative_label,
             delimiter=args.delimiter,
@@ -147,22 +146,22 @@ def _write_report(report: EvaluationReport, args: argparse.Namespace, out: TextI
 
 
 def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    mode = InputMode(args.mode)
-    if mode is InputMode.SCORES and args.threshold is None:
+    scored = args.mode == "scores"
+    if scored and args.threshold is None:
         raise _UsageError("--threshold is required with --mode scores")
-    if mode is InputMode.HARD_LABELS and args.threshold is not None:
+    if not scored and args.threshold is not None:
         raise _UsageError("--threshold is only valid with --mode scores")
     if args.threshold is not None and math.isnan(args.threshold):
         raise _UsageError("--threshold must not be NaN")
 
-    cfg = _input_config(args, mode)
+    cfg = _input_config(args)
     # The decoded text is not kept in a variable, so it is freed once parsed.
-    if mode is InputMode.HARD_LABELS:
-        pairs, parse_report = parse_hard_labels(_read_input(args.input), cfg, strict=args.strict)
-        counts = from_predictions(pairs)
-    else:
+    if scored:
         samples, parse_report = parse_scores(_read_input(args.input), cfg, strict=args.strict)
         counts = threshold_counts(samples, args.threshold)
+    else:
+        pairs, parse_report = parse_hard_labels(_read_input(args.input), cfg, strict=args.strict)
+        counts = from_predictions(pairs)
     _warn_failures(parse_report, err)
 
     meta = _common_meta(args, parse_report)
@@ -175,7 +174,7 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.mode != "scores":
         raise _UsageError("--mode must be 'scores' for the roc subcommand")
-    cfg = _input_config(args, InputMode.SCORES)
+    cfg = _input_config(args)
     # The decoded text is not kept in a variable, so it is freed before the sweep and the writers.
     samples, parse_report = parse_scores(_read_input(args.input), cfg, strict=args.strict)
     _warn_failures(parse_report, err)

@@ -4,6 +4,9 @@ Everything here is a plain immutable value: tallies are accumulated by
 building new :class:`ConfusionCounts` instances, so sharded/parallel
 accumulation followed by :func:`merge` is bit-identical to a sequential
 fold of :func:`record`.
+
+Label pairs and scored samples are counted and swept as columns; any
+other input is read into columns first, so each has one code path.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +35,14 @@ class LabeledPrediction:
     predicted: Label
 
 
+def _real(value: float) -> float:
+    """``float(value)``, with an integer beyond the float range read as ``+inf`` or ``-inf``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True, slots=True)
 class ScoredSample:
     """An actual label together with the classifier's positive-class score.
@@ -45,10 +55,7 @@ class ScoredSample:
     actual: Label
 
     def __post_init__(self) -> None:
-        try:
-            score = float(self.score)
-        except OverflowError:  # an integer beyond the float range
-            score = math.inf
+        score = _real(self.score)
         if not math.isfinite(score):
             raise ValueError(f"score must be finite, got {self.score!r}")
         object.__setattr__(self, "score", score)
@@ -72,7 +79,8 @@ class ScoredColumns(Sequence[ScoredSample]):
 
     ``score`` is a ``float64`` array of finite scores and ``positive`` a
     ``bool`` array, true where the actual label is positive; index ``i``
-    of each is sample ``i``. Both are copied and checked once, here. As a
+    of each is sample ``i``. Both are copied and checked once, here, the
+    one place scored samples are checked for finiteness. As a
     sequence it holds one :class:`ScoredSample` per index, built on access;
     a slice is a ``ScoredColumns`` of the sliced columns.
     """
@@ -209,22 +217,16 @@ def _tally(actual: np.ndarray, predicted: np.ndarray) -> ConfusionCounts:
 def from_predictions(pairs: Iterable[LabeledPrediction]) -> ConfusionCounts:
     """Tally label pairs; equal to folding :func:`record` over :func:`empty`.
 
-    A :class:`LabeledColumns` is counted over its columns, any other iterable pair by pair.
+    A :class:`LabeledColumns` is counted as it is. Any other iterable is
+    read into one first, in a single pass, so an iterator works too.
     """
-    if isinstance(pairs, LabeledColumns):
-        return _tally(pairs.actual, pairs.predicted)
-    tp = fp = fn = tn = 0
-    for pair in pairs:
-        if pair.actual is Label.POSITIVE:
-            if pair.predicted is Label.POSITIVE:
-                tp += 1
-            else:
-                fn += 1
-        elif pair.predicted is Label.POSITIVE:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    if not isinstance(pairs, LabeledColumns):
+        # Each pair's actual label, then its predicted one.
+        flat = np.fromiter(
+            (label is Label.POSITIVE for pair in pairs for label in (pair.actual, pair.predicted)), dtype=bool
+        )
+        pairs = LabeledColumns(flat[0::2], flat[1::2])
+    return _tally(pairs.actual, pairs.predicted)
 
 
 def binarize(actual_class: Hashable, positive_class: Hashable) -> Label:
@@ -237,35 +239,23 @@ def binarize(actual_class: Hashable, positive_class: Hashable) -> Label:
     return Label.POSITIVE if actual_class == positive_class else Label.NEGATIVE
 
 
-def _columns(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray]:
-    """The scores as ``float64[n]`` and the positive-class mask as ``bool[n]``, in sample order.
-
-    A :class:`ScoredColumns` hands over its own read-only arrays. Any
-    other sequence is read row by row, and a ValueError names its first
-    record whose score is not finite.
-    """
+def _columns(samples: Sequence[ScoredSample]) -> ScoredColumns:
+    """``samples`` as columns: a :class:`ScoredColumns` as it is, any other sequence read into one."""
     if isinstance(samples, ScoredColumns):
-        return samples.score, samples.positive
-    score = np.fromiter(map(attrgetter("score"), samples), dtype=np.float64, count=len(samples))
-    finite = np.isfinite(score)
-    if not finite.all():
-        index = int(np.argmin(finite))
-        raise ValueError(f"non-finite score at record {index}: {samples[index].score!r}")
-    positive = np.fromiter(
-        (sample.actual is Label.POSITIVE for sample in samples), dtype=bool, count=len(samples)
-    )
-    return score, positive
+        return samples
+    return ScoredColumns([sample.score for sample in samples], [sample.actual is Label.POSITIVE for sample in samples])
 
 
 def threshold_counts(samples: Sequence[ScoredSample], threshold: float) -> ConfusionCounts:
     """The tally of hard predictions that are positive iff score >= ``threshold``.
 
-    ``+inf`` predicts everything negative and ``-inf`` everything positive;
-    NaN is rejected. Counted over the score column, without building one
+    ``+inf`` predicts everything negative and ``-inf`` everything positive,
+    as does an integer beyond the float range of that sign; NaN is
+    rejected. Counted over the score column, without building one
     prediction per sample.
     """
-    threshold = float(threshold)
+    threshold = _real(threshold)
     if math.isnan(threshold):
         raise ValueError("threshold must be a real number or +/-inf, not NaN")
-    score, positive = _columns(samples)
-    return _tally(positive, score >= threshold)
+    columns = _columns(samples)
+    return _tally(columns.positive, columns.score >= threshold)

@@ -2,7 +2,9 @@
 
 The format is deliberately tiny: UTF-8 text, one record per line, two
 fields split on a single-character delimiter, no quoting. Hard-label rows
-are ``actual<delim>predicted`` and score rows are ``actual<delim>score``.
+are ``actual<delim>predicted``, read by :func:`parse_hard_labels` into
+:class:`LabeledColumns`, and score rows are ``actual<delim>score``, read
+by :func:`parse_scores` into :class:`ScoredColumns`.
 Parsing is lenient by default (malformed rows are reported per line and
 skipped); ``strict=True`` aborts on the first failure instead.
 
@@ -19,9 +21,7 @@ its line number and strict mode stops at the first one.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -29,17 +29,10 @@ import numpy as np
 from binaryeval.counts import LabeledColumns, ScoredColumns
 
 
-class InputMode(Enum):
-    HARD_LABELS = "hard-labels"
-    SCORES = "scores"
-
-
-# Plain decimal or scientific notation in ASCII digits; rejects nan/inf
-# spellings, hex, underscores, other scripts' digits and locale-specific
-# decimal commas.
-_SCORE_PATTERN = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
-# The characters of that grammar. A text made of them only, and accepted
-# by float(), is exactly a text _SCORE_PATTERN matches.
+# The score grammar: a text made only of these characters that float()
+# accepts, which is plain decimal or scientific notation in ASCII digits.
+# It rejects nan/inf spellings, hex, underscores, other scripts' digits
+# and locale-specific decimal commas.
 _SCORE_CHARS = b"0123456789.+-eE"
 
 # The text is read in chunks of about this many characters, so at most
@@ -60,7 +53,6 @@ class InputConfig:
     the name of the field at fault.
     """
 
-    mode: InputMode
     positive_label: str = "1"
     negative_label: str | None = None
     delimiter: str = ","
@@ -144,19 +136,22 @@ def _chunks(source: Iterable[str] | str, has_header: bool) -> Iterator[str]:
 
 
 def _parse_chunks(
-    source: Iterable[str] | str, cfg: InputConfig, strict: bool
+    source: Iterable[str] | str, cfg: InputConfig, strict: bool, scored: bool
 ) -> tuple[np.ndarray, np.ndarray, ParseReport]:
     """The positive mask of the label fields, the score column and the report, chunk by chunk.
 
-    Label fields are both fields of a hard-label row and the first field
-    of a score row; hard labels have an empty score column. A chunk that
-    the bulk checks reject is explained row by row.
+    Rows are score rows when ``scored``, else hard-label rows. Label
+    fields are both fields of a hard-label row and the first field of a
+    score row; hard labels have an empty score column. A chunk that the
+    bulk checks reject is explained row by row.
     """
     positives, score_columns, failures = [np.empty(0, dtype=bool)], [np.empty(0)], []
     read = 0
     for chunk in _chunks(source, cfg.has_header):
         first_line = cfg.has_header + read + 1
-        positive, score, rows = _bulk_chunk(chunk, cfg) or _explain_chunk(chunk, cfg, first_line, strict, failures)
+        positive, score, rows = _bulk_chunk(chunk, cfg, scored) or _explain_chunk(
+            chunk, cfg, scored, first_line, strict, failures
+        )
         positives.append(positive)
         score_columns.append(score)
         read += rows
@@ -164,7 +159,7 @@ def _parse_chunks(
     return np.concatenate(positives), np.concatenate(score_columns), report
 
 
-def _bulk_chunk(chunk: str, cfg: InputConfig) -> tuple[np.ndarray, np.ndarray, int] | None:
+def _bulk_chunk(chunk: str, cfg: InputConfig, scored: bool) -> tuple[np.ndarray, np.ndarray, int] | None:
     """The chunk's label mask, score column and line count, or None unless every row is valid."""
     delimiter, line_end = ord(cfg.delimiter), ord("\n")
     codes = np.array([chunk]).view(np.uint32)  # numpy holds str as UCS-4 code points
@@ -179,7 +174,7 @@ def _bulk_chunk(chunk: str, cfg: InputConfig) -> tuple[np.ndarray, np.ndarray, i
         return None
     del kinds
     # A field's length plus one is its distance from the separator before it.
-    step = 2 if cfg.mode is InputMode.SCORES else 1
+    step = 2 if scored else 1
     ends, gaps = separators[::step], np.diff(separators, prepend=-1)[::step]
     positive = _matches(codes, ends, gaps, cfg.positive_label)
     if cfg.negative_label is not None and not (positive | _matches(codes, ends, gaps, cfg.negative_label)).all():
@@ -187,7 +182,7 @@ def _bulk_chunk(chunk: str, cfg: InputConfig) -> tuple[np.ndarray, np.ndarray, i
     rows = separators.size // 2
     del codes, separators, ends, gaps
     score = np.empty(0)
-    if cfg.mode is InputMode.SCORES:
+    if scored:
         try:
             score = _score_column(chunk.replace("\n", cfg.delimiter).split(cfg.delimiter)[1::2])
         except ValueError:
@@ -196,7 +191,7 @@ def _bulk_chunk(chunk: str, cfg: InputConfig) -> tuple[np.ndarray, np.ndarray, i
 
 
 def _explain_chunk(
-    chunk: str, cfg: InputConfig, first_line: int, strict: bool, failures: list[tuple[int, str]]
+    chunk: str, cfg: InputConfig, scored: bool, first_line: int, strict: bool, failures: list[tuple[int, str]]
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The chunk's label mask, score column and line count, converted row by row.
 
@@ -211,7 +206,7 @@ def _explain_chunk(
     for line_number, row in enumerate(rows, start=first_line):
         try:
             first, second = _split_row(row, cfg.delimiter)
-            if cfg.mode is InputMode.SCORES:
+            if scored:
                 score = _parse_score(second)
                 labels.append(_is_positive(first, cfg))
                 scores.append(score)
@@ -226,8 +221,7 @@ def _explain_chunk(
 
 def _score_column(texts: list[str]) -> np.ndarray:
     """The scores as ``float64``; ValueError unless every text is a finite score."""
-    joined = "".join(texts)
-    if not joined.isascii() or joined.encode("ascii").translate(None, _SCORE_CHARS):
+    if not _score_chars_only("".join(texts)):
         raise ValueError("a score holds a character outside the score grammar")
     score = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
     if not np.isfinite(score).all():
@@ -242,10 +236,7 @@ def parse_hard_labels(
     strict: bool = False,
 ) -> tuple[LabeledColumns, ParseReport]:
     """Parse ``actual<delim>predicted`` rows into label columns, in input order."""
-    if cfg.mode is not InputMode.HARD_LABELS:
-        raise ValueError("parse_hard_labels requires cfg.mode == InputMode.HARD_LABELS")
-
-    positive, _, report = _parse_chunks(source, cfg, strict)  # each row's actual label, then its predicted one
+    positive, _, report = _parse_chunks(source, cfg, strict, scored=False)  # actual, predicted, actual, ...
     return LabeledColumns(positive[0::2], positive[1::2]), report
 
 
@@ -260,10 +251,7 @@ def parse_scores(
     Scores must be finite decimals (plain or scientific notation in ASCII
     digits); an empty input yields an empty sequence rather than an error.
     """
-    if cfg.mode is not InputMode.SCORES:
-        raise ValueError("parse_scores requires cfg.mode == InputMode.SCORES")
-
-    positive, score, report = _parse_chunks(source, cfg, strict)
+    positive, score, report = _parse_chunks(source, cfg, strict, scored=True)
     return ScoredColumns(score, positive), report
 
 
@@ -274,10 +262,19 @@ def _split_row(row: str, delimiter: str) -> tuple[str, str]:
     return fields[0], fields[1]
 
 
+def _score_chars_only(text: str) -> bool:
+    return text.isascii() and not text.encode("ascii").translate(None, _SCORE_CHARS)
+
+
 def _parse_score(text: str) -> float:
-    if not _SCORE_PATTERN.match(text):
-        raise ValueError(f"non-finite or malformed score {text!r}")
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite score {text!r}")
-    return value
+    """``text`` as a finite score; ValueError unless it is one, by the same test as the bulk path."""
+    if _score_chars_only(text):
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+        else:
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite score {text!r}")
+            return value
+    raise ValueError(f"non-finite or malformed score {text!r}")

@@ -75,10 +75,14 @@ def _check_zero_division(zero_division: str) -> None:
         raise ValueError(f"zero_division must be one of {_ZERO_DIVISION_MODES}, got {zero_division!r}")
 
 
-def _format_metric(value: float | None, zero_division: str) -> str:
-    if value is None:
-        return "0.000000" if zero_division == "zero" else "undefined"
-    return f"{value:.6f}"
+def _metric_values(metrics: MetricSet, zero_division: str) -> dict[str, float | None]:
+    """The metrics by name; under ``zero_division="zero"`` an undefined one reads 0.0."""
+    zero = zero_division == "zero"
+    return {name: 0.0 if value is None and zero else value for name, value in metrics.as_dict().items()}
+
+
+def _format_metric(value: float | None) -> str:
+    return "undefined" if value is None else f"{value:.6f}"
 
 
 def _format_meta_value(value: object) -> str:
@@ -162,8 +166,8 @@ def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
         blocks.append("\n".join(f"{key} {_format_meta_value(value)}" for key, value in report.meta.items()))
     if report.metrics is not None:
         blocks.append("\n".join(_matrix_lines(report.metrics.counts) + [""] + [
-            f"{name.upper()} {_format_metric(value, zero_division)}"
-            for name, value in report.metrics.as_dict().items()
+            f"{name.upper()} {_format_metric(value)}"
+            for name, value in _metric_values(report.metrics, zero_division).items()
         ]))
     curve = report.curve
     if curve is None:
@@ -204,10 +208,7 @@ def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
     if report.metrics is not None:
         counts = report.metrics.counts
         head.append(member("counts", {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn}))
-        head.append(member("metrics", {
-            name: 0.0 if value is None and zero_division == "zero" else value
-            for name, value in report.metrics.as_dict().items()
-        }))
+        head.append(member("metrics", _metric_values(report.metrics, zero_division)))
     tail = [member("meta", {key: _json_safe(value) for key, value in report.meta.items()})] if report.meta else []
     curve = report.curve
     if curve is None:

@@ -126,9 +126,9 @@ def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
     """
     if len(samples) == 0:
         raise ValueError("cannot build a curve from an empty sample sequence")
-    score, positive = _columns(samples)
-    positives = int(np.count_nonzero(positive))
-    negatives = score.size - positives
+    columns = _columns(samples)
+    positives = int(np.count_nonzero(columns.positive))
+    negatives = len(columns) - positives
     if positives == 0 or negatives == 0:
         raise ValueError(
             "need both classes: got "
@@ -136,9 +136,9 @@ def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
         )
 
     # Each n-sized temporary is dropped once used, which lowers the peak memory of `roc`.
-    order = np.argsort(-score, kind="stable")
-    ordered = score[order]
-    tp = np.cumsum(positive[order], dtype=np.int64)
+    order = np.argsort(-columns.score, kind="stable")
+    ordered = columns.score[order]
+    tp = np.cumsum(columns.positive[order], dtype=np.int64)
     del order
     # Indices of the last and the first sample of each tie group (-0.0 ties 0.0).
     last = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
@@ -186,8 +186,8 @@ def auc_pair_count(samples: Sequence[ScoredSample]) -> float:
     is deliberately independent of the threshold sweep in
     :func:`roc_points` and serves as its cross-check.
     """
-    score, positive = _columns(samples)
-    pos, neg = score[positive], score[~positive]
+    columns = _columns(samples)
+    pos, neg = columns.score[columns.positive], columns.score[~columns.positive]
     pairs = pos.size * neg.size
     if pairs == 0:
         raise ValueError(

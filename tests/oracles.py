@@ -9,16 +9,38 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from binaryeval.counts import Label, LabeledColumns, LabeledPrediction, ScoredColumns, ScoredSample
-from binaryeval.ingest import InputConfig, ParseError, ParseReport, _is_positive, _parse_score, _split_row
+from binaryeval.counts import ConfusionCounts, Label, LabeledColumns, LabeledPrediction, ScoredColumns, ScoredSample
+from binaryeval.ingest import InputConfig, ParseError, ParseReport, _is_positive, _split_row
 from binaryeval.roc import RocCurve, RocPoint
 
 T = TypeVar("T")
+
+# The score grammar as one regular expression: plain decimal or scientific
+# notation in ASCII digits. It rejects nan/inf spellings, hex, underscores,
+# other scripts' digits and locale-specific decimal commas.
+SCORE_PATTERN = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+
+
+def tally_pairs(pairs: Iterable[LabeledPrediction]) -> ConfusionCounts:
+    """``from_predictions`` as one loop over the pairs, one cell incremented per pair."""
+    tp = fp = fn = tn = 0
+    for pair in pairs:
+        if pair.actual is Label.POSITIVE:
+            if pair.predicted is Label.POSITIVE:
+                tp += 1
+            else:
+                fn += 1
+        elif pair.predicted is Label.POSITIVE:
+            fp += 1
+        else:
+            tn += 1
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def apply_threshold(samples: Sequence[ScoredSample], threshold: float) -> list[LabeledPrediction]:
@@ -28,7 +50,7 @@ def apply_threshold(samples: Sequence[ScoredSample], threshold: float) -> list[L
     NaN is rejected. Actual labels pass through and order is preserved.
     ``threshold_counts`` is the tally of this, counted over the columns.
     """
-    if math.isnan(threshold):
+    if isinstance(threshold, float) and math.isnan(threshold):
         raise ValueError("threshold must be a real number or +/-inf, not NaN")
     return [
         LabeledPrediction(
@@ -88,11 +110,21 @@ def parse_hard_labels_rows(text: str, cfg: InputConfig, strict: bool = False) ->
     return LabeledColumns([actual for actual, _ in rows], [predicted for _, predicted in rows]), report
 
 
+def parse_score(text: str) -> float:
+    """A score field by :data:`SCORE_PATTERN`, with the package's failure reasons."""
+    if not SCORE_PATTERN.match(text):
+        raise ValueError(f"non-finite or malformed score {text!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite score {text!r}")
+    return value
+
+
 def parse_scores_rows(text: str, cfg: InputConfig, strict: bool = False) -> tuple[ScoredColumns, ParseReport]:
-    """``parse_scores`` as one row loop over the whole text."""
+    """``parse_scores`` as one row loop over the whole text, scores read by :data:`SCORE_PATTERN`."""
 
     def convert(actual: str, score: str) -> tuple[float, bool]:
-        return _parse_score(score), _is_positive(actual, cfg)
+        return parse_score(score), _is_positive(actual, cfg)
 
     rows, report = _parse_rows(text, cfg, strict, convert)
     return ScoredColumns([score for score, _ in rows], [positive for _, positive in rows]), report

@@ -26,7 +26,7 @@ from binaryeval.counts import (
     threshold_counts,
 )
 
-from oracles import apply_threshold
+from oracles import apply_threshold, tally_pairs
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -155,7 +155,7 @@ class TestFromPredictions:
 
     @given(pairs_strategy)
     def test_equals_fold_of_record(self, pairs):
-        assert from_predictions(pairs) == reduce(record, pairs, empty())
+        assert from_predictions(pairs) == from_predictions(iter(pairs)) == reduce(record, pairs, empty())
 
     @given(st.lists(pairs_strategy, max_size=6))
     def test_merge_over_any_partition(self, shards):
@@ -166,7 +166,7 @@ class TestFromPredictions:
     @given(pairs_strategy)
     def test_columns_equal_the_loop_over_their_pairs(self, pairs):
         columns = columns_of(pairs)
-        assert from_predictions(columns) == from_predictions(list(columns)) == from_predictions(pairs)
+        assert from_predictions(columns) == from_predictions(list(columns)) == tally_pairs(pairs)
 
     @given(pairs_strategy, st.lists(st.integers(0, 60), max_size=5))
     def test_merge_over_column_slices_equals_the_whole(self, pairs, cuts):
@@ -237,10 +237,12 @@ class TestThresholdCounts:
         st.data(),
     )
     def test_equals_the_tally_of_apply_threshold(self, samples, data):
-        threshold = data.draw(st.sampled_from([s.score for s in samples] + [math.inf, -math.inf]))
-        assert threshold_counts(samples, threshold) == from_predictions(apply_threshold(samples, threshold))
+        drawn = data.draw(st.sampled_from([s.score for s in samples] + [math.inf, -math.inf]))
         columns = ScoredColumns([s.score for s in samples], [s.actual is P for s in samples])
-        assert threshold_counts(columns, threshold) == threshold_counts(samples, threshold)
+        # An integer beyond the float range is compared exactly, so it acts as an infinity of its sign.
+        for threshold in (drawn, 10**400, -(10**400)):
+            assert threshold_counts(samples, threshold) == from_predictions(apply_threshold(samples, threshold))
+            assert threshold_counts(columns, threshold) == threshold_counts(samples, threshold)
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -315,7 +317,7 @@ class TestScoredColumns:
             columns.score[0] = 2.0
         with pytest.raises(ValueError):
             columns.positive[0] = False
-        assert all(a is b for a, b in zip(_columns(columns), (columns.score, columns.positive)))
+        assert _columns(columns) is columns
         with pytest.raises(IndexError):
             columns[2]
 
