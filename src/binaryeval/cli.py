@@ -1,6 +1,7 @@
 """Command-line entry point: ``evaluate`` and ``roc`` subcommands.
 
-Results go to stdout, diagnostics to stderr. Reports are streamed to
+Results go to stdout, diagnostics to stderr. The input is read and
+parsed block by block, never held whole, and reports are streamed to
 stdout (and the ROC plot to its ``--svg`` file) in chunks, never built
 as one string. Exit status is 0 on success, 1 on a validation or parse
 failure (strict mode), input that is not UTF-8 or degenerate input, with
@@ -12,15 +13,18 @@ bytes produce identical output bytes.
 from __future__ import annotations
 
 import argparse
+import codecs
 import math
 import os
 import re
 import sys
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
-from typing import Sequence, TextIO
+from contextlib import closing, nullcontext, redirect_stderr, redirect_stdout
+from typing import Iterator, Sequence, TextIO
 
+import numpy as np
+
+from binaryeval import ingest
 from binaryeval.counts import from_predictions, threshold_counts
 from binaryeval.ingest import InputConfig, ParseError, ParseReport, parse_hard_labels, parse_scores
 from binaryeval.metrics import all_metrics
@@ -76,25 +80,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> str:
-    """The input's text: strict UTF-8 with one leading BOM dropped, its line ends left to the parsers."""
+def _read_input(path: str) -> Iterator[str]:
+    """The input's text, strict UTF-8 with one leading BOM dropped, in pieces of whole lines.
+
+    The input is read and decoded in blocks of ``ingest._CHUNK_CHARS``
+    bytes. Each piece ends at the last LF or CR decoded so far, and the
+    rest is carried into the next block, so the whole input is never
+    held. Line ends are left to the parsers.
+    """
     try:
-        if path == "-":
-            # A text stream standing in for stdin (io.StringIO) has no byte buffer.
-            data = getattr(sys.stdin, "buffer", sys.stdin).read()
-        else:
-            data = Path(path).read_bytes()
+        # A text stream standing in for stdin (io.StringIO) has no byte buffer.
+        stream = nullcontext(getattr(sys.stdin, "buffer", sys.stdin)) if path == "-" else open(path, "rb")
     except OSError as exc:
         raise _UsageError(f"cannot open input {path!r}: {exc.strerror or exc}") from None
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogateescape")
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # Lines end at LF, CR or CRLF, as the parsers read them.
-        head = exc.object[: exc.start]
-        line_number = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(line_number, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    line_ends, carry, after_cr = 0, "", False
+    with stream as data:
+        while True:
+            try:
+                block = data.read(ingest._CHUNK_CHARS)
+            except OSError as exc:
+                raise _UsageError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
+            if isinstance(block, str):
+                block = block.encode("utf-8", "surrogateescape")
+            try:
+                text = carry + decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                # The decoder's own buffer, at the head of exc.object, holds no line end.
+                head = exc.object[: exc.start]
+                line_number = line_ends + _line_ends(head) - (after_cr and head[:1] == b"\n") + 1
+                raise ParseError(line_number, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
+            if not block:
+                break
+            # A CRLF split between two blocks is one line end.
+            line_ends += _line_ends(block) - (after_cr and block[:1] == b"\n")
+            after_cr = block[-1:] == b"\r"
+            cut = max(text.rfind("\n"), text.rfind("\r")) + 1
+            if cut:
+                yield text[:cut]
+            carry = text[cut:]
+    if text:
+        yield text
+
+
+def _line_ends(data: bytes) -> int:
+    """How many lines end in ``data``: at LF, at CR and at CRLF, counted once, as the parsers read them."""
+    codes = np.frombuffer(data, dtype=np.uint8)
+    ends = np.count_nonzero(codes == ord("\n"))
+    if b"\r" in data:
+        is_cr = codes == ord("\r")
+        ends += np.count_nonzero(is_cr) - np.count_nonzero(is_cr[:-1] & (codes[1:] == ord("\n")))
+    return int(ends)
 
 
 def _input_config(args: argparse.Namespace) -> InputConfig:
@@ -155,13 +191,13 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         raise _UsageError("--threshold must not be NaN")
 
     cfg = _input_config(args)
-    # The decoded text is not kept in a variable, so it is freed once parsed.
-    if scored:
-        samples, parse_report = parse_scores(_read_input(args.input), cfg, strict=args.strict)
-        counts = threshold_counts(samples, args.threshold)
-    else:
-        pairs, parse_report = parse_hard_labels(_read_input(args.input), cfg, strict=args.strict)
-        counts = from_predictions(pairs)
+    with closing(_read_input(args.input)) as text:
+        if scored:
+            samples, parse_report = parse_scores(text, cfg, strict=args.strict)
+            counts = threshold_counts(samples, args.threshold)
+        else:
+            pairs, parse_report = parse_hard_labels(text, cfg, strict=args.strict)
+            counts = from_predictions(pairs)
     _warn_failures(parse_report, err)
 
     meta = _common_meta(args, parse_report)
@@ -175,8 +211,8 @@ def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.mode != "scores":
         raise _UsageError("--mode must be 'scores' for the roc subcommand")
     cfg = _input_config(args)
-    # The decoded text is not kept in a variable, so it is freed before the sweep and the writers.
-    samples, parse_report = parse_scores(_read_input(args.input), cfg, strict=args.strict)
+    with closing(_read_input(args.input)) as text:
+        samples, parse_report = parse_scores(text, cfg, strict=args.strict)
     _warn_failures(parse_report, err)
 
     try:
@@ -184,6 +220,8 @@ def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 1
+    # The writers need only the curve: the parsed columns are freed before they run.
+    del samples
 
     if args.svg is not None:
         try:

@@ -89,13 +89,26 @@ class ScoredColumns(Sequence[ScoredSample]):
     positive: np.ndarray
 
     def __post_init__(self) -> None:
-        score = np.array(self.score, dtype=np.float64)
-        positive = _mask(self.positive, "positive")
+        self._hold(np.array(self.score, dtype=np.float64), _mask(self.positive, "positive"))
+
+    @classmethod
+    def _of_own_arrays(cls, score: np.ndarray, positive: np.ndarray) -> ScoredColumns:
+        """Columns that hold a ``float64`` and a ``bool`` array as they are, checked but not copied.
+
+        Only for arrays that nothing else refers to, such as the parser's
+        fresh output, which a copy would hold twice at the peak.
+        """
+        columns = object.__new__(cls)
+        columns._hold(score, positive)
+        return columns
+
+    def _hold(self, score: np.ndarray, positive: np.ndarray) -> None:
         if score.ndim != 1 or score.shape != positive.shape:
             raise ValueError("score and positive must be 1-d arrays of one length")
-        finite = np.isfinite(score)
-        if not finite.all():
-            index = int(np.argmin(finite))
+        # The least and the greatest score are finite exactly when every score
+        # is (a NaN is both), and finding them allocates no n-sized mask.
+        if score.size and not (math.isfinite(score.min()) and math.isfinite(score.max())):
+            index = int(np.argmin(np.isfinite(score)))
             raise ValueError(f"non-finite score at record {index}: {score[index].item()!r}")
         for name, column in (("score", score), ("positive", positive)):
             column.flags.writeable = False

@@ -8,9 +8,11 @@ by :func:`parse_scores` into :class:`ScoredColumns`.
 Parsing is lenient by default (malformed rows are reported per line and
 skipped); ``strict=True`` aborts on the first failure instead.
 
-The source, a whole ``str`` or an iterable of lines, is read in chunks
-of about 256 Ki characters that end on line boundaries, with CR and CRLF
-read as LF. Each chunk is parsed in bulk: its code points are checked to
+The source, a whole ``str`` or an iterable of pieces of whole lines, is
+read lazily in chunks of about 64 Ki characters that end on line
+boundaries, with CR and CRLF read as LF, so only one chunk of text is
+worked on at a time and the source is never joined into one string.
+Each chunk is parsed in bulk: its code points are checked to
 hold exactly one delimiter per line, labels are matched on those code
 points, and scores are split once and checked as a whole column (score
 characters, ``float()``, finiteness). A chunk that fails any check is
@@ -21,6 +23,8 @@ its line number and strict mode stops at the first one.
 from __future__ import annotations
 
 import math
+import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -36,10 +40,16 @@ from binaryeval.counts import LabeledColumns, ScoredColumns
 _SCORE_CHARS = b"0123456789.+-eE"
 
 # The text is read in chunks of about this many characters, so at most
-# one chunk's field strings and code points are alive at a time.
-# On 2x10^5-row inputs, 1 Mi-character chunks gave the CLI an 8-20 MB
-# higher peak RSS than this size, and ran no faster.
-_CHUNK_CHARS = 1 << 18
+# one chunk's code points, separator indices and field strings are alive
+# at a time. On 2x10^5-row inputs, the CLI's peak RSS was 30.9 MB (hard
+# labels) and 33.5 MB (scores) with this size, against 35.6 and 36.0 MB
+# with 256 Ki-character chunks, and parsing took no longer. The CLI reads
+# its input in blocks of this many bytes.
+_CHUNK_CHARS = 1 << 16
+
+# A line end: LF, CRLF, or a CR that has a character after it which is
+# not LF. A CR that ends the text read so far may be half of a CRLF.
+_LINE_END = re.compile(r"\r\n|\n|\r(?=[^\n])")
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,26 +123,44 @@ def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) 
 def _chunks(source: Iterable[str] | str, has_header: bool) -> Iterator[str]:
     """The data lines of ``source`` in chunks of about ``_CHUNK_CHARS`` characters, each ending on LF.
 
-    An iterable's lines are joined, each with its CR/LF ending stripped.
-    CR and CRLF read as LF; as a chunk ends on LF, reading them per chunk
-    reads them as over the whole text. The header is the first line of
-    the first chunk.
+    A ``str`` is one piece. An iterable's elements are pieces of whole
+    lines, read one at a time; an element that does not end in CR or LF
+    gets an LF, and the pieces then read as their concatenation. Pieces
+    are gathered until a line end (LF, CRLF or a lone CR) lies
+    ``_CHUNK_CHARS`` characters or more past the start of the chunk, and
+    the chunk ends after it. A CR that ends the pieces gathered so far
+    waits for the next one, as it may be the first half of a CRLF. So a
+    chunk never ends inside a CRLF, and reading CR and CRLF as LF per
+    chunk reads them as over the whole text. The header is the first line
+    of the first chunk.
     """
-    if not isinstance(source, str):
-        source = "".join(line.rstrip("\r\n") + "\n" for line in source)
-    start = 0
-    while start < len(source):
-        end = source.find("\n", start + _CHUNK_CHARS) + 1 or len(source)
-        chunk = source[start:end]
-        if "\r" in chunk:
-            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
-        if not chunk.endswith("\n"):
-            chunk += "\n"
-        if has_header and not start:
-            chunk = chunk[chunk.find("\n") + 1:]
-        start = end
-        if chunk:
-            yield chunk
+    pieces = (source,) if isinstance(source, str) else (
+        piece if piece.endswith(("\n", "\r")) else piece + "\n" for piece in source
+    )
+    pending, size, header = [], 0, has_header
+    for piece in pieces:
+        pending.append(piece)
+        size += len(piece)
+        if size <= _CHUNK_CHARS:
+            continue
+        text, start = "".join(pending), 0
+        while line_end := _LINE_END.search(text, start + _CHUNK_CHARS):
+            yield from _lines(text[start:line_end.end()], header)
+            start, header = line_end.end(), False
+        pending, size = [text[start:]], len(text) - start
+    text = "".join(pending)
+    if text:
+        yield from _lines(text if text.endswith(("\n", "\r")) else text + "\n", header)
+
+
+def _lines(chunk: str, drop_first: bool) -> Iterator[str]:
+    """``chunk``, which ends on a line end, with CR and CRLF read as LF, less its first line if ``drop_first``."""
+    if "\r" in chunk:
+        chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+    if drop_first:
+        chunk = chunk[chunk.find("\n") + 1:]
+    if chunk:
+        yield chunk
 
 
 def _parse_chunks(
@@ -145,18 +173,20 @@ def _parse_chunks(
     score row; hard labels have an empty score column. A chunk that the
     bulk checks reject is explained row by row.
     """
-    positives, score_columns, failures = [np.empty(0, dtype=bool)], [np.empty(0)], []
+    # The columns grow in place, chunk by chunk: per-chunk arrays joined
+    # at the end would hold every row twice.
+    positives, score_column, failures = array("B"), array("d"), []
     read = 0
     for chunk in _chunks(source, cfg.has_header):
         first_line = cfg.has_header + read + 1
         positive, score, rows = _bulk_chunk(chunk, cfg, scored) or _explain_chunk(
             chunk, cfg, scored, first_line, strict, failures
         )
-        positives.append(positive)
-        score_columns.append(score)
+        positives.frombytes(positive)
+        score_column.frombytes(score.view(np.uint8))  # frombytes reads a buffer of bytes
         read += rows
     report = ParseReport(read, read - len(failures), tuple(failures))
-    return np.concatenate(positives), np.concatenate(score_columns), report
+    return np.frombuffer(positives, dtype=bool), np.frombuffer(score_column), report
 
 
 def _bulk_chunk(chunk: str, cfg: InputConfig, scored: bool) -> tuple[np.ndarray, np.ndarray, int] | None:
@@ -252,7 +282,7 @@ def parse_scores(
     digits); an empty input yields an empty sequence rather than an error.
     """
     positive, score, report = _parse_chunks(source, cfg, strict, scored=True)
-    return ScoredColumns(score, positive), report
+    return ScoredColumns._of_own_arrays(score, positive), report
 
 
 def _split_row(row: str, delimiter: str) -> tuple[str, str]:

@@ -298,7 +298,14 @@ def write_svg(curve: RocCurve, title: str, out: TextIO) -> None:
     out.write("\n".join(lines))
     # Points are separated by a space, which point 0 does without.
     two_places = "{:.2f}".format
-    _write_points(out, " {},{}", ((x_px(curve.fpr), two_places), (y_px(curve.tpr), two_places)), {0: ""})
+    # The pixels of x_px and y_px, computed in place on the fresh rate arrays with the same two roundings.
+    x = curve.fpr
+    x *= right - left
+    x += left
+    y = curve.tpr
+    y *= bottom - top
+    np.subtract(bottom, y, out=y)
+    _write_points(out, " {},{}", ((x, two_places), (y, two_places)), {0: ""})
     lines = [
         '" fill="none" stroke="#1f77b4" stroke-width="2"/>',
         f'<text x="{(left + right) / 2:.2f}" y="{bottom + 40}" text-anchor="middle" '

@@ -136,18 +136,32 @@ def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
         )
 
     # Each n-sized temporary is dropped once used, which lowers the peak memory of `roc`.
+    # The sorted scores and the running counts carry the initial point at
+    # index 0, so that one boolean mask over them selects the whole curve.
     order = np.argsort(-columns.score, kind="stable")
-    ordered = columns.score[order]
-    tp = np.cumsum(columns.positive[order], dtype=np.int64)
+    ordered = np.empty(len(columns) + 1)
+    ordered[0] = math.inf
+    np.take(columns.score, order, out=ordered[1:])
+    labels = columns.positive[order]
     del order
-    # Indices of the last and the first sample of each tie group (-0.0 ties 0.0).
-    last = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    # Where each tie group ends, at its last sample (-0.0 ties 0.0), and where it starts.
+    ends = np.empty(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:-1], ordered[2:], out=ends[1:-1])
+    ends[0] = ends[-1] = True
+    starts = np.empty_like(ends)
+    starts[0] = True
+    starts[1:] = ends[:-1]
     # The first member's score, as the reference sweep takes it: a group of
     # -0.0 and 0.0 keeps the sign of whichever came first in input order.
-    threshold = np.concatenate(([math.inf], ordered[np.append(0, last[:-1] + 1)]))
-    del ordered
-    tp = np.concatenate(([0], tp[last]))
-    fp = np.concatenate(([0], last + 1)) - tp
+    threshold = ordered[starts]
+    del ordered, starts
+    # The running counts of positives, then of negatives, share one buffer.
+    running = np.zeros(ends.size, dtype=np.int64)
+    np.cumsum(labels, out=running[1:])
+    tp = running[ends]
+    np.cumsum(np.logical_not(labels, out=labels), out=running[1:])
+    fp = running[ends]
+    del running, labels, ends
     return RocCurve(fp=fp, tp=tp, threshold=threshold)
 
 

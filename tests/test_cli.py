@@ -7,12 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from binaryeval import ingest
 from binaryeval.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -238,6 +240,77 @@ class TestDecoding:
             assert code == 1
             assert out == ""
             assert err == f"error: line {line}: invalid UTF-8 byte 0xff\n"
+
+
+class TestStreamedInput:
+    """The input is read and decoded in blocks of ``ingest._CHUNK_CHARS`` bytes, patched small here."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+    def test_a_character_split_between_blocks_decodes(self, tmp_path, monkeypatch, block):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "labels.csv").write_bytes("\ufeff\u00e9,\u00e9\nnon,\u00e9\r\n\u00e9,x\n".encode())
+        monkeypatch.setattr(ingest, "_CHUNK_CHARS", block)
+        code, out, err = invoke("evaluate", "labels.csv", "--positive-label", "\u00e9", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["counts"] == {"tp": 1, "fp": 1, "fn": 1, "tn": 0}
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
+    def test_an_invalid_byte_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, block):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(ingest, "_CHUNK_CHARS", block)
+        # With 4-byte blocks, the first CRLF is split between the first two
+        # blocks; the second input ends inside a two-byte character.
+        for data, line, byte in ((b"1,1\r\n0,0\r\n1,0\r0,1\n\xff,0\n", 5, "ff"), (b"1,1\r\n\xc3\xa9,0\r\n\xc3", 3, "c3")):
+            (tmp_path / "rows.csv").write_bytes(data)
+            code, out, err = invoke("evaluate", "rows.csv")
+            assert (code, out, err) == (1, "", f"error: line {line}: invalid UTF-8 byte 0x{byte}\n")
+
+    def test_standard_input_and_a_text_stand_in_are_read_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_CHARS", 3)
+        rows = "1,0.9\r\n0,0.8\n\u00e9,0.7\r0,0.6\n"
+        for stdin in (io.TextIOWrapper(io.BytesIO(rows.encode())), io.StringIO(rows)):
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, err = invoke("evaluate", "-", "--mode", "scores", "--threshold", "0.75", "--format", "json")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["counts"] == {"tp": 1, "fp": 1, "fn": 0, "tn": 2}
+
+    def test_a_failed_read_is_an_error_line(self, monkeypatch):
+        class FailingStream(io.BytesIO):
+            def read(self, size=-1):
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(FailingStream()))
+        assert invoke("evaluate", "-") == (2, "", "error: cannot read input '-': Input/output error\n")
+
+    def test_a_strict_failure_mid_file_closes_the_input(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rows.csv").write_text("1,0.5\n" * 50 + "1,oops\n" + "0,0.5\n" * 50)
+        monkeypatch.setattr(ingest, "_CHUNK_CHARS", 16)
+        opened = []
+
+        def spy(*args, real_open=open, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr("builtins.open", spy)
+        code, out, err = invoke("evaluate", "rows.csv", "--mode", "scores", "--threshold", "0.5", "--strict")
+        monkeypatch.undo()
+        assert (code, out, err) == (1, "", "error: line 51: non-finite or malformed score 'oops'\n")
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_evaluate_never_holds_the_whole_input(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "scores.csv"
+        path.write_text("".join(f"{i % 3 == 0:d},{i * 7919 % 100_003 / 100_003!r}\n" for i in range(200_000)))
+        tracemalloc.start()
+        try:
+            code, _, err = invoke("evaluate", "scores.csv", "--mode", "scores", "--threshold", "0.5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        # The file's bytes and its decoded text would each take this much.
+        assert peak < path.stat().st_size
 
 
 class TestUsageErrors:

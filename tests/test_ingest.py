@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -357,3 +358,68 @@ class TestBulkPath:
             assert _scored(source, cfg) == whole
             labels = _labeled(source.replace(".", ""), InputConfig(has_header=True))
         assert labels == _labeled(source.replace(".", ""), InputConfig(has_header=True))
+
+
+def _without_line_end(piece):
+    """``piece`` with its final LF or CRLF removed, when the LF it gets back reads the same.
+
+    It does not when the rest ends in CR or LF, which keeps it from getting
+    one, or is empty, as its LF would then complete a CR ending the piece before.
+    """
+    if not piece.endswith("\n"):
+        return piece
+    stripped = piece[:-2] if piece.endswith("\r\n") else piece[:-1]
+    return stripped if stripped and not stripped.endswith(("\r", "\n")) else piece
+
+
+class TestStreaming:
+    """A source read as an iterable of pieces against the same text as one ``str``."""
+
+    @given(_soup, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), _configs, st.integers(1, 40),
+           st.booleans(), st.data())
+    def test_any_split_into_pieces_reads_as_the_whole_text(
+        self, lines, line_end, final_newline, options, chunk_chars, strict, data
+    ):
+        text = line_end.join(lines) + (line_end if final_newline and lines else "")
+        # A piece may end after any CR or LF, the CR of a CRLF included.
+        cuts = sorted(data.draw(st.sets(st.sampled_from([i for i, c in enumerate(text, 1) if c in "\r\n"]))
+                                if "\r" in text or "\n" in text else st.just(set())))
+        pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)]) if a < b]
+        bare = data.draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+        pieces = [_without_line_end(piece) if strip else piece for piece, strip in zip(pieces, bare)]
+        cfg = InputConfig(**options)
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+            assert _scored(iter(pieces), cfg, strict) == _scored(text, cfg, strict)
+            assert _labeled(iter(pieces), cfg, strict) == _labeled(text, cfg, strict)
+
+    def test_an_element_holding_several_lines_reads_as_that_text(self):
+        text = "1,1\n\n0,0\r\n"  # the empty second line is a malformed row
+        assert _labeled(["1,1\n\n", "0,0\r\n"], CFG) == _labeled(text, CFG)
+        assert _labeled(text, CFG)[2] == ParseReport(3, 2, ((2, "expected 2 fields, got 1"),))
+
+    def test_cr_only_text_is_read_in_several_chunks(self):
+        lf_text = "".join(f"{i % 2},{i / 7!r}\n" for i in range(200))
+        cr_text = lf_text.replace("\n", "\r")
+        with mock.patch.object(ingest, "_CHUNK_CHARS", 64):
+            assert len(list(ingest._chunks(cr_text, False))) > 1
+            # A CR that ends a piece waits for the next one, which may start with LF.
+            assert len(list(ingest._chunks(iter(cr_text.splitlines(keepends=True)), False))) > 1
+            assert _scored(cr_text, CFG) == _scored(lf_text, CFG)
+        assert _scored(cr_text, CFG)[2] == ParseReport(200, 200)
+
+    def test_a_generator_of_lines_is_never_held_whole(self):
+        rows = 200_000
+
+        def lines():
+            for i in range(rows):
+                yield f"{i % 3 == 0:d},{i * 7919 % 100_003 / 100_003!r}\n"
+
+        tracemalloc.start()
+        try:
+            columns, report = parse_scores(lines(), CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == ParseReport(rows, rows)
+        # Joined into one string, the lines alone would take about twice the columns.
+        assert peak < 2.5 * (columns.score.nbytes + columns.positive.nbytes)
