@@ -119,28 +119,34 @@ def _run_strings(column: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
     return strings[np.cumsum(starts) - 1].tolist()
 
 
+def _rates(counts: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """The rates ``counts / counts[-1]`` at a slice of points, as ``RocCurve.fpr`` and ``tpr`` divide."""
+    return lambda points: counts[points] / counts[-1]
+
+
 def _write_points(
     out: TextIO,
     template: str,
-    columns: Sequence[tuple[np.ndarray, Callable[[float], str]]],
+    size: int,
+    columns: Sequence[tuple[Callable[[slice], np.ndarray], Callable[[float], str]]],
     first: Mapping[int, str],
 ) -> None:
-    """Write ``template`` once per curve point, each ``{}`` filled from one column.
+    """Write ``template`` once for each of ``size`` curve points, each ``{}`` filled from one column.
 
-    ``columns`` holds one (values, format) pair per ``{}``. Point ``i``'s
-    parts are the template's literals with ``fmt(values[i])`` between
-    them; ``first`` replaces parts of point 0 by index (such as its
-    opening literal, which has no separator before it).
+    ``columns`` holds one (values, format) pair per ``{}``: ``values(points)``
+    derives the column at one chunk's slice of points, so no column is built
+    whole. Point ``i``'s parts are the template's literals with ``fmt`` of
+    its values between them; ``first`` replaces parts of point 0 by index
+    (such as its opening literal, which has no separator before it).
     """
     literals = template.split("{}")
     point: list[str] = [""] * (2 * len(literals) - 1)
     point[::2] = literals
-    size = columns[0][0].size
     for start in range(0, size, _CHUNK_POINTS):
-        stop = min(start + _CHUNK_POINTS, size)
-        parts = point * (stop - start)
+        points = slice(start, min(start + _CHUNK_POINTS, size))
+        parts = point * (points.stop - start)
         for slot, (values, fmt) in enumerate(columns):
-            parts[2 * slot + 1 :: len(point)] = _run_strings(values[start:stop], fmt)
+            parts[2 * slot + 1 :: len(point)] = _run_strings(values(points), fmt)
         if start == 0:
             for index, text in first.items():
                 parts[index] = text
@@ -176,7 +182,8 @@ def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
     out.write("\n\n".join(blocks + ["fpr tpr threshold"]))
     # repr(+inf) is "inf", the text form of the initial point's threshold.
     six_places = "{:.6f}".format
-    _write_points(out, "\n{} {} {}", ((curve.fpr, six_places), (curve.tpr, six_places), (curve.threshold, repr)), {})
+    columns = ((_rates(curve.fp), six_places), (_rates(curve.tp), six_places), (curve.threshold.__getitem__, repr))
+    _write_points(out, "\n{} {} {}", curve.threshold.size, columns, {})
     out.write(f"\nAUC {curve.auc:.6f}\n")
 
 
@@ -220,7 +227,8 @@ def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
     _write_points(
         out,
         ',\n      {\n        "fpr": {},\n        "tpr": {},\n        "threshold": {}\n      }',
-        ((curve.fpr, repr), (curve.tpr, repr), (curve.threshold, repr)),
+        curve.threshold.size,
+        ((_rates(curve.fp), repr), (_rates(curve.tp), repr), (curve.threshold.__getitem__, repr)),
         {0: '\n      {\n        "fpr": ', 5: '"inf"'},
     )
     out.write(f'\n    ],\n    "auc": {auc}\n  }}' + "".join(",\n" + text for text in tail) + "\n}\n")
@@ -298,14 +306,9 @@ def write_svg(curve: RocCurve, title: str, out: TextIO) -> None:
     out.write("\n".join(lines))
     # Points are separated by a space, which point 0 does without.
     two_places = "{:.2f}".format
-    # The pixels of x_px and y_px, computed in place on the fresh rate arrays with the same two roundings.
-    x = curve.fpr
-    x *= right - left
-    x += left
-    y = curve.tpr
-    y *= bottom - top
-    np.subtract(bottom, y, out=y)
-    _write_points(out, " {},{}", ((x, two_places), (y, two_places)), {0: ""})
+    fpr, tpr = _rates(curve.fp), _rates(curve.tp)
+    columns = ((lambda points: x_px(fpr(points)), two_places), (lambda points: y_px(tpr(points)), two_places))
+    _write_points(out, " {},{}", curve.threshold.size, columns, {0: ""})
     lines = [
         '" fill="none" stroke="#1f77b4" stroke-width="2"/>',
         f'<text x="{(left + right) / 2:.2f}" y="{bottom + 40}" text-anchor="middle" '

@@ -43,14 +43,14 @@ class RocPoint:
 
 
 def _count_column(name: str, values: object) -> np.ndarray:
-    """``values`` as an ``int64`` copy, checked first: the cast would truncate 0.5 and wrap 2**63."""
+    """``values`` as an ``int64`` array, checked first: the cast would truncate 0.5 and wrap 2**63."""
     column = np.asarray(values)
     if column.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers in [0, 2**63), got dtype {column.dtype}")
-    outside = (column < 0) | (column >= 2**63)
-    if outside.any():
+    if column.size and (column.min() < 0 or column.max() >= 2**63):  # no n-sized mask unless one is out
+        outside = (column < 0) | (column >= 2**63)
         raise ValueError(f"{name} must hold integers in [0, 2**63), got {column[outside][0].item()}")
-    return np.array(column, dtype=np.int64)
+    return column.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -62,9 +62,10 @@ class RocCurve:
     ``float64`` array, all of one length, index ``i`` being the curve's
     ``i``-th point. Only the initial point's threshold is infinite (+inf).
     The last point counts every negative and every positive, so the rates
-    ``fpr = fp / fp[-1]`` and ``tpr = tp / tp[-1]`` and the ``auc`` are
-    derived on each access; ``points`` is the same curve as
-    :class:`RocPoint` values.
+    ``fpr = fp / fp[-1]`` and ``tpr = tp / tp[-1]`` (each a fresh array of
+    the curve's length) and the ``auc`` are derived on each access;
+    ``points`` is the same curve as :class:`RocPoint` values. The
+    constructor copies its arguments.
     """
 
     fp: np.ndarray
@@ -72,8 +73,18 @@ class RocCurve:
     threshold: np.ndarray
 
     def __post_init__(self) -> None:
-        fp, tp = _count_column("fp", self.fp), _count_column("tp", self.tp)
-        threshold = np.array(self.threshold, dtype=np.float64)
+        self._hold(np.array(self.fp), np.array(self.tp), np.array(self.threshold, dtype=np.float64))
+
+    @classmethod
+    def _of_own_arrays(cls, fp: np.ndarray, tp: np.ndarray, threshold: np.ndarray) -> RocCurve:
+        """The curve of arrays that nothing else refers to, such as the sweep's own: checked, not copied."""
+        curve = object.__new__(cls)
+        curve._hold(fp, tp, threshold)
+        return curve
+
+    def _hold(self, fp: np.ndarray, tp: np.ndarray, threshold: np.ndarray) -> None:
+        fp, tp = _count_column("fp", fp), _count_column("tp", tp)
+        threshold = np.asarray(threshold, dtype=np.float64)
         for name, column in (("fp", fp), ("tp", tp), ("threshold", threshold)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -135,7 +146,7 @@ def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
             f"{positives} positive and {negatives} negative samples"
         )
 
-    # Each n-sized temporary is dropped once used, which lowers the peak memory of `roc`.
+    # Each n-sized temporary is dropped once used, and the curve takes the arrays built here uncopied.
     # The sorted scores and the running counts carry the initial point at
     # index 0, so that one boolean mask over them selects the whole curve.
     order = np.argsort(-columns.score, kind="stable")
@@ -155,14 +166,14 @@ def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
     # -0.0 and 0.0 keeps the sign of whichever came first in input order.
     threshold = ordered[starts]
     del ordered, starts
-    # The running counts of positives, then of negatives, share one buffer.
     running = np.zeros(ends.size, dtype=np.int64)
     np.cumsum(labels, out=running[1:])
     tp = running[ends]
-    np.cumsum(np.logical_not(labels, out=labels), out=running[1:])
-    fp = running[ends]
-    del running, labels, ends
-    return RocCurve(fp=fp, tp=tp, threshold=threshold)
+    del running, labels
+    # A point's index is the number of samples taken so far; those not positive are its fp.
+    fp = np.flatnonzero(ends).astype(np.int64, copy=False)
+    np.subtract(fp, tp, out=fp)
+    return RocCurve._of_own_arrays(fp, tp, threshold)
 
 
 def auc_trapezoid(curve: RocCurve) -> float:
@@ -174,8 +185,9 @@ def auc_trapezoid(curve: RocCurve) -> float:
     fp, tp = curve.fp, curve.tp
     doubled_pairs = 2 * int(fp[-1]) * int(tp[-1])
     if doubled_pairs < 2**63:
-        # Every term and partial sum lies in [0, 2·P·N], so int64 cannot wrap.
-        doubled_area = int(np.dot(np.diff(fp), tp[:-1] + tp[1:]))
+        # Each dot's terms and partial sums lie in [0, P·N], so int64 cannot wrap.
+        steps = np.diff(fp)
+        doubled_area = int(np.dot(steps, tp[:-1])) + int(np.dot(steps, tp[1:]))
     else:
         fps, tps = fp.tolist(), tp.tolist()
         doubled_area = sum((f1 - f0) * (t0 + t1) for f0, f1, t0, t1 in zip(fps, fps[1:], tps, tps[1:]))

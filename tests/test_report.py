@@ -5,15 +5,18 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from binaryeval import report as report_module
-from binaryeval.counts import ConfusionCounts, Label, ScoredSample
+from binaryeval.counts import ConfusionCounts, Label, ScoredColumns, ScoredSample
 from binaryeval.metrics import all_metrics
 from binaryeval.report import (
     EvaluationReport,
@@ -249,6 +252,20 @@ class TestCurveOnlyReport:
         assert written(write_svg, curve, meta["input"], chunk_points=chunk_points) == expected
         assert render_svg(curve, meta["input"]) == expected
 
+    @given(curve_and_meta(), CHUNK_POINTS)
+    def test_chunked_rates_and_pixels_equal_the_whole_columns(self, case, chunk_points):
+        curve, _ = case
+        fpr, tpr = curve.fpr.tolist(), curve.tpr.tolist()
+        svg = written(write_svg, curve, "t", chunk_points=chunk_points)
+        polyline = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+        assert polyline == " ".join(f"{50 + f * 540:.2f},{430 - t * 380:.2f}" for f, t in zip(fpr, tpr))
+        text = written(write_text, EvaluationReport(curve=curve), chunk_points=chunk_points)
+        table = [line.split()[:2] for line in text.split("fpr tpr threshold\n")[1].splitlines()[:-1]]
+        assert table == [[f"{f:.6f}", f"{t:.6f}"] for f, t in zip(fpr, tpr)]
+        payload = written(write_json, EvaluationReport(curve=curve), chunk_points=chunk_points)
+        assert re.findall(r'"fpr": (.*),', payload) == list(map(repr, fpr))
+        assert re.findall(r'"tpr": (.*),', payload) == list(map(repr, tpr))
+
     def test_signed_zero_rates_keep_their_own_strings(self):
         # -0.0 == 0.0, but a -0.0 threshold is formatted as itself, as the references do.
         curve = RocCurve(fp=[0, 1, 1, 2], tp=[0, 0, 1, 1], threshold=[math.inf, 0.75, -0.0, -0.25])
@@ -331,3 +348,39 @@ class TestRenderSvg:
 
     def test_identical_across_runs(self):
         assert render_svg(FOUR_SAMPLE_CURVE, "t") == render_svg(FOUR_SAMPLE_CURVE, "t")
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that keeps nothing it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+@pytest.fixture(scope="module")
+def distinct_curve() -> RocCurve:
+    n = 200_000
+    return roc_points(ScoredColumns(np.random.default_rng(5).permutation(n) / n, np.arange(n) % 3 == 0))
+
+
+class TestWriterMemory:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda curve, out: write_text(EvaluationReport(curve=curve), out),
+            lambda curve, out: write_json(EvaluationReport(curve=curve), out),
+            lambda curve, out: write_svg(curve, "t", out),
+        ],
+        ids=["text", "json", "svg"],
+    )
+    def test_writer_adds_less_than_half_the_curve(self, distinct_curve, write):
+        curve = distinct_curve
+        tracemalloc.start()
+        try:
+            write(curve, _Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Above the curve it was given, a writer holds one chunk of points and the
+        # AUC's step buffer; a whole rate or pixel column takes it past this.
+        assert peak < 0.5 * (curve.fp.nbytes + curve.tp.nbytes + curve.threshold.nbytes)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
 
@@ -126,6 +127,19 @@ class TestRocPoints:
             ]
             assert curve.auc == pytest.approx(base.auc, abs=1e-12)
 
+    def test_sweep_holds_each_curve_array_once(self):
+        n = 200_000
+        columns = ScoredColumns(np.random.default_rng(5).permutation(n) / n, np.arange(n) % 3 == 0)
+        tracemalloc.start()
+        try:
+            curve = roc_points(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.fp.size == n + 1
+        # A copy of the curve, or a second n-sized running count, takes the peak past this.
+        assert peak < 1.25 * (curve.fp.nbytes + curve.tp.nbytes + curve.threshold.nbytes)
+
 
 # Score sets for the differential test against the reference sweep.
 CONTINUOUS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -176,9 +190,15 @@ class TestReferenceSweep:
             assert bits(curve.threshold) == bits([math.inf, 1.0, first])
 
 
+# The public constructor, which copies its arguments, and the sweep's
+# no-copy path: both run every check, with the same messages.
+CURVE_BUILDERS = (RocCurve, RocCurve._of_own_arrays)
+
+
 class TestCurveColumns:
     def test_columns_are_read_only_and_points_view_matches(self):
         curve = roc_points(FOUR_SAMPLES)
+        assert [column.dtype for column in (curve.fp, curve.tp, curve.threshold)] == [np.int64, np.int64, np.float64]
         for column in (curve.fp, curve.tp, curve.threshold):
             with pytest.raises(ValueError):
                 column[0] = 1
@@ -187,15 +207,29 @@ class TestCurveColumns:
         )
 
     def test_nan_threshold_and_ragged_columns_rejected(self):
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[math.inf, math.nan])
-        with pytest.raises(ValueError, match="one length"):
-            RocCurve(fp=[0, 1], tp=[0, 1, 2], threshold=[math.inf, 0.5])
-
+        for build in CURVE_BUILDERS:
+            with pytest.raises(ValueError, match="strictly decreasing"):
+                build(fp=[0, 1], tp=[0, 1], threshold=[math.inf, math.nan])
+            with pytest.raises(ValueError, match="one length"):
+                build(fp=[0, 1], tp=[0, 1, 2], threshold=[math.inf, 0.5])
+            with pytest.raises(ValueError, match="at least the initial and final point"):
+                build(fp=[0], tp=[0], threshold=[math.inf])
 
     def test_infinite_threshold_after_the_first_rejected(self):
-        with pytest.raises(ValueError, match="after the first must be finite"):
-            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[math.inf, -math.inf])
+        for build in CURVE_BUILDERS:
+            with pytest.raises(ValueError, match="after the first must be finite"):
+                build(fp=[0, 1], tp=[0, 1], threshold=[math.inf, -math.inf])
+
+    def test_constructor_copies_and_the_sweep_path_does_not(self):
+        fp, tp, threshold = np.array([0, 1, 2]), np.array([0, 2, 2]), np.array([math.inf, 0.5, 0.25])
+        curve = RocCurve(fp=fp, tp=tp, threshold=threshold)
+        fp[1], tp[1], threshold[1] = 2, 1, 0.375
+        assert curve.fp.tolist() == [0, 1, 2] and curve.tp.tolist() == [0, 2, 2]
+        assert curve.threshold.tolist() == [math.inf, 0.5, 0.25]
+        assert fp.flags.writeable and tp.flags.writeable and threshold.flags.writeable
+        own = RocCurve._of_own_arrays(fp, tp, threshold)
+        assert own.fp is fp and own.tp is tp and own.threshold is threshold
+        assert not (fp.flags.writeable or tp.flags.writeable or threshold.flags.writeable)
 
 
 class TestAucTrapezoid:
@@ -214,6 +248,21 @@ class TestAucTrapezoid:
     def test_curve_auc_field_matches(self):
         curve = roc_points(FOUR_SAMPLES)
         assert curve.auc == auc_trapezoid(curve)
+
+    @given(st.data())
+    def test_area_is_the_exact_sum_of_the_doubled_trapezoids(self, data):
+        # Counts near the two sides of 2·P·N = 2**63, where the int64 dots give way to Python ints.
+        negatives = data.draw(st.integers(1, 50) | st.integers(1, 2**40), label="negatives")
+        positives = data.draw(
+            st.integers(1, 50) | st.sampled_from([(2**62 - 1) // negatives, (2**62 - 1) // negatives + 1]),
+            label="positives",
+        )
+        inner = data.draw(st.integers(0, 8), label="inner points")
+        fp = [0, *sorted(data.draw(st.lists(st.integers(0, negatives), min_size=inner, max_size=inner))), negatives]
+        tp = [0, *sorted(data.draw(st.lists(st.integers(0, positives), min_size=inner, max_size=inner))), positives]
+        curve = RocCurve(fp=fp, tp=tp, threshold=[math.inf, *range(inner + 1, 0, -1)])
+        doubled_area = sum((f1 - f0) * (t0 + t1) for f0, f1, t0, t1 in zip(fp, fp[1:], tp, tp[1:]))
+        assert auc_trapezoid(curve) == float(Fraction(doubled_area, 2 * negatives * positives))
 
     def test_area_beyond_int64_is_summed_exactly(self):
         # 2·P·N is about 2**68 here: an int64 sum of the doubled trapezoids would wrap.
@@ -304,22 +353,26 @@ class TestCurveTypes:
             RocPoint(fpr=0.5, tpr=-0.1, threshold=0.5)
 
     def test_curve_must_start_at_origin_with_infinite_threshold(self):
-        with pytest.raises(ValueError, match="start"):
-            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[5.0, 0.5])
+        for build in CURVE_BUILDERS:
+            with pytest.raises(ValueError, match="start"):
+                build(fp=[0, 1], tp=[0, 1], threshold=[5.0, 0.5])
 
     def test_curve_must_end_at_one_one(self):
-        with pytest.raises(ValueError, match="end"):
-            RocCurve(fp=[0, 1], tp=[0, 0], threshold=[math.inf, 0.5])
-        with pytest.raises(ValueError, match="must end with fp > 0 and tp > 0, got fp=0 and tp=1"):
-            RocCurve(fp=[0, 0], tp=[0, 1], threshold=[math.inf, 0.5])
+        for build in CURVE_BUILDERS:
+            with pytest.raises(ValueError, match="end"):
+                build(fp=[0, 1], tp=[0, 0], threshold=[math.inf, 0.5])
+            with pytest.raises(ValueError, match="must end with fp > 0 and tp > 0, got fp=0 and tp=1"):
+                build(fp=[0, 0], tp=[0, 1], threshold=[math.inf, 0.5])
 
     def test_curve_rejects_decreasing_rates(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            RocCurve(fp=[0, 5, 4, 10], tp=[0, 4, 5, 5], threshold=[math.inf, 0.7, 0.6, 0.5])
+        for build in CURVE_BUILDERS:
+            with pytest.raises(ValueError, match="non-decreasing"):
+                build(fp=[0, 5, 4, 10], tp=[0, 4, 5, 5], threshold=[math.inf, 0.7, 0.6, 0.5])
 
     def test_curve_rejects_non_decreasing_thresholds(self):
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            RocCurve(fp=[0, 1, 2], tp=[0, 1, 2], threshold=[math.inf, 0.5, 0.5])
+        for build in CURVE_BUILDERS:
+            with pytest.raises(ValueError, match="strictly decreasing"):
+                build(fp=[0, 1, 2], tp=[0, 1, 2], threshold=[math.inf, 0.5, 0.5])
 
     @pytest.mark.parametrize(
         "fp, tp, match",
@@ -335,5 +388,6 @@ class TestCurveTypes:
         ids=["fraction", "float", "negative", "beyond-int64", "beyond-int64-list", "beyond-uint64-list"],
     )
     def test_curve_rejects_counts_that_are_not_counts(self, fp, tp, match):
-        with pytest.raises(ValueError, match=match):
-            RocCurve(fp=fp, tp=tp, threshold=[math.inf, 0.5])
+        for build in CURVE_BUILDERS:
+            with pytest.raises(ValueError, match=match):
+                build(fp=fp, tp=tp, threshold=[math.inf, 0.5])
