@@ -8,6 +8,14 @@ raise (the argument checks, the JSON encoding of counts, metrics and
 meta, the title's escaping) runs before the first write. ``render_text``,
 ``render_json`` and ``render_svg`` return the same text as one string.
 
+Two curve columns have a fixed shape: a text rate is ``d.dddddd`` and an
+SVG pixel ``dd.dd`` or ``ddd.dd``. Each chunk of them is built as one
+``uint8`` matrix of ASCII digits from the values scaled and rounded in
+float (``_decimal_rows``), with no string per value; ``format`` itself
+gives the digits of the few values within ``_NEAR_HALF`` of a rounding
+tie. The ``repr`` columns (JSON rates, thresholds) are formatted once
+per run of equal values (``_run_strings``).
+
 All writers are pure: identical inputs produce byte-identical output.
 Undefined metric values render as ``"undefined"`` (text) or ``null``
 (JSON) by default; ``zero_division="zero"`` maps them to 0 at render time
@@ -31,7 +39,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -49,10 +57,18 @@ _MARGIN = 50
 # Curve points formatted and written per chunk; larger chunks only cost memory.
 _CHUNK_POINTS = 4096
 
+# A scaled value this close to a half is rounded by ``format`` itself.
+_NEAR_HALF = 1e-9
+
 # Characters XML 1.0 does not allow in a document: C0 controls other than
 # tab, LF and CR, lone surrogates, U+FFFE and U+FFFF. Kept as a pattern
 # string, so that only a run that writes an SVG compiles it.
 _NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+# Characters a text report's meta value may not hold, so that it cannot
+# end its line and forge another: every one ``str.splitlines`` breaks on,
+# and the C0 controls other than tab (a valid delimiter).
+_NOT_IN_LINE = dict.fromkeys([*range(0x09), *range(0x0A, 0x20), 0x85, 0x2028, 0x2029], "\ufffd")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +108,7 @@ def _format_meta_value(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return str(value).translate(_NOT_IN_LINE)
 
 
 def _matrix_lines(c: ConfusionCounts) -> list[str]:
@@ -105,8 +121,8 @@ def _matrix_lines(c: ConfusionCounts) -> list[str]:
     ]
 
 
-def _run_strings(column: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
-    """``fmt`` of every value, called once per run of consecutive equal values.
+def _run_strings(column: np.ndarray) -> list[str]:
+    """``repr`` of every value, called once per run of consecutive equal values.
 
     Values are equal when their bit patterns are, so ``-0.0`` and ``0.0``
     never share a string.
@@ -115,7 +131,7 @@ def _run_strings(column: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
     starts = np.empty(bits.size, dtype=bool)
     starts[0] = True
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    strings = np.array(list(map(fmt, column[starts].tolist())), dtype=object)
+    strings = np.array(list(map(repr, column[starts].tolist())), dtype=object)
     return strings[np.cumsum(starts) - 1].tolist()
 
 
@@ -124,30 +140,89 @@ def _rates(counts: np.ndarray) -> Callable[[slice], np.ndarray]:
     return lambda points: counts[points] / counts[-1]
 
 
+def _point_chunks(size: int) -> Iterator[slice]:
+    """The curve's ``size`` points as consecutive slices of at most ``_CHUNK_POINTS``."""
+    return (slice(start, min(start + _CHUNK_POINTS, size)) for start in range(0, size, _CHUNK_POINTS))
+
+
+def _scaled(values: np.ndarray, places: int) -> np.ndarray:
+    """``values * 10**places`` rounded as ``format(v, f".{places}f")`` rounds them, as int64.
+
+    A float product below 2**24 lies within 2**-30 of the exact one, so
+    ``np.rint`` of a product further than ``_NEAR_HALF`` from a half is the
+    correctly rounded value (the argument of Clinger 1990). The few others,
+    such as the exact binary tie 50.125 that ``format`` rounds half to
+    even, take their digits from ``format`` itself, called once per
+    distinct value.
+    """
+    product = values * 10**places
+    scaled = np.rint(product)
+    near = np.flatnonzero(np.abs(product - scaled) > 0.5 - _NEAR_HALF)
+    if near.size:
+        spec = f".{places}f"
+        ties, where = np.unique(values[near], return_inverse=True)
+        scaled[near] = np.array([int(format(value, spec).replace(".", "")) for value in ties.tolist()])[where]
+    return scaled.astype(np.int64)
+
+
+def _decimal_rows(
+    template: str, columns: Sequence[np.ndarray], places: int, digits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``template`` once per point as ASCII codes, each ``{}`` filled by ``format(v, f".{places}f")``.
+
+    Row ``i`` of the ``uint8`` matrix is point ``i``: the template's
+    literals with each column's value as ``digits`` integer digits, a point
+    and ``places`` decimals between them. ``keep`` marks the codes to
+    write: it drops the leading zeros of the integer part, judged on the
+    rounded value, so 99.995 keeps all three digits of ``100.00``. The
+    values must lie in ``[0, 10**digits)`` with ``digits + places`` at most
+    7; no string is made per value.
+    """
+    literals = [np.frombuffer(text.encode("ascii"), dtype=np.uint8) for text in template.split("{}")]
+    width = digits + 1 + places
+    digit_offsets = [*range(digits), *range(digits + 1, width)]
+    codes = np.empty((columns[0].size, sum(map(len, literals)) + width * len(columns)), dtype=np.uint8)
+    keep = np.ones(codes.shape, dtype=bool)
+    at = 0
+    for literal, column in zip(literals, columns):
+        codes[:, at : at + literal.size] = literal
+        at += literal.size
+        scaled = _scaled(column, places)
+        codes[:, at + digits] = ord(".")
+        rest = scaled
+        for offset in reversed(digit_offsets):
+            rest, digit = np.divmod(rest, 10)
+            codes[:, at + offset] = digit + ord("0")
+        for lead in range(digits - 1):
+            keep[:, at + lead] = scaled >= 10 ** (places + digits - 1 - lead)
+        at += width
+    codes[:, at:] = literals[-1]
+    return codes, keep
+
+
 def _write_points(
     out: TextIO,
     template: str,
     size: int,
-    columns: Sequence[tuple[Callable[[slice], np.ndarray], Callable[[float], str]]],
+    columns: Sequence[Callable[[slice], np.ndarray]],
     first: Mapping[int, str],
 ) -> None:
     """Write ``template`` once for each of ``size`` curve points, each ``{}`` filled from one column.
 
-    ``columns`` holds one (values, format) pair per ``{}``: ``values(points)``
-    derives the column at one chunk's slice of points, so no column is built
-    whole. Point ``i``'s parts are the template's literals with ``fmt`` of
-    its values between them; ``first`` replaces parts of point 0 by index
-    (such as its opening literal, which has no separator before it).
+    ``columns`` holds one function per ``{}``: ``values(points)`` derives
+    the column at one chunk's slice of points, so no column is built whole.
+    Point ``i``'s parts are the template's literals with the ``repr`` of its
+    values between them; ``first`` replaces parts of point 0 by index (such
+    as its opening literal, which has no separator before it).
     """
     literals = template.split("{}")
     point: list[str] = [""] * (2 * len(literals) - 1)
     point[::2] = literals
-    for start in range(0, size, _CHUNK_POINTS):
-        points = slice(start, min(start + _CHUNK_POINTS, size))
-        parts = point * (points.stop - start)
-        for slot, (values, fmt) in enumerate(columns):
-            parts[2 * slot + 1 :: len(point)] = _run_strings(values(points), fmt)
-        if start == 0:
+    for points in _point_chunks(size):
+        parts = point * (points.stop - points.start)
+        for slot, values in enumerate(columns):
+            parts[2 * slot + 1 :: len(point)] = _run_strings(values(points))
+        if points.start == 0:
             for index, text in first.items():
                 parts[index] = text
         out.write("".join(parts))
@@ -180,10 +255,16 @@ def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
         out.write("\n\n".join(blocks) + "\n")
         return
     out.write("\n\n".join(blocks + ["fpr tpr threshold"]))
-    # repr(+inf) is "inf", the text form of the initial point's threshold.
-    six_places = "{:.6f}".format
-    columns = ((_rates(curve.fp), six_places), (_rates(curve.tp), six_places), (curve.threshold.__getitem__, repr))
-    _write_points(out, "\n{} {} {}", curve.threshold.size, columns, {})
+    fpr, tpr = _rates(curve.fp), _rates(curve.tp)
+    for points in _point_chunks(curve.threshold.size):
+        # Every rate is in [0, 1], so each line's head "\n<fpr> <tpr> " has one
+        # width, and the matrix viewed as UCS-4 strings cuts the heads apart.
+        codes, _ = _decimal_rows("\n{} {} ", (fpr(points), tpr(points)), places=6, digits=1)
+        parts = [""] * (2 * codes.shape[0])
+        parts[::2] = codes.astype(np.uint32).view(f"<U{codes.shape[1]}").ravel().tolist()
+        # repr(+inf) is "inf", the text form of the initial point's threshold.
+        parts[1::2] = _run_strings(curve.threshold[points])
+        out.write("".join(parts))
     out.write(f"\nAUC {curve.auc:.6f}\n")
 
 
@@ -228,7 +309,7 @@ def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
         out,
         ',\n      {\n        "fpr": {},\n        "tpr": {},\n        "threshold": {}\n      }',
         curve.threshold.size,
-        ((_rates(curve.fp), repr), (_rates(curve.tp), repr), (curve.threshold.__getitem__, repr)),
+        (_rates(curve.fp), _rates(curve.tp), curve.threshold.__getitem__),
         {0: '\n      {\n        "fpr": ', 5: '"inf"'},
     )
     out.write(f'\n    ],\n    "auc": {auc}\n  }}' + "".join(",\n" + text for text in tail) + "\n}\n")
@@ -304,11 +385,13 @@ def write_svg(curve: RocCurve, title: str, out: TextIO) -> None:
     )
     lines.append('<polyline points="')
     out.write("\n".join(lines))
-    # Points are separated by a space, which point 0 does without.
-    two_places = "{:.2f}".format
     fpr, tpr = _rates(curve.fp), _rates(curve.tp)
-    columns = ((lambda points: x_px(fpr(points)), two_places), (lambda points: y_px(tpr(points)), two_places))
-    _write_points(out, " {},{}", curve.threshold.size, columns, {0: ""})
+    for points in _point_chunks(curve.threshold.size):
+        # Every pixel is in [50, 590], so "dd.dd" or "ddd.dd".
+        codes, keep = _decimal_rows(" {},{}", (x_px(fpr(points)), y_px(tpr(points))), places=2, digits=3)
+        # Points are separated by a space, which point 0 does without.
+        keep[0, 0] = points.start != 0
+        out.write(codes[keep].tobytes().decode("ascii"))
     lines = [
         '" fill="none" stroke="#1f77b4" stroke-width="2"/>',
         f'<text x="{(left + right) / 2:.2f}" y="{bottom + 40}" text-anchor="middle" '

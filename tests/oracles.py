@@ -182,7 +182,11 @@ def _format_meta_value(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    # One line per meta value: a character that could end it, or any C0
+    # control but tab, reads U+FFFD.
+    return "".join(
+        "\ufffd" if len(f"a{c}b".splitlines()) > 1 or (c < " " and c != "\t") else c for c in str(value)
+    )
 
 
 def roc_text(curve: RocCurve, meta: Mapping[str, object]) -> str:

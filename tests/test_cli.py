@@ -198,6 +198,24 @@ class TestRoc:
         root = ET.fromstring((worked_files / "out.svg").read_bytes())
         assert f"ROC curve ({shown})" in root.itertext()
 
+    @pytest.mark.parametrize(
+        ("subcommand", "rows"), [("roc", FOUR_SCORE_ROWS), ("evaluate", C_STAR_ROWS)], ids=["roc", "evaluate"]
+    )
+    def test_a_file_name_cannot_forge_a_line_of_the_text_report(self, worked_files, subcommand, rows):
+        name = "a\nAUC 0.000000\rACC 1.000000\x0b\u2028.csv"
+        (worked_files / name).write_text(rows, newline="")
+        code, out, err = invoke(subcommand, name)
+        assert code == 0, err
+        # The only line breaks are the report's own LFs, and the name stays on its line.
+        assert out.splitlines() == out.split("\n")[:-1]
+        assert out.splitlines()[0] == "input a\ufffdAUC 0.000000\ufffdACC 1.000000\ufffd\ufffd.csv"
+        assert [line for line in out.splitlines() if line.startswith(("AUC", "ACC"))] == (
+            ["AUC 0.750000"] if subcommand == "roc" else ["ACC 0.700000"]
+        )
+        code, out, err = invoke(subcommand, name, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["meta"]["input"] == name
+
     def test_closed_stdout_ends_the_run_with_exit_one_and_no_traceback(self, tmp_path):
         rng = np.random.default_rng(5)
         rows = 200_000

@@ -283,6 +283,113 @@ class TestCurveOnlyReport:
         assert "MCC 0.408248\n\nfpr tpr threshold\n0.000000 0.000000 inf\n" in text
 
 
+# Counts a curve can end on: up to about 2**40, so rates carry long digit
+# strings, or one of three totals whose points land on decimal ties. k/128
+# is an exact .6f tie for odd k; 50 + 540*k/432000 = 50 + k/800 and
+# 430 - 380*k/76000 = 430 - k/200 are .2f near-ties for odd k. The counts
+# 39996 of 432000 and 66001 of 76000 put a pixel at 99.995, which rounds
+# across 100.
+CURVE_TOTALS = st.integers(1, 2**40) | st.sampled_from([128, 432_000, 76_000])
+AIMED_COUNTS = [1, 63, 64, 65, 39_996, 66_001]
+
+
+@st.composite
+def large_count_curve(draw) -> RocCurve:
+    """A curve built from its counts, up to 22 points, with totals from ``CURVE_TOTALS``."""
+    size = draw(st.integers(0, 20))
+
+    def counts(total: int) -> list[int]:
+        inside = st.integers(0, total) | st.sampled_from([c for c in AIMED_COUNTS if c <= total])
+        return [0, *sorted(draw(st.lists(inside, min_size=size, max_size=size))), total]
+
+    fp, tp = counts(draw(CURVE_TOTALS)), counts(draw(CURVE_TOTALS))
+    thresholds = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=size + 1, max_size=size + 1,
+                               unique=True))
+    return RocCurve(fp=fp, tp=tp, threshold=[math.inf, *sorted(thresholds, reverse=True)])
+
+
+class TestLargeCountCurves:
+    @given(large_count_curve(), st.sampled_from([1, 2, 3, 7, 4096]))
+    def test_text_matches_the_reference_roc_renderer(self, curve, chunk_points):
+        meta = {"input": "big.csv", "records_read": int(curve.fp[-1] + curve.tp[-1])}
+        report = EvaluationReport(curve=curve, meta=meta)
+        assert written(write_text, report, chunk_points=chunk_points) == roc_text(curve, meta)
+
+    @given(large_count_curve(), st.sampled_from([1, 2, 3, 7, 4096]))
+    def test_svg_matches_the_reference_renderer(self, curve, chunk_points):
+        assert written(write_svg, curve, "big", chunk_points=chunk_points) == roc_svg(curve, "big")
+
+
+def beside(values: st.SearchStrategy[float]) -> st.SearchStrategy[float]:
+    """A value from ``values``, or its neighbour one ulp below or above; never negative."""
+    return st.tuples(values, st.sampled_from([None, -math.inf, math.inf])).map(
+        lambda pair: pair[0] if pair[1] is None else float(np.nextafter(pair[0], pair[1]))
+    ).filter(lambda value: value >= 0)
+
+
+# Rates as the sweep divides them, k/N with N up to about 2**40.
+RATES = st.integers(1, 2**40).flatmap(lambda total: st.integers(0, total).map(lambda k: k / total))
+# Per column shape (places, integer digits): values of any kind, values at
+# or beside a decimal tie, and values far from every tie. k/128 and k/8 are
+# exact binary ties at 6 and 2 places; a float nearest a decimal tie, such
+# as (2k + 1) / 200, has a product that rounds onto the tie about half the
+# time; 99.995 rounds across 100.
+FIXED_COLUMNS = {
+    "rates": (6, 1, st.one_of(RATES, st.sampled_from([0.0, 1.0]))),
+    "pixels": (2, 3, st.one_of(RATES.map(lambda f: 50 + f * 540), RATES.map(lambda t: 430 - t * 380),
+                               st.sampled_from([0.0, 1.0, 50.0, 430.0, 590.0]))),
+}
+NEAR_TIES = {
+    "rates": beside(st.integers(0, 128).map(lambda k: k / 128)
+                    | st.integers(0, 10**6 - 1).map(lambda k: (2 * k + 1) / (2 * 10**6))
+                    | st.sampled_from([1 / 128, 3 / 128])),
+    "pixels": beside(st.integers(0, 590 * 8).map(lambda k: k / 8)
+                     | st.integers(0, 590 * 100).map(lambda k: (2 * k + 1) / 200)
+                     | st.sampled_from([50.125, 99.995, 9.995, 0.005, 429.995, 589.995])),
+}
+FAR_FROM_TIES = {
+    "rates": st.integers(0, 10**6).map(lambda k: k / 10**6),
+    "pixels": st.integers(0, 590 * 100).map(lambda k: k / 100),
+}
+
+
+def fixed_point_text(values: list[float], places: int, digits: int) -> str:
+    """``report._decimal_rows`` of ``values`` with a space before each, as the text it writes."""
+    codes, keep = report_module._decimal_rows(" {}", (np.array(values, dtype=np.float64),), places, digits)
+    return codes[keep].tobytes().decode("ascii")
+
+
+class TestDecimalRows:
+    @pytest.mark.parametrize("shape", ["rates", "pixels"])
+    @given(data=st.data())
+    def test_digits_equal_format(self, shape, data):
+        places, digits, values = FIXED_COLUMNS[shape]
+        chunk = data.draw(st.one_of(
+            st.lists(st.one_of(values, NEAR_TIES[shape]), min_size=1, max_size=40),
+            st.lists(NEAR_TIES[shape], min_size=1, max_size=40),
+            st.lists(FAR_FROM_TIES[shape], min_size=1, max_size=40),
+        ))
+        assert fixed_point_text(chunk, places, digits) == "".join(f" {value:.{places}f}" for value in chunk)
+
+    @pytest.mark.parametrize(
+        ("value", "places", "text"),
+        [
+            (50.125, 2, "50.12"),
+            (50.375, 2, "50.38"),
+            (1 / 128, 6, "0.007812"),
+            (3 / 128, 6, "0.023438"),
+            (99.995, 2, "100.00"),
+            (float(np.nextafter(99.995, 0)), 2, "99.99"),
+            (0.0, 2, "0.00"),
+            (590.0, 2, "590.00"),
+            (1.0, 6, "1.000000"),
+        ],
+    )
+    def test_ties_round_half_even_and_leading_zeros_follow_the_rounded_value(self, value, places, text):
+        assert format(value, f".{places}f") == text
+        assert fixed_point_text([value], places, 3 if places == 2 else 1) == " " + text
+
+
 class TestRenderSvg:
     def test_well_formed_xml_and_allowed_elements_only(self):
         svg = render_svg(FOUR_SAMPLE_CURVE, title="demo")
@@ -361,6 +468,30 @@ class _Discard(io.TextIOBase):
 def distinct_curve() -> RocCurve:
     n = 200_000
     return roc_points(ScoredColumns(np.random.default_rng(5).permutation(n) / n, np.arange(n) % 3 == 0))
+
+
+def on_a_half(counts: np.ndarray, scale: int) -> int:
+    """How many distinct values of ``counts * scale / counts[-1]``, taken exactly, lie on a half."""
+    total = int(counts[-1])
+    return np.unique(counts[2 * scale * counts % (2 * total) == total]).size
+
+
+class TestFixedWidthColumns:
+    def test_format_is_called_only_for_near_ties(self):
+        # Totals 432000 and 76000 put many rates and pixels on decimal ties
+        # (see CURVE_TOTALS), each tie value at one point only; any other
+        # value is at least 1e-6 from a half.
+        tp = np.arange(76_001)
+        fp = np.minimum(27 * tp, 432_000)
+        curve = RocCurve(fp=fp, tp=tp, threshold=[math.inf, *range(76_000, 0, -1)])
+        with mock.patch.object(report_module, "format", create=True, side_effect=format) as fmt:
+            write_text(EvaluationReport(curve=curve), _Discard())
+            text_calls = fmt.call_count
+            write_svg(curve, "t", _Discard())
+            svg_calls = fmt.call_count - text_calls
+        # A rate times 10**6; a pixel times 100 is 5000 + fpr * 54000 and 43000 - tpr * 38000.
+        assert text_calls == on_a_half(fp, 10**6) + on_a_half(tp, 10**6) > 0
+        assert svg_calls == on_a_half(fp, 54_000) + on_a_half(tp, 38_000) > 0
 
 
 class TestWriterMemory:
