@@ -7,7 +7,9 @@ as one string. Exit status is 0 on success, 1 on a validation or parse
 failure (strict mode), input that is not UTF-8 or degenerate input, with
 nothing written to stdout, and 2 on a usage error. A stdout closed by
 its reader ends the run quietly with exit 1. Identical argv and input
-bytes produce identical output bytes.
+bytes produce identical output bytes. A stdout pipe is widened to
+``_PIPE_BYTES`` where the OS allows it, so that a report streams into the
+pipe while its reader drains it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from binaryeval.roc import roc_points
 
 # Lenient mode prints this many per-row warnings, then one summary line.
 _MAX_ROW_WARNINGS = 20
+# What a stdout pipe is widened to: Linux's default limit for an unprivileged process.
+_PIPE_BYTES = 1 << 20
 # The row-specific tail of a failure reason: a field count or a quoted value.
 _REASON_DETAIL = re.compile(r", got \d+\Z| ['\"].*\Z")
 
@@ -264,7 +268,19 @@ def run(
         return 1
 
 
+def _widen_stdout_pipe() -> None:
+    """Widen a stdout pipe to ``_PIPE_BYTES``, never narrow it; leave stdout as it is where that fails."""
+    try:
+        import fcntl
+
+        if fcntl.fcntl(1, fcntl.F_GETPIPE_SZ) < _PIPE_BYTES:
+            fcntl.fcntl(1, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass  # no pipe sizes (Windows, macOS), stdout not a pipe (EBADF), or over the pipe quota (EPERM)
+
+
 def main() -> None:
+    _widen_stdout_pipe()
     try:
         status = run()
         sys.stdout.flush()

@@ -11,10 +11,10 @@ meta, the title's escaping) runs before the first write. ``render_text``,
 Two curve columns have a fixed shape: a text rate is ``d.dddddd`` and an
 SVG pixel ``dd.dd`` or ``ddd.dd``. Each chunk of them is built as one
 ``uint8`` matrix of ASCII digits from the values scaled and rounded in
-float (``_decimal_rows``), with no string per value; ``format`` itself
-gives the digits of the few values within ``_NEAR_HALF`` of a rounding
-tie. The ``repr`` columns (JSON rates, thresholds) are formatted once
-per run of equal values (``_run_strings``).
+float (``_decimal_rows``), with no string per value; ``_scaled`` settles
+a product exactly on a half by the sign of its exact error. The ``repr``
+columns (JSON rates, thresholds) are formatted once per run of equal
+values (``_run_strings``).
 
 All writers are pure: identical inputs produce byte-identical output.
 Undefined metric values render as ``"undefined"`` (text) or ``null``
@@ -56,9 +56,6 @@ _MARGIN = 50
 
 # Curve points formatted and written per chunk; larger chunks only cost memory.
 _CHUNK_POINTS = 4096
-
-# A scaled value this close to a half is rounded by ``format`` itself.
-_NEAR_HALF = 1e-9
 
 # Characters XML 1.0 does not allow in a document: C0 controls other than
 # tab, LF and CR, lone surrogates, U+FFFE and U+FFFF. Kept as a pattern
@@ -148,20 +145,24 @@ def _point_chunks(size: int) -> Iterator[slice]:
 def _scaled(values: np.ndarray, places: int) -> np.ndarray:
     """``values * 10**places`` rounded as ``format(v, f".{places}f")`` rounds them, as int64.
 
-    A float product below 2**24 lies within 2**-30 of the exact one, so
-    ``np.rint`` of a product further than ``_NEAR_HALF`` from a half is the
-    correctly rounded value (the argument of Clinger 1990). The few others,
-    such as the exact binary tie 50.125 that ``format`` rounds half to
-    even, take their digits from ``format`` itself, called once per
-    distinct value.
+    Rounding is monotone and a half below 2**52 is a float, so ``np.rint``
+    rounds the float product as the exact one rounds unless it lies
+    exactly on a half. Such a half is settled by the sign of the product's
+    exact error: Dekker's product, with Veltkamp's split by 2**27 + 1
+    (``10**places``, with fewer than 27 significant bits, needs no split).
+    An exact tie, such as 50.125, keeps ``rint``'s half to even, as
+    ``format`` rounds it.
     """
-    product = values * 10**places
+    scale = 10**places
+    product = values * scale
     scaled = np.rint(product)
-    near = np.flatnonzero(np.abs(product - scaled) > 0.5 - _NEAR_HALF)
-    if near.size:
-        spec = f".{places}f"
-        ties, where = np.unique(values[near], return_inverse=True)
-        scaled[near] = np.array([int(format(value, spec).replace(".", "")) for value in ties.tolist()])[where]
+    halves = np.flatnonzero(np.abs(product - scaled) == 0.5)
+    if halves.size:
+        value, rounded = values[halves], product[halves]
+        split = value * (2.0**27 + 1)
+        high = split - (split - value)
+        error = (high * scale - rounded) + (value - high) * scale
+        scaled[halves] = np.where(error == 0, scaled[halves], rounded + np.copysign(0.5, error))
     return scaled.astype(np.int64)
 
 

@@ -124,12 +124,13 @@ class RocCurve:
 def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
     """Sweep the decision threshold over ``samples`` and build the curve.
 
-    Samples are stably sorted by score descending and the labels are
-    cumulatively summed in that order; each distinct score value emits one
-    point holding the false- and true-positive counts at that threshold
-    (positive iff score >= threshold), taken at the last sample of its tie
-    group. The initial point is (0, 0) at threshold +inf and the lowest
-    distinct score lands on every negative and every positive, (1, 1).
+    Samples are sorted by score descending and the labels are cumulatively
+    summed in that order; each distinct score value emits one point holding
+    the false- and true-positive counts at that threshold (positive iff
+    score >= threshold), taken at the last sample of its tie group. The
+    initial point is (0, 0) at threshold +inf and the lowest distinct score
+    lands on every negative and every positive, (1, 1). A threshold of zero
+    has the sign of the first zero in input order.
 
     Raises ValueError on empty input, on a non-finite score (naming the
     offending record index), and when either class is absent (one rate
@@ -149,23 +150,24 @@ def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
     # Each n-sized temporary is dropped once used, and the curve takes the arrays built here uncopied.
     # The sorted scores and the running counts carry the initial point at
     # index 0, so that one boolean mask over them selects the whole curve.
-    order = np.argsort(-columns.score, kind="stable")
+    # The order within a tie group changes no count, so the sort need not be stable.
+    order = np.argsort(-columns.score)
     ordered = np.empty(len(columns) + 1)
     ordered[0] = math.inf
     np.take(columns.score, order, out=ordered[1:])
     labels = columns.positive[order]
     del order
-    # Where each tie group ends, at its last sample (-0.0 ties 0.0), and where it starts.
+    # Where each tie group ends, at its last sample (-0.0 ties 0.0).
     ends = np.empty(ordered.size, dtype=bool)
     np.not_equal(ordered[1:-1], ordered[2:], out=ends[1:-1])
     ends[0] = ends[-1] = True
-    starts = np.empty_like(ends)
-    starts[0] = True
-    starts[1:] = ends[:-1]
-    # The first member's score, as the reference sweep takes it: a group of
-    # -0.0 and 0.0 keeps the sign of whichever came first in input order.
-    threshold = ordered[starts]
-    del ordered, starts
+    threshold = ordered[ends]
+    del ordered
+    # Only a group of -0.0 and 0.0 has members that differ; it keeps the
+    # sign of whichever came first in input order, as a stable sort would.
+    zero = np.flatnonzero(threshold == 0)
+    if zero.size:
+        threshold[zero] = columns.score[np.argmax(columns.score == 0)]
     running = np.zeros(ends.size, dtype=np.int64)
     np.cumsum(labels, out=running[1:])
     tp = running[ends]

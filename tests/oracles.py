@@ -165,6 +165,23 @@ def roc_sweep(samples: Sequence[ScoredSample]) -> tuple[list[RocPoint], float]:
     return points, trapezoid_area(rates)
 
 
+def roc_sweep_stable(score: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep's ``fp``, ``tp`` and ``threshold`` columns, vectorised over a stable sort.
+
+    Ties keep input order, so each tie group's threshold is its first
+    member's score (a group of -0.0 and 0.0 has the sign of its first);
+    the counts are taken at the group's last member. Expects both classes
+    and finite scores.
+    """
+    order = np.argsort(-score, kind="stable")
+    ordered, labels = score[order], positive[order]
+    ends = np.append(ordered[1:] != ordered[:-1], True)
+    starts = np.insert(ends[:-1], 0, True)
+    tp = np.cumsum(labels)[ends]
+    fp = np.flatnonzero(ends) + 1 - tp
+    return np.insert(fp, 0, 0), np.insert(tp, 0, 0), np.insert(ordered[starts], 0, math.inf)
+
+
 def pair_tallies_brute(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
     """Outer comparison of every positive score against every negative one.
 

@@ -11,6 +11,11 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+try:
+    import fcntl
+except ImportError:  # Windows has no fcntl
+    fcntl = None
+
 import numpy as np
 import pytest
 
@@ -231,6 +236,30 @@ class TestRoc:
             err = child.stderr.read()
             assert child.wait(timeout=120) == 1
         assert err == b""
+
+
+class TestStdoutPipe:
+    def test_child_widens_its_stdout_pipe_and_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        # About 0.7 MB of JSON: more than a default 64 KiB pipe holds, less than 1 MiB.
+        rng = np.random.default_rng(7)
+        rows = 5_000
+        lines = map("{},{!r}".format, (rng.random(rows) < 0.3).astype(int).tolist(), rng.random(rows).tolist())
+        (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, expected, _ = invoke("roc", "scores.csv", "--format", "json")
+        assert code == 0
+        argv = [sys.executable, "-m", "binaryeval", "roc", "scores.csv", "--format", "json"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE) as child:
+            out = child.stdout.read()
+            assert child.wait(timeout=120) == 0
+            if hasattr(fcntl, "F_GETPIPE_SZ"):
+                assert fcntl.fcntl(child.stdout.fileno(), fcntl.F_GETPIPE_SZ) == 1 << 20
+        assert out == expected.encode()
+        # A regular file is no pipe: it is left as it is.
+        with open(tmp_path / "report.json", "wb") as report:
+            assert subprocess.run(argv, cwd=tmp_path, env=env, stdout=report, timeout=120).returncode == 0
+        assert (tmp_path / "report.json").read_bytes() == expected.encode()
 
 
 class TestDecoding:

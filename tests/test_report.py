@@ -372,6 +372,20 @@ class TestDecimalRows:
         assert fixed_point_text(chunk, places, digits) == "".join(f" {value:.{places}f}" for value in chunk)
 
     @pytest.mark.parametrize(
+        ("places", "halves", "values"),
+        [
+            (2, st.integers(0, 590 * 200).map(lambda n: n / 200), st.floats(0, 590)),
+            (6, st.integers(0, 10**6 - 1).map(lambda n: (n + 0.5) * 1e-6), st.floats(0, 1)),
+        ],
+        ids=["pixels", "rates"],
+    )
+    @given(data=st.data())
+    def test_scaled_rounds_exact_halves_as_format_does(self, places, halves, values, data):
+        drawn = data.draw(st.lists(st.one_of(halves, values, st.sampled_from([50.125, 2.5e-6])), min_size=1))
+        expected = [int(format(value, f".{places}f").replace(".", "")) for value in drawn]
+        assert report_module._scaled(np.array(drawn), places).tolist() == expected
+
+    @pytest.mark.parametrize(
         ("value", "places", "text"),
         [
             (50.125, 2, "50.12"),
@@ -477,21 +491,22 @@ def on_a_half(counts: np.ndarray, scale: int) -> int:
 
 
 class TestFixedWidthColumns:
-    def test_format_is_called_only_for_near_ties(self):
-        # Totals 432000 and 76000 put many rates and pixels on decimal ties
-        # (see CURVE_TOTALS), each tie value at one point only; any other
-        # value is at least 1e-6 from a half.
+    def test_curve_on_decimal_ties_matches_format_without_calling_it(self):
+        # Totals 432000 and 76000 put many rates and pixels exactly on
+        # decimal ties (see CURVE_TOTALS), each tie value at one point only.
         tp = np.arange(76_001)
         fp = np.minimum(27 * tp, 432_000)
         curve = RocCurve(fp=fp, tp=tp, threshold=[math.inf, *range(76_000, 0, -1)])
-        with mock.patch.object(report_module, "format", create=True, side_effect=format) as fmt:
-            write_text(EvaluationReport(curve=curve), _Discard())
-            text_calls = fmt.call_count
-            write_svg(curve, "t", _Discard())
-            svg_calls = fmt.call_count - text_calls
         # A rate times 10**6; a pixel times 100 is 5000 + fpr * 54000 and 43000 - tpr * 38000.
-        assert text_calls == on_a_half(fp, 10**6) + on_a_half(tp, 10**6) > 0
-        assert svg_calls == on_a_half(fp, 54_000) + on_a_half(tp, 38_000) > 0
+        assert on_a_half(fp, 10**6) + on_a_half(tp, 10**6) > 0
+        assert on_a_half(fp, 54_000) + on_a_half(tp, 38_000) > 0
+        with mock.patch.object(report_module, "format", create=True, side_effect=format) as fmt:
+            text = render_text(EvaluationReport(curve=curve, meta={"input": "t"}))
+            svg = render_svg(curve, "t")
+        assert fmt.call_count == 0
+        # As lists: a failure names the first line or point that differs, with no diff of the whole report.
+        assert text.split("\n") == roc_text(curve, {"input": "t"}).split("\n")
+        assert svg.split(" ") == roc_svg(curve, "t").split(" ")
 
 
 class TestWriterMemory:

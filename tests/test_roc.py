@@ -23,7 +23,7 @@ from binaryeval.roc import (
     roc_points,
 )
 
-from oracles import apply_threshold, pair_tallies_brute, roc_sweep
+from oracles import apply_threshold, pair_tallies_brute, roc_sweep, roc_sweep_stable
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -188,6 +188,23 @@ class TestReferenceSweep:
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
             curve = roc_points(samples((first, P), (second, N), (1.0, N)))
             assert bits(curve.threshold) == bits([math.inf, 1.0, first])
+
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_large_tie_heavy_curve_matches_the_stable_sort(self, seed):
+        # Sizes where numpy sorts by its SIMD quicksort, which is not stable:
+        # scores on a grid of 41 values, or on one of 2**k values for k up
+        # to 15, with -0.0 and 0.0 at random positions.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2_000, 50_001))
+        score = rng.integers(-20, 21, n) / 4 if seed % 2 else rng.integers(0, 2 ** (seed // 2 + 1), n) / 64 - 1
+        zeros = np.flatnonzero(rng.random(n) < 0.05)
+        score[zeros] = np.where(rng.random(zeros.size) < 0.5, -0.0, 0.0)
+        positive = rng.random(n) < 0.3
+        curve = roc_points(ScoredColumns(score, positive))
+        fp, tp, threshold = roc_sweep_stable(score, positive)
+        assert np.array_equal(curve.fp, fp) and np.array_equal(curve.tp, tp)
+        assert np.array_equal(curve.threshold.view(np.uint64), threshold.view(np.uint64))
 
 
 # The public constructor, which copies its arguments, and the sweep's
