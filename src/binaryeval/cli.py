@@ -4,9 +4,10 @@ Results go to stdout, diagnostics to stderr. The input is read and
 parsed block by block, never held whole, and reports are streamed to
 stdout (and the ROC plot to its ``--svg`` file) in chunks, never built
 as one string. Exit status is 0 on success, 1 on a validation or parse
-failure (strict mode), input that is not UTF-8 or degenerate input, with
-nothing written to stdout, and 2 on a usage error. A stdout closed by
-its reader ends the run quietly with exit 1. Identical argv and input
+failure (strict mode), input that is not UTF-8 (in either mode; the
+parsers name its line), degenerate input or a stdout closed before the
+run, with nothing written to stdout, and 2 on a usage error. A stdout
+closed by its reader ends the run quietly with exit 1. Identical argv and input
 bytes produce identical output bytes. A stdout pipe is widened to
 ``_PIPE_BYTES`` where the OS allows it, so that a report streams into the
 pipe while its reader drains it.
@@ -23,8 +24,6 @@ import sys
 from collections import Counter
 from contextlib import closing, nullcontext, redirect_stderr, redirect_stdout
 from typing import Iterator, Sequence, TextIO
-
-import numpy as np
 
 from binaryeval import ingest
 from binaryeval.counts import from_predictions, threshold_counts
@@ -85,20 +84,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> Iterator[str]:
-    """The input's text, strict UTF-8 with one leading BOM dropped, in pieces of whole lines.
+    """The input's text, with one leading BOM dropped, in pieces of whole lines.
 
     The input is read and decoded in blocks of ``ingest._CHUNK_CHARS``
     bytes. Each piece ends at the last LF or CR decoded so far, and the
     rest is carried into the next block, so the whole input is never
-    held. Line ends are left to the parsers.
+    held. An invalid byte 0xNN decodes to U+DCNN (``surrogateescape``),
+    which the parsers reject at its line; line ends are left to them too.
     """
     try:
         # A text stream standing in for stdin (io.StringIO) has no byte buffer.
         stream = nullcontext(getattr(sys.stdin, "buffer", sys.stdin)) if path == "-" else open(path, "rb")
     except OSError as exc:
         raise _UsageError(f"cannot open input {path!r}: {exc.strerror or exc}") from None
-    decoder = codecs.getincrementaldecoder("utf-8-sig")()
-    line_ends, carry, after_cr = 0, "", False
+    decoder = codecs.getincrementaldecoder("utf-8-sig")(errors="surrogateescape")
+    carry = ""
     with stream as data:
         while True:
             try:
@@ -107,34 +107,15 @@ def _read_input(path: str) -> Iterator[str]:
                 raise _UsageError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
             if isinstance(block, str):
                 block = block.encode("utf-8", "surrogateescape")
-            try:
-                text = carry + decoder.decode(block, final=not block)
-            except UnicodeDecodeError as exc:
-                # The decoder's own buffer, at the head of exc.object, holds no line end.
-                head = exc.object[: exc.start]
-                line_number = line_ends + _line_ends(head) - (after_cr and head[:1] == b"\n") + 1
-                raise ParseError(line_number, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
+            text = carry + decoder.decode(block, final=not block)
             if not block:
                 break
-            # A CRLF split between two blocks is one line end.
-            line_ends += _line_ends(block) - (after_cr and block[:1] == b"\n")
-            after_cr = block[-1:] == b"\r"
             cut = max(text.rfind("\n"), text.rfind("\r")) + 1
             if cut:
                 yield text[:cut]
             carry = text[cut:]
     if text:
         yield text
-
-
-def _line_ends(data: bytes) -> int:
-    """How many lines end in ``data``: at LF, at CR and at CRLF, counted once, as the parsers read them."""
-    codes = np.frombuffer(data, dtype=np.uint8)
-    ends = np.count_nonzero(codes == ord("\n"))
-    if b"\r" in data:
-        is_cr = codes == ord("\r")
-        ends += np.count_nonzero(is_cr) - np.count_nonzero(is_cr[:-1] & (codes[1:] == ord("\n")))
-    return int(ends)
 
 
 def _input_config(args: argparse.Namespace) -> InputConfig:
@@ -280,6 +261,9 @@ def _widen_stdout_pipe() -> None:
 
 
 def main() -> None:
+    if sys.stdout is None:  # started with fd 1 closed
+        sys.stderr.write("error: standard output is closed\n")
+        sys.exit(1)
     _widen_stdout_pipe()
     try:
         status = run()

@@ -18,13 +18,17 @@ points, and scores are split once and checked as a whole column (score
 characters, ``float()``, finiteness). A chunk that fails any check is
 parsed again row by row, and only that chunk, so each failure carries
 its line number and strict mode stops at the first one.
+
+Text that is not UTF-8 fails in either mode: a surrogate code point
+(the CLI decodes an invalid byte 0xNN as U+DCNN, ``surrogateescape``)
+fails a chunk's bulk checks, and the row loop or the header check raises
+:class:`ParseError` at the first line that holds one.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -47,9 +51,17 @@ _SCORE_CHARS = b"0123456789.+-eE"
 # its input in blocks of this many bytes.
 _CHUNK_CHARS = 1 << 16
 
+# Each parsed column starts this many bytes long: large enough that glibc
+# maps it rather than carving it from the heap, and under the 4 MiB from
+# which numpy asks for huge pages. Pages never written cost no memory.
+_COLUMN_BYTES = 1 << 20
+
 # A line end: LF, CRLF, or a CR that has a character after it which is
 # not LF. A CR that ends the text read so far may be half of a CRLF.
 _LINE_END = re.compile(r"\r\n|\n|\r(?=[^\n])")
+
+# A surrogate: an invalid byte 0xNN decoded as U+DCNN, or a lone one that only a str can hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +105,7 @@ class ParseReport:
 
 
 class ParseError(ValueError):
-    """Raised in strict mode at the first malformed row, and on input that is not UTF-8."""
+    """Raised in strict mode at the first malformed row, and in either mode at the first line that is not UTF-8."""
 
     def __init__(self, line_number: int, reason: str) -> None:
         super().__init__(f"line {line_number}: {reason}")
@@ -158,6 +170,7 @@ def _lines(chunk: str, drop_first: bool) -> Iterator[str]:
     if "\r" in chunk:
         chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
     if drop_first:
+        _check_utf8(chunk[:chunk.find("\n")], 1)
         chunk = chunk[chunk.find("\n") + 1:]
     if chunk:
         yield chunk
@@ -174,25 +187,40 @@ def _parse_chunks(
     bulk checks reject is explained row by row.
     """
     # The columns grow in place, chunk by chunk: per-chunk arrays joined
-    # at the end would hold every row twice.
-    positives, score_column, failures = array("B"), array("d"), []
-    read = 0
+    # at the end would hold every row twice. They start mapped and grow by
+    # remapping: grown by realloc on the heap, a column could move late and
+    # leave a hole its size, so peak RSS hung on the checkout's path length.
+    positives, score_column, failures = np.empty(_COLUMN_BYTES, dtype=bool), np.empty(_COLUMN_BYTES // 8), []
+    labels = scores = read = 0
     for chunk in _chunks(source, cfg.has_header):
         first_line = cfg.has_header + read + 1
         positive, score, rows = _bulk_chunk(chunk, cfg, scored) or _explain_chunk(
             chunk, cfg, scored, first_line, strict, failures
         )
-        positives.frombytes(positive)
-        score_column.frombytes(score.view(np.uint8))  # frombytes reads a buffer of bytes
+        labels = _append(positives, labels, positive)
+        scores = _append(score_column, scores, score)
         read += rows
-    report = ParseReport(read, read - len(failures), tuple(failures))
-    return np.frombuffer(positives, dtype=bool), np.frombuffer(score_column), report
+    positives.resize(labels, refcheck=False)
+    score_column.resize(scores, refcheck=False)
+    return positives, score_column, ParseReport(read, read - len(failures), tuple(failures))
+
+
+def _append(column: np.ndarray, size: int, part: np.ndarray) -> int:
+    """Write ``part`` after the first ``size`` items of ``column``, resized in place to fit; returns the new size."""
+    end = size + part.size
+    if end > column.size:
+        column.resize(end, refcheck=False)
+    column[size:end] = part
+    return end
 
 
 def _bulk_chunk(chunk: str, cfg: InputConfig, scored: bool) -> tuple[np.ndarray, np.ndarray, int] | None:
     """The chunk's label mask, score column and line count, or None unless every row is valid."""
     delimiter, line_end = ord(cfg.delimiter), ord("\n")
     codes = np.array([chunk]).view(np.uint32)  # numpy holds str as UCS-4 code points
+    # A surrogate (U+D800-U+DFFF) is left to the row loop; the max gates the costlier test.
+    if codes.max() >= 0xD800 and ((codes >> 11) == 0xD800 >> 11).any():
+        return None
     # Each temporary is deleted once used: they set the peak RSS of a large input.
     is_separator = codes == delimiter
     is_separator |= codes == line_end
@@ -228,12 +256,15 @@ def _explain_chunk(
     A ``ValueError`` from splitting or converting is the row's failure
     reason: raised as :class:`ParseError` when ``strict``, else appended
     to ``failures`` with the row's line number, counted from ``first_line``.
+    A row that is not UTF-8 raises :class:`ParseError` in either mode.
     """
     labels: list[bool] = []
     scores: list[float] = []
     rows = chunk.split("\n")
     rows.pop()  # the empty text after the chunk's last LF
     for line_number, row in enumerate(rows, start=first_line):
+        if not row.isascii():
+            _check_utf8(row, line_number)
         try:
             first, second = _split_row(row, cfg.delimiter)
             if scored:
@@ -247,6 +278,14 @@ def _explain_chunk(
                 raise ParseError(line_number, str(exc)) from None
             failures.append((line_number, str(exc)))
     return np.array(labels, dtype=bool), np.array(scores, dtype=np.float64), len(rows)
+
+
+def _check_utf8(line: str, line_number: int) -> None:
+    """Raise :class:`ParseError` at ``line_number`` if ``line`` holds a surrogate; U+DCNN is invalid byte 0xNN."""
+    if surrogate := _SURROGATE.search(line):
+        code = ord(surrogate.group())
+        reason = f"invalid UTF-8 byte 0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else f"lone surrogate U+{code:04X}"
+        raise ParseError(line_number, reason)
 
 
 def _score_column(texts: list[str]) -> np.ndarray:

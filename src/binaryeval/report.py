@@ -64,8 +64,9 @@ _NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 # Characters a text report's meta value may not hold, so that it cannot
 # end its line and forge another: every one ``str.splitlines`` breaks on,
-# and the C0 controls other than tab (a valid delimiter).
-_NOT_IN_LINE = dict.fromkeys([*range(0x09), *range(0x0A, 0x20), 0x85, 0x2028, 0x2029], "\ufffd")
+# and the C0 controls other than tab (a valid delimiter); nor surrogates,
+# which UTF-8 cannot encode (an undecodable byte of a file name is one).
+_NOT_IN_LINE = "[\x00-\x08\x0a-\x1f\x85\u2028\u2029\ud800-\udfff]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +106,7 @@ def _format_meta_value(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value).translate(_NOT_IN_LINE)
+    return re.sub(_NOT_IN_LINE, "\ufffd", str(value))
 
 
 def _matrix_lines(c: ConfusionCounts) -> list[str]:

@@ -61,17 +61,27 @@ def apply_threshold(samples: Sequence[ScoredSample], threshold: float) -> list[L
     ]
 
 
-def _data_rows(text: str, has_header: bool) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line) pairs, CR and CRLF read as LF, header counted but skipped."""
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) pairs, CR and CRLF read as LF."""
     # Records are newline-delimited only; splitlines() would also split
     # on form feeds and similar, which are legal inside a label.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    for line_number, line in enumerate(lines, start=1):
-        if has_header and line_number == 1:
-            continue
-        yield line_number, line
+    return enumerate(lines, start=1)
+
+
+def utf8_failure(line: str) -> str | None:
+    """Why ``line`` is not UTF-8, or None: its first character UTF-8 cannot encode, as the byte it escapes if any."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        char = line[exc.start]
+        try:
+            return f"invalid UTF-8 byte 0x{char.encode('utf-8', 'surrogateescape')[0]:02x}"
+        except UnicodeEncodeError:
+            return f"lone surrogate U+{ord(char):04X}"
+    return None
 
 
 def _parse_rows(
@@ -82,13 +92,20 @@ def _parse_rows(
 ) -> tuple[list[T], ParseReport]:
     """Split each data row into two fields and convert them, in input order.
 
-    A ``ValueError`` from splitting or converting is the row's failure
-    reason: raised as :class:`ParseError` when ``strict``, else recorded.
+    A line that is not UTF-8, the header included, raises :class:`ParseError`
+    in either mode. A ``ValueError`` from splitting or converting is the
+    row's failure reason: raised as :class:`ParseError` when ``strict``,
+    else recorded.
     """
     records: list[T] = []
     failures: list[tuple[int, str]] = []
     read = 0
-    for line_number, row in _data_rows(text, cfg.has_header):
+    for line_number, row in _lines(text):
+        failure = utf8_failure(row)
+        if failure is not None:
+            raise ParseError(line_number, failure)
+        if cfg.has_header and line_number == 1:
+            continue
         read += 1
         try:
             first, second = _split_row(row, cfg.delimiter)
@@ -199,10 +216,12 @@ def _format_meta_value(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    # One line per meta value: a character that could end it, or any C0
-    # control but tab, reads U+FFFD.
+    # One line per meta value: a character that could end it, any C0
+    # control but tab, or a surrogate, which UTF-8 cannot encode, reads U+FFFD.
     return "".join(
-        "\ufffd" if len(f"a{c}b".splitlines()) > 1 or (c < " " and c != "\t") else c for c in str(value)
+        "\ufffd" if len(f"a{c}b".splitlines()) > 1 or (c < " " and c != "\t") or not c.encode("utf-8", "ignore")
+        else c
+        for c in str(value)
     )
 
 

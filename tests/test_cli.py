@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 try:
     import fcntl
@@ -18,9 +19,13 @@ except ImportError:  # Windows has no fcntl
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from binaryeval import ingest
 from binaryeval.cli import run
+from binaryeval.ingest import InputConfig, ParseError
+from oracles import parse_hard_labels_rows, parse_scores_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -204,16 +209,22 @@ class TestRoc:
         assert f"ROC curve ({shown})" in root.itertext()
 
     @pytest.mark.parametrize(
+        ("name", "shown"),
+        [("a\nAUC 0.000000\rACC 1.000000\x0b\u2028.csv", "a\ufffdAUC 0.000000\ufffdACC 1.000000\ufffd\ufffd.csv"),
+         (os.fsdecode(b"\xff.csv"), "\ufffd.csv")],
+        ids=["line-breaks", "undecodable-byte"],
+    )
+    @pytest.mark.parametrize(
         ("subcommand", "rows"), [("roc", FOUR_SCORE_ROWS), ("evaluate", C_STAR_ROWS)], ids=["roc", "evaluate"]
     )
-    def test_a_file_name_cannot_forge_a_line_of_the_text_report(self, worked_files, subcommand, rows):
-        name = "a\nAUC 0.000000\rACC 1.000000\x0b\u2028.csv"
+    def test_a_file_name_cannot_forge_a_line_of_the_text_report(self, worked_files, subcommand, rows, name, shown):
         (worked_files / name).write_text(rows, newline="")
         code, out, err = invoke(subcommand, name)
         assert code == 0, err
-        # The only line breaks are the report's own LFs, and the name stays on its line.
+        # The only line breaks are the report's own LFs, the name stays on its
+        # line, and the report is UTF-8 (an undecodable byte of the name reads U+FFFD).
         assert out.splitlines() == out.split("\n")[:-1]
-        assert out.splitlines()[0] == "input a\ufffdAUC 0.000000\ufffdACC 1.000000\ufffd\ufffd.csv"
+        assert out.splitlines()[0] == f"input {shown}"
         assert [line for line in out.splitlines() if line.startswith(("AUC", "ACC"))] == (
             ["AUC 0.750000"] if subcommand == "roc" else ["ACC 0.700000"]
         )
@@ -236,6 +247,15 @@ class TestRoc:
             err = child.stderr.read()
             assert child.wait(timeout=120) == 1
         assert err == b""
+
+
+    def test_a_stdout_closed_at_start_is_an_error_line(self, worked_files):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        child = subprocess.run(
+            [sys.executable, "-m", "binaryeval", "roc", "scores.csv"], cwd=worked_files, env=env,
+            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120,
+        )
+        assert (child.returncode, child.stderr) == (1, b"error: standard output is closed\n")
 
 
 class TestStdoutPipe:
@@ -358,6 +378,43 @@ class TestStreamedInput:
         assert (code, err) == (0, "")
         # The file's bytes and its decoded text would each take this much.
         assert peak < path.stat().st_size
+
+
+# Rows of a byte file for the block-size test: valid in both layouts, malformed,
+# and not UTF-8 (a stray continuation byte, 0xff, an encoded surrogate, a
+# character cut off by the line end).
+_byte_row = st.sampled_from([b"1,0.5", b"0,0.25", b"1,1", b"0,0", b"\xc3\xa9,0.75"]) | st.sampled_from([
+    b"1,oops", b"broken", b"1,0,1", b"", b"0,nan", b"1,\xff", b"\x80,0.5", b"\xed\xa0\x80,1", b"1,0.5\xc3",
+])
+_byte_file = st.tuples(
+    st.sampled_from([b"", b"\xef\xbb\xbf"]),
+    st.lists(st.tuples(_byte_row, st.sampled_from([b"\n", b"\r\n", b"\r"])).map(b"".join), max_size=12),
+    st.sampled_from([b"", b"1,0.5", b"\xe2\x82"]),  # the last line: none, no line end, a character cut at EOF
+).map(lambda parts: parts[0] + b"".join(parts[1]) + parts[2])
+
+
+class TestBlockSize:
+    @given(_byte_file, st.booleans(), st.booleans())
+    def test_the_first_bad_line_wins_at_any_block_size(self, data, scored, header):
+        mode = ["--mode", "scores", "--threshold", "0.5"] if scored else []
+        parse = parse_scores_rows if scored else parse_hard_labels_rows
+        text = data.decode("utf-8-sig", "surrogateescape")
+        for strict in (False, True):
+            argv = ["evaluate", "-", *mode, *(["--header"] * header), *(["--strict"] * strict)]
+            results = set()
+            for block in (*range(1, 8), ingest._CHUNK_CHARS):
+                with mock.patch.object(ingest, "_CHUNK_CHARS", block), \
+                        mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(data))):
+                    results.add(invoke(*argv))
+            assert len(results) == 1
+            (code, out, err), = results
+            try:
+                parse(text, InputConfig(has_header=header), strict)
+            except ParseError as exc:
+                # An invalid byte ends a lenient run too, before any report.
+                assert (code, out, err) == (1, "", f"error: {exc}\n")
+            else:
+                assert code == 0, err
 
 
 class TestUsageErrors:

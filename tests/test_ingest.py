@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 import tracemalloc
 from unittest import mock
 
@@ -19,7 +20,7 @@ from binaryeval.ingest import (
     parse_hard_labels,
     parse_scores,
 )
-from oracles import SCORE_PATTERN, parse_hard_labels_rows, parse_scores_rows
+from oracles import SCORE_PATTERN, parse_hard_labels_rows, parse_scores_rows, utf8_failure
 
 P = Label.POSITIVE
 N = Label.NEGATIVE
@@ -108,6 +109,18 @@ class TestHardLabels:
         assert len(pairs) == 1
         assert report.records_read == 2
         assert report.failures == ((3, "expected 2 fields, got 1"),)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize(
+        ("text", "has_header", "error"),
+        [("1,1\n\ud800,1\n", False, "line 2: lone surrogate U+D800"),
+         ("a\udcff,b\n1,1\n", True, "line 1: invalid UTF-8 byte 0xff")],
+        ids=["one-vs-rest-label", "header"],
+    )
+    def test_a_surrogate_fails_the_parse_in_either_mode(self, text, has_header, error, strict):
+        # One-vs-rest would otherwise read "\ud800" as a negative label, and a header is never parsed.
+        with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+            parse_hard_labels(text, InputConfig(has_header=has_header), strict=strict)
 
     def test_custom_delimiter(self):
         cfg = InputConfig(delimiter=";")
@@ -218,12 +231,23 @@ class TestProperties:
         reparsed, _ = parse_scores("\n".join(f"1,{s.score!r}" for s in parsed), CFG)
         assert list(reparsed) == list(parsed)
 
-    @given(st.lists(st.text(alphabet=st.characters(blacklist_characters="\r\n"), max_size=12), max_size=30))
+    # characters() leaves out surrogates (category Cs) unless asked for
+    # them, so half the soups are drawn with them added.
+    @given(st.lists(st.text(alphabet=st.characters(blacklist_characters="\r\n"), max_size=12), max_size=30)
+           | st.lists(st.text(alphabet=st.characters(blacklist_characters="\r\n")
+                              | st.characters(whitelist_categories=("Cs",)), max_size=12), max_size=30))
     def test_accounting_identity_on_arbitrary_line_soup(self, lines):
         source = "\n".join(lines)
+        # The first line holding a surrogate fails the parse, in lenient mode too.
+        utf8_failures = [(n, utf8_failure(line)) for n, line in enumerate(lines, start=1) if utf8_failure(line)]
         for parse in (parse_hard_labels, parse_scores):
-            _, report = parse(source, CFG)
-            assert report.records_accepted + len(report.failures) == report.records_read
+            if utf8_failures:
+                with pytest.raises(ParseError) as exc_info:
+                    parse(source, CFG)
+                assert (exc_info.value.line_number, exc_info.value.reason) == utf8_failures[0]
+            else:
+                _, report = parse(source, CFG)
+                assert report.records_accepted + len(report.failures) == report.records_read
 
 
 # Line soup for the bulk/row differential: mostly valid rows, so that many

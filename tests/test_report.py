@@ -183,8 +183,9 @@ class TestRenderJson:
         assert payload["meta"]["threshold"] == "inf"
 
 
-# Meta text, often with the characters JSON must escape and non-ASCII.
-META_TEXT = st.text(max_size=12) | st.text(alphabet='"\\/\'é€😀\u2028\x00\x1f\t\n', max_size=12)
+# Meta text, often with the characters JSON must escape, non-ASCII and
+# surrogates (an undecodable byte of a file name is one).
+META_TEXT = st.text(max_size=12) | st.text(alphabet='"\\/\'é€😀\u2028\x00\x1f\t\n\udcff\ud800', max_size=12)
 
 
 @st.composite
