@@ -1,12 +1,13 @@
 """Command-line entry point: ``evaluate`` and ``roc`` subcommands.
 
-Results go to stdout, diagnostics to stderr. The input is read and
-parsed block by block, never held whole, and reports are streamed to
+Results go to stdout, diagnostics to stderr. The parsers read the open
+input block by block, never held whole, and reports are streamed to
 stdout (and the ROC plot to its ``--svg`` file) in chunks, never built
 as one string. Exit status is 0 on success, 1 on a validation or parse
 failure (strict mode), input that is not UTF-8 (in either mode; the
 parsers name its line), degenerate input or a stdout closed before the
-run, with nothing written to stdout, and 2 on a usage error. A stdout
+run, with nothing written to stdout, and 2 on a usage error, such as an
+input that cannot be opened or read or a closed stdin. A stdout
 closed by its reader ends the run quietly with exit 1. Identical argv and input
 bytes produce identical output bytes. A stdout pipe is widened to
 ``_PIPE_BYTES`` where the OS allows it, so that a report streams into the
@@ -16,16 +17,14 @@ pipe while its reader drains it.
 from __future__ import annotations
 
 import argparse
-import codecs
 import math
 import os
 import re
 import sys
 from collections import Counter
-from contextlib import closing, nullcontext, redirect_stderr, redirect_stdout
-from typing import Iterator, Sequence, TextIO
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from typing import Callable, ContextManager, Sequence, TextIO, TypeVar
 
-from binaryeval import ingest
 from binaryeval.counts import from_predictions, threshold_counts
 from binaryeval.ingest import InputConfig, ParseError, ParseReport, parse_hard_labels, parse_scores
 from binaryeval.metrics import all_metrics
@@ -39,6 +38,8 @@ _MAX_ROW_WARNINGS = 20
 _PIPE_BYTES = 1 << 20
 # The row-specific tail of a failure reason: a field count or a quoted value.
 _REASON_DETAIL = re.compile(r", got \d+\Z| ['\"].*\Z")
+
+_Columns = TypeVar("_Columns")
 
 
 class _UsageError(Exception):
@@ -83,39 +84,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> Iterator[str]:
-    """The input's text, with one leading BOM dropped, in pieces of whole lines.
+def _read_input(path: str) -> ContextManager[TextIO]:
+    """The input, open as text for the parsers: UTF-8 with one leading BOM dropped.
 
-    The input is read and decoded in blocks of ``ingest._CHUNK_CHARS``
-    bytes. Each piece ends at the last LF or CR decoded so far, and the
-    rest is carried into the next block, so the whole input is never
-    held. An invalid byte 0xNN decodes to U+DCNN (``surrogateescape``),
-    which the parsers reject at its line; line ends are left to them too.
+    An invalid byte 0xNN reads as U+DCNN (``surrogateescape``), which the
+    parsers reject at its line, and ``newline=""`` leaves line ends to them
+    too. A text stand-in for stdin (``io.StringIO``) is read as it is.
+    Standard input is never closed.
     """
-    try:
-        # A text stream standing in for stdin (io.StringIO) has no byte buffer.
-        stream = nullcontext(getattr(sys.stdin, "buffer", sys.stdin)) if path == "-" else open(path, "rb")
-    except OSError as exc:
-        raise _UsageError(f"cannot open input {path!r}: {exc.strerror or exc}") from None
-    decoder = codecs.getincrementaldecoder("utf-8-sig")(errors="surrogateescape")
-    carry = ""
-    with stream as data:
-        while True:
-            try:
-                block = data.read(ingest._CHUNK_CHARS)
-            except OSError as exc:
-                raise _UsageError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
-            if isinstance(block, str):
-                block = block.encode("utf-8", "surrogateescape")
-            text = carry + decoder.decode(block, final=not block)
-            if not block:
-                break
-            cut = max(text.rfind("\n"), text.rfind("\r")) + 1
-            if cut:
-                yield text[:cut]
-            carry = text[cut:]
-    if text:
-        yield text
+    if path != "-":
+        try:
+            return open(path, encoding="utf-8-sig", errors="surrogateescape", newline="")
+        except OSError as exc:
+            raise _UsageError(f"cannot open input {path!r}: {exc.strerror or exc}") from None
+    if sys.stdin is None:  # started with fd 0 closed
+        raise _UsageError("cannot read input '-': standard input is closed")
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape", newline="")
+    return nullcontext(sys.stdin)
+
+
+def _parse(
+    args: argparse.Namespace, parse: Callable[..., tuple[_Columns, ParseReport]]
+) -> tuple[_Columns, ParseReport]:
+    """``parse`` of the input named by ``args``; a failed read is a usage error."""
+    cfg = _input_config(args)
+    with _read_input(args.input) as text:
+        try:
+            return parse(text, cfg, strict=args.strict)
+        except OSError as exc:
+            raise _UsageError(f"cannot read input {args.input!r}: {exc.strerror or exc}") from None
 
 
 def _input_config(args: argparse.Namespace) -> InputConfig:
@@ -175,14 +173,12 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.threshold is not None and math.isnan(args.threshold):
         raise _UsageError("--threshold must not be NaN")
 
-    cfg = _input_config(args)
-    with closing(_read_input(args.input)) as text:
-        if scored:
-            samples, parse_report = parse_scores(text, cfg, strict=args.strict)
-            counts = threshold_counts(samples, args.threshold)
-        else:
-            pairs, parse_report = parse_hard_labels(text, cfg, strict=args.strict)
-            counts = from_predictions(pairs)
+    if scored:
+        samples, parse_report = _parse(args, parse_scores)
+        counts = threshold_counts(samples, args.threshold)
+    else:
+        pairs, parse_report = _parse(args, parse_hard_labels)
+        counts = from_predictions(pairs)
     _warn_failures(parse_report, err)
 
     meta = _common_meta(args, parse_report)
@@ -195,9 +191,7 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.mode != "scores":
         raise _UsageError("--mode must be 'scores' for the roc subcommand")
-    cfg = _input_config(args)
-    with closing(_read_input(args.input)) as text:
-        samples, parse_report = parse_scores(text, cfg, strict=args.strict)
+    samples, parse_report = _parse(args, parse_scores)
     _warn_failures(parse_report, err)
 
     try:

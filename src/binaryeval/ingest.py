@@ -8,10 +8,11 @@ by :func:`parse_scores` into :class:`ScoredColumns`.
 Parsing is lenient by default (malformed rows are reported per line and
 skipped); ``strict=True`` aborts on the first failure instead.
 
-The source, a whole ``str`` or an iterable of pieces of whole lines, is
-read lazily in chunks of about 64 Ki characters that end on line
-boundaries, with CR and CRLF read as LF, so only one chunk of text is
-worked on at a time and the source is never joined into one string.
+The source, a whole ``str``, a text stream (anything with ``read``,
+read in blocks of 64 Ki characters) or an iterable of pieces of whole
+lines, is read lazily in chunks of about 64 Ki characters that end on
+line boundaries, with CR and CRLF read as LF, so only one chunk of text
+is worked on at a time and the source is never joined into one string.
 Each chunk is parsed in bulk: its code points are checked to
 hold exactly one delimiter per line, labels are matched on those code
 points, and scores are split once and checked as a whole column (score
@@ -47,8 +48,8 @@ _SCORE_CHARS = b"0123456789.+-eE"
 # one chunk's code points, separator indices and field strings are alive
 # at a time. On 2x10^5-row inputs, the CLI's peak RSS was 30.9 MB (hard
 # labels) and 33.5 MB (scores) with this size, against 35.6 and 36.0 MB
-# with 256 Ki-character chunks, and parsing took no longer. The CLI reads
-# its input in blocks of this many bytes.
+# with 256 Ki-character chunks, and parsing took no longer. A text stream,
+# such as the CLI's open input, is read in blocks of this many characters.
 _CHUNK_CHARS = 1 << 16
 
 # Each parsed column starts this many bytes long: large enough that glibc
@@ -135,20 +136,26 @@ def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) 
 def _chunks(source: Iterable[str] | str, has_header: bool) -> Iterator[str]:
     """The data lines of ``source`` in chunks of about ``_CHUNK_CHARS`` characters, each ending on LF.
 
-    A ``str`` is one piece. An iterable's elements are pieces of whole
-    lines, read one at a time; an element that does not end in CR or LF
-    gets an LF, and the pieces then read as their concatenation. Pieces
-    are gathered until a line end (LF, CRLF or a lone CR) lies
-    ``_CHUNK_CHARS`` characters or more past the start of the chunk, and
-    the chunk ends after it. A CR that ends the pieces gathered so far
-    waits for the next one, as it may be the first half of a CRLF. So a
-    chunk never ends inside a CRLF, and reading CR and CRLF as LF per
-    chunk reads them as over the whole text. The header is the first line
-    of the first chunk.
+    A ``str`` is one piece, and so is each block of ``_CHUNK_CHARS``
+    characters read from a source with a ``read`` method (an open file)
+    until it returns ``""``; a block may end inside a line. Any other
+    iterable's elements are pieces of whole lines, read one at a time; an
+    element that does not end in CR or LF gets an LF. The pieces then read
+    as their concatenation. Pieces are gathered until a line end (LF, CRLF
+    or a lone CR) lies ``_CHUNK_CHARS`` characters or more past the start
+    of the chunk, and the chunk ends after it. A CR that ends the pieces
+    gathered so far waits for the next one, as it may be the first half of
+    a CRLF. So a chunk never ends inside a CRLF, and reading CR and CRLF
+    as LF per chunk reads them as over the whole text. The header is the
+    first line of the first chunk.
     """
-    pieces = (source,) if isinstance(source, str) else (
-        piece if piece.endswith(("\n", "\r")) else piece + "\n" for piece in source
-    )
+    if hasattr(source, "read"):
+        # A byte stream's b"" ends the blocks too; its bytes then fail the join.
+        pieces: Iterable[str] = iter(lambda: source.read(_CHUNK_CHARS) or "", "")
+    else:
+        pieces = (source,) if isinstance(source, str) else (
+            piece if piece.endswith(("\n", "\r")) else piece + "\n" for piece in source
+        )
     pending, size, header = [], 0, has_header
     for piece in pieces:
         pending.append(piece)

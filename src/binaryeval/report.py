@@ -133,14 +133,14 @@ def _run_strings(column: np.ndarray) -> list[str]:
     return strings[np.cumsum(starts) - 1].tolist()
 
 
-def _rates(counts: np.ndarray) -> Callable[[slice], np.ndarray]:
-    """The rates ``counts / counts[-1]`` at a slice of points, as ``RocCurve.fpr`` and ``tpr`` divide."""
-    return lambda points: counts[points] / counts[-1]
+def _curve_chunks(curve: RocCurve) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The curve's points as slices of at most ``_CHUNK_POINTS``, each with its fpr and tpr.
 
-
-def _point_chunks(size: int) -> Iterator[slice]:
-    """The curve's ``size`` points as consecutive slices of at most ``_CHUNK_POINTS``."""
-    return (slice(start, min(start + _CHUNK_POINTS, size)) for start in range(0, size, _CHUNK_POINTS))
+    The rates divide as ``RocCurve.fpr`` and ``tpr`` do, so no column is built whole.
+    """
+    for start in range(0, curve.threshold.size, _CHUNK_POINTS):
+        points = slice(start, start + _CHUNK_POINTS)
+        yield points, curve.fp[points] / curve.fp[-1], curve.tp[points] / curve.tp[-1]
 
 
 def _scaled(values: np.ndarray, places: int) -> np.ndarray:
@@ -202,34 +202,6 @@ def _decimal_rows(
     return codes, keep
 
 
-def _write_points(
-    out: TextIO,
-    template: str,
-    size: int,
-    columns: Sequence[Callable[[slice], np.ndarray]],
-    first: Mapping[int, str],
-) -> None:
-    """Write ``template`` once for each of ``size`` curve points, each ``{}`` filled from one column.
-
-    ``columns`` holds one function per ``{}``: ``values(points)`` derives
-    the column at one chunk's slice of points, so no column is built whole.
-    Point ``i``'s parts are the template's literals with the ``repr`` of its
-    values between them; ``first`` replaces parts of point 0 by index (such
-    as its opening literal, which has no separator before it).
-    """
-    literals = template.split("{}")
-    point: list[str] = [""] * (2 * len(literals) - 1)
-    point[::2] = literals
-    for points in _point_chunks(size):
-        parts = point * (points.stop - points.start)
-        for slot, values in enumerate(columns):
-            parts[2 * slot + 1 :: len(point)] = _run_strings(values(points))
-        if points.start == 0:
-            for index, text in first.items():
-                parts[index] = text
-        out.write("".join(parts))
-
-
 def _rendered(write: Callable[..., None], *args: object, **kwargs: object) -> str:
     out = io.StringIO()
     write(*args, out, **kwargs)
@@ -257,11 +229,10 @@ def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
         out.write("\n\n".join(blocks) + "\n")
         return
     out.write("\n\n".join(blocks + ["fpr tpr threshold"]))
-    fpr, tpr = _rates(curve.fp), _rates(curve.tp)
-    for points in _point_chunks(curve.threshold.size):
+    for points, fpr, tpr in _curve_chunks(curve):
         # Every rate is in [0, 1], so each line's head "\n<fpr> <tpr> " has one
         # width, and the matrix viewed as UCS-4 strings cuts the heads apart.
-        codes, _ = _decimal_rows("\n{} {} ", (fpr(points), tpr(points)), places=6, digits=1)
+        codes, _ = _decimal_rows("\n{} {} ", (fpr, tpr), places=6, digits=1)
         parts = [""] * (2 * codes.shape[0])
         parts[::2] = codes.astype(np.uint32).view(f"<U{codes.shape[1]}").ravel().tolist()
         # repr(+inf) is "inf", the text form of the initial point's threshold.
@@ -306,14 +277,14 @@ def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
         return
     auc = json.dumps(curve.auc)
     out.write("{\n" + "".join(text + ",\n" for text in head) + '  "roc": {\n    "points": [')
-    # Point 0 has no comma before it, and its +inf threshold is "inf", as in meta.
-    _write_points(
-        out,
-        ',\n      {\n        "fpr": {},\n        "tpr": {},\n        "threshold": {}\n      }',
-        curve.threshold.size,
-        (_rates(curve.fp), _rates(curve.tp), curve.threshold.__getitem__),
-        {0: '\n      {\n        "fpr": ', 5: '"inf"'},
-    )
+    point = [',\n      {\n        "fpr": ', "", ',\n        "tpr": ', "", ',\n        "threshold": ', "", "\n      }"]
+    for points, fpr, tpr in _curve_chunks(curve):
+        parts = point * fpr.size
+        parts[1::7], parts[3::7], parts[5::7] = map(_run_strings, (fpr, tpr, curve.threshold[points]))
+        if points.start == 0:
+            # Point 0 has no comma before it, and its +inf threshold is "inf", as in meta.
+            parts[0], parts[5] = '\n      {\n        "fpr": ', '"inf"'
+        out.write("".join(parts))
     out.write(f'\n    ],\n    "auc": {auc}\n  }}' + "".join(",\n" + text for text in tail) + "\n}\n")
 
 
@@ -387,10 +358,9 @@ def write_svg(curve: RocCurve, title: str, out: TextIO) -> None:
     )
     lines.append('<polyline points="')
     out.write("\n".join(lines))
-    fpr, tpr = _rates(curve.fp), _rates(curve.tp)
-    for points in _point_chunks(curve.threshold.size):
+    for points, fpr, tpr in _curve_chunks(curve):
         # Every pixel is in [50, 590], so "dd.dd" or "ddd.dd".
-        codes, keep = _decimal_rows(" {},{}", (x_px(fpr(points)), y_px(tpr(points))), places=2, digits=3)
+        codes, keep = _decimal_rows(" {},{}", (x_px(fpr), y_px(tpr)), places=2, digits=3)
         # Points are separated by a space, which point 0 does without.
         keep[0, 0] = points.start != 0
         out.write(codes[keep].tobytes().decode("ascii"))

@@ -298,6 +298,10 @@ class TestDecoding:
         assert code == 0
         assert json.loads(out)["counts"] == {"tp": 1, "fp": 0, "fn": 1, "tn": 1}
 
+    def test_a_lone_surrogate_in_a_text_stand_in_is_an_error_line(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ud800,1\n"))
+        assert invoke("evaluate", "-") == (1, "", "error: line 1: lone surrogate U+D800\n")
+
     def test_invalid_utf8_is_an_error_line_not_a_traceback(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         # A line ends at LF, at a lone CR and at CRLF (counted once), as the parsers read it.
@@ -310,7 +314,10 @@ class TestDecoding:
 
 
 class TestStreamedInput:
-    """The input is read and decoded in blocks of ``ingest._CHUNK_CHARS`` bytes, patched small here."""
+    """The parsers read the input through the text layer in blocks of ``ingest._CHUNK_CHARS`` characters.
+
+    The block size is patched small here.
+    """
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
     def test_a_character_split_between_blocks_decodes(self, tmp_path, monkeypatch, block):
@@ -325,7 +332,7 @@ class TestStreamedInput:
     def test_an_invalid_byte_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, block):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(ingest, "_CHUNK_CHARS", block)
-        # With 4-byte blocks, the first CRLF is split between the first two
+        # With 4-character blocks, the first CRLF is split between the first two
         # blocks; the second input ends inside a two-byte character.
         for data, line, byte in ((b"1,1\r\n0,0\r\n1,0\r0,1\n\xff,0\n", 5, "ff"), (b"1,1\r\n\xc3\xa9,0\r\n\xc3", 3, "c3")):
             (tmp_path / "rows.csv").write_bytes(data)
@@ -343,11 +350,24 @@ class TestStreamedInput:
 
     def test_a_failed_read_is_an_error_line(self, monkeypatch):
         class FailingStream(io.BytesIO):
+            # The text layer reads through read1 and readinto as well as read.
             def read(self, size=-1):
                 raise OSError(5, "Input/output error")
 
+            read1 = readinto = read
+
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(FailingStream()))
         assert invoke("evaluate", "-") == (2, "", "error: cannot read input '-': Input/output error\n")
+
+    def test_a_stdin_closed_at_start_is_an_error_line(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        child = subprocess.run(
+            [sys.executable, "-m", "binaryeval", "evaluate", "-"], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(0), timeout=120,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2, b"", b"error: cannot read input '-': standard input is closed\n"
+        )
 
     def test_a_strict_failure_mid_file_closes_the_input(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -397,7 +397,7 @@ def _without_line_end(piece):
 
 
 class TestStreaming:
-    """A source read as an iterable of pieces against the same text as one ``str``."""
+    """A source read as an iterable of pieces or as a text stream against the same text as one ``str``."""
 
     @given(_soup, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), _configs, st.integers(1, 40),
            st.booleans(), st.data())
@@ -415,11 +415,19 @@ class TestStreaming:
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             assert _scored(iter(pieces), cfg, strict) == _scored(text, cfg, strict)
             assert _labeled(iter(pieces), cfg, strict) == _labeled(text, cfg, strict)
+            # A stream's blocks of chunk_chars characters may end inside a line or a CRLF.
+            assert _scored(io.StringIO(text, newline=""), cfg, strict) == _scored(text, cfg, strict)
+            assert _labeled(io.StringIO(text, newline=""), cfg, strict) == _labeled(text, cfg, strict)
 
     def test_an_element_holding_several_lines_reads_as_that_text(self):
         text = "1,1\n\n0,0\r\n"  # the empty second line is a malformed row
         assert _labeled(["1,1\n\n", "0,0\r\n"], CFG) == _labeled(text, CFG)
         assert _labeled(text, CFG)[2] == ParseReport(3, 2, ((2, "expected 2 fields, got 1"),))
+
+    def test_a_byte_stream_is_a_type_error(self):
+        # Its empty read is b"", not "": it must end the reads all the same.
+        with pytest.raises(TypeError):
+            parse_scores(io.BytesIO(b"1,0.5\n"), CFG)
 
     def test_cr_only_text_is_read_in_several_chunks(self):
         lf_text = "".join(f"{i % 2},{i / 7!r}\n" for i in range(200))
