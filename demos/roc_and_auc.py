@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from binaryeval import Label, ScoredSample, auc_pair_count, auc_trapezoid, render_svg, roc_points
+from binaryeval import Label, ScoredSample, auc_pair_count, auc_trapezoid, roc_points, write_svg
 
 rng = np.random.default_rng(42)
 
@@ -20,7 +20,7 @@ samples = [ScoredSample(float(s), Label.POSITIVE) for s in pos_scores] + [
 ]
 
 curve = roc_points(samples)
-print(f"curve has {len(curve.points)} points "
+print(f"curve has {curve.threshold.size} points "
       f"(one per distinct score, plus the (0,0) start)")
 
 # Two independent AUC algorithms divide the same integer ratio once: the floats are equal.
@@ -31,5 +31,6 @@ print(f"AUC by pair counting:    {pair_count:.12f}")
 print(f"difference:              {abs(trapezoid - pair_count):.2e}")
 
 out = Path(__file__).with_name("roc_demo.svg")
-out.write_text(render_svg(curve, title="Synthetic classifier"), encoding="utf-8")
+with open(out, "w", encoding="utf-8") as svg:
+    write_svg(curve, "Synthetic classifier", svg)
 print(f"wrote {out}")

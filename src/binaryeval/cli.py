@@ -17,6 +17,7 @@ pipe while its reader drains it.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import re
@@ -89,7 +90,8 @@ def _read_input(path: str) -> ContextManager[TextIO]:
 
     An invalid byte 0xNN reads as U+DCNN (``surrogateescape``), which the
     parsers reject at its line, and ``newline=""`` leaves line ends to them
-    too. A text stand-in for stdin (``io.StringIO``) is read as it is.
+    too. A text stand-in for stdin (``io.StringIO``) is read as it is; a
+    stdin already read from cannot be reconfigured, a usage error.
     Standard input is never closed.
     """
     if path != "-":
@@ -100,7 +102,10 @@ def _read_input(path: str) -> ContextManager[TextIO]:
     if sys.stdin is None:  # started with fd 0 closed
         raise _UsageError("cannot read input '-': standard input is closed")
     if hasattr(sys.stdin, "reconfigure"):
-        sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape", newline="")
+        try:
+            sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape", newline="")
+        except io.UnsupportedOperation as exc:  # an in-process caller has already read from it
+            raise _UsageError(f"cannot read input '-': {exc}") from None
     return nullcontext(sys.stdin)
 
 

@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -61,10 +61,6 @@ class ScoredSample:
         object.__setattr__(self, "score", score)
 
 
-# The label of each value of a positive-class mask, indexed by the mask value.
-_LABELS = (Label.NEGATIVE, Label.POSITIVE)
-
-
 def _mask(values: object, name: str) -> np.ndarray:
     """A ``bool`` array copy of ``values``; ValueError unless they are booleans or empty."""
     mask = np.array(values)
@@ -73,36 +69,29 @@ def _mask(values: object, name: str) -> np.ndarray:
     return mask.astype(bool, copy=False)
 
 
+def _hold(owner: object, **columns: np.ndarray) -> None:
+    """Store each array on the frozen ``owner`` under its name, read-only."""
+    for name, column in columns.items():
+        column.flags.writeable = False
+        object.__setattr__(owner, name, column)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
-class ScoredColumns(Sequence[ScoredSample]):
+class ScoredColumns:
     """Scored samples as two read-only columns of one length.
 
     ``score`` is a ``float64`` array of finite scores and ``positive`` a
     ``bool`` array, true where the actual label is positive; index ``i``
     of each is sample ``i``. Both are copied and checked once, here, the
-    one place scored samples are checked for finiteness. As a
-    sequence it holds one :class:`ScoredSample` per index, built on access;
-    a slice is a ``ScoredColumns`` of the sliced columns.
+    one place scored samples from outside the package are checked for
+    finiteness. Its length is the number of samples.
     """
 
     score: np.ndarray
     positive: np.ndarray
 
     def __post_init__(self) -> None:
-        self._hold(np.array(self.score, dtype=np.float64), _mask(self.positive, "positive"))
-
-    @classmethod
-    def _of_own_arrays(cls, score: np.ndarray, positive: np.ndarray) -> ScoredColumns:
-        """Columns that hold a ``float64`` and a ``bool`` array as they are, checked but not copied.
-
-        Only for arrays that nothing else refers to, such as the parser's
-        fresh output, which a copy would hold twice at the peak.
-        """
-        columns = object.__new__(cls)
-        columns._hold(score, positive)
-        return columns
-
-    def _hold(self, score: np.ndarray, positive: np.ndarray) -> None:
+        score, positive = np.array(self.score, dtype=np.float64), _mask(self.positive, "positive")
         if score.ndim != 1 or score.shape != positive.shape:
             raise ValueError("score and positive must be 1-d arrays of one length")
         # The least and the greatest score are finite exactly when every score
@@ -110,30 +99,30 @@ class ScoredColumns(Sequence[ScoredSample]):
         if score.size and not (math.isfinite(score.min()) and math.isfinite(score.max())):
             index = int(np.argmin(np.isfinite(score)))
             raise ValueError(f"non-finite score at record {index}: {score[index].item()!r}")
-        for name, column in (("score", score), ("positive", positive)):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        _hold(self, score=score, positive=positive)
+
+    @classmethod
+    def _of_own_arrays(cls, score: np.ndarray, positive: np.ndarray) -> ScoredColumns:
+        """Columns that hold the parser's fresh ``float64`` and ``bool`` arrays as they are.
+
+        Not copied, which would hold them twice at the peak, nor checked
+        again: the parser accepts finite scores only.
+        """
+        columns = object.__new__(cls)
+        _hold(columns, score=score, positive=positive)
+        return columns
 
     def __len__(self) -> int:
         return self.score.size
 
-    def __getitem__(self, index: int | slice) -> ScoredSample | ScoredColumns:
-        if isinstance(index, slice):
-            return ScoredColumns(self.score[index], self.positive[index])
-        return ScoredSample(self.score[index].item(), _LABELS[self.positive[index].item()])
-
-    def __iter__(self) -> Iterator[ScoredSample]:
-        return map(ScoredSample, self.score.tolist(), map(_LABELS.__getitem__, self.positive.tolist()))
-
 
 @dataclass(frozen=True, slots=True, eq=False)
-class LabeledColumns(Sequence[LabeledPrediction]):
+class LabeledColumns:
     """Label pairs as two read-only ``bool`` columns of one length.
 
     ``actual`` and ``predicted`` are true where that label is positive;
     index ``i`` of each is pair ``i``. Both are copied and checked once,
-    here. As a sequence it holds one :class:`LabeledPrediction` per index,
-    built on access; a slice is a ``LabeledColumns`` of the sliced columns.
+    here. Its length is the number of pairs.
     """
 
     actual: np.ndarray
@@ -144,21 +133,10 @@ class LabeledColumns(Sequence[LabeledPrediction]):
         predicted = _mask(self.predicted, "predicted")
         if actual.ndim != 1 or actual.shape != predicted.shape:
             raise ValueError("actual and predicted must be 1-d arrays of one length")
-        for name, column in (("actual", actual), ("predicted", predicted)):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        _hold(self, actual=actual, predicted=predicted)
 
     def __len__(self) -> int:
         return self.actual.size
-
-    def __getitem__(self, index: int | slice) -> LabeledPrediction | LabeledColumns:
-        if isinstance(index, slice):
-            return LabeledColumns(self.actual[index], self.predicted[index])
-        return LabeledPrediction(_LABELS[self.actual[index].item()], _LABELS[self.predicted[index].item()])
-
-    def __iter__(self) -> Iterator[LabeledPrediction]:
-        actual, predicted = (map(_LABELS.__getitem__, column.tolist()) for column in (self.actual, self.predicted))
-        return map(LabeledPrediction, actual, predicted)
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,7 +205,7 @@ def _tally(actual: np.ndarray, predicted: np.ndarray) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=actual.size - tp - fp - fn)
 
 
-def from_predictions(pairs: Iterable[LabeledPrediction]) -> ConfusionCounts:
+def from_predictions(pairs: LabeledColumns | Iterable[LabeledPrediction]) -> ConfusionCounts:
     """Tally label pairs; equal to folding :func:`record` over :func:`empty`.
 
     A :class:`LabeledColumns` is counted as it is. Any other iterable is
@@ -252,14 +230,14 @@ def binarize(actual_class: Hashable, positive_class: Hashable) -> Label:
     return Label.POSITIVE if actual_class == positive_class else Label.NEGATIVE
 
 
-def _columns(samples: Sequence[ScoredSample]) -> ScoredColumns:
+def _columns(samples: ScoredColumns | Sequence[ScoredSample]) -> ScoredColumns:
     """``samples`` as columns: a :class:`ScoredColumns` as it is, any other sequence read into one."""
     if isinstance(samples, ScoredColumns):
         return samples
     return ScoredColumns([sample.score for sample in samples], [sample.actual is Label.POSITIVE for sample in samples])
 
 
-def threshold_counts(samples: Sequence[ScoredSample], threshold: float) -> ConfusionCounts:
+def threshold_counts(samples: ScoredColumns | Sequence[ScoredSample], threshold: float) -> ConfusionCounts:
     """The tally of hard predictions that are positive iff score >= ``threshold``.
 
     ``+inf`` predicts everything negative and ``-inf`` everything positive,

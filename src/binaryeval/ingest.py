@@ -325,7 +325,7 @@ def parse_scores(
     """Parse ``actual<delim>score`` rows into scored columns, in input order.
 
     Scores must be finite decimals (plain or scientific notation in ASCII
-    digits); an empty input yields an empty sequence rather than an error.
+    digits); an empty input yields empty columns rather than an error.
     """
     positive, score, report = _parse_chunks(source, cfg, strict, scored=True)
     return ScoredColumns._of_own_arrays(score, positive), report

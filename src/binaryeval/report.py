@@ -5,8 +5,8 @@ Each format has one writer, ``write_text``, ``write_json`` or
 in a few writes, the curve points in chunks of ``_CHUNK_POINTS``, so
 memory does not grow with the size of the report. Everything that can
 raise (the argument checks, the JSON encoding of counts, metrics and
-meta, the title's escaping) runs before the first write. ``render_text``,
-``render_json`` and ``render_svg`` return the same text as one string.
+meta, the title's escaping) runs before the first write. To get a
+report as one string, write it to an ``io.StringIO``.
 
 Two curve columns have a fixed shape: a text rate is ``d.dddddd`` and an
 SVG pixel ``dd.dd`` or ``ddd.dd``. Each chunk of them is built as one
@@ -34,12 +34,11 @@ curve point's threshold) is the string ``"inf"`` or ``"-inf"``.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -202,12 +201,6 @@ def _decimal_rows(
     return codes, keep
 
 
-def _rendered(write: Callable[..., None], *args: object, **kwargs: object) -> str:
-    out = io.StringIO()
-    write(*args, out, **kwargs)
-    return out.getvalue()
-
-
 def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "undefined") -> None:
     """Fixed-order plain-text report, one blank line between blocks.
 
@@ -239,11 +232,6 @@ def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
         parts[1::2] = _run_strings(curve.threshold[points])
         out.write("".join(parts))
     out.write(f"\nAUC {curve.auc:.6f}\n")
-
-
-def render_text(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
-    """What :func:`write_text` writes, as one string."""
-    return _rendered(write_text, report, zero_division=zero_division)
 
 
 def _json_safe(value: object) -> object:
@@ -286,11 +274,6 @@ def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
             parts[0], parts[5] = '\n      {\n        "fpr": ', '"inf"'
         out.write("".join(parts))
     out.write(f'\n    ],\n    "auc": {auc}\n  }}' + "".join(",\n" + text for text in tail) + "\n}\n")
-
-
-def render_json(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
-    """What :func:`write_json` writes, as one string."""
-    return _rendered(write_json, report, zero_division=zero_division)
 
 
 def _escape(text: str) -> str:
@@ -376,8 +359,3 @@ def write_svg(curve: RocCurve, title: str, out: TextIO) -> None:
         "</svg>",
     ]
     out.write("\n".join(lines) + "\n")
-
-
-def render_svg(curve: RocCurve, title: str) -> str:
-    """What :func:`write_svg` writes, as one string."""
-    return _rendered(write_svg, curve, title)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from binaryeval.counts import ScoredSample, _columns
+from binaryeval.counts import ScoredColumns, ScoredSample, _columns, _hold
 
 __all__ = [
     "ScoredSample",
@@ -65,7 +65,7 @@ class RocCurve:
     ``fpr = fp / fp[-1]`` and ``tpr = tp / tp[-1]`` (each a fresh array of
     the curve's length) and the ``auc`` are derived on each access;
     ``points`` is the same curve as :class:`RocPoint` values. The
-    constructor copies its arguments.
+    constructor copies and checks its arguments.
     """
 
     fp: np.ndarray
@@ -73,21 +73,8 @@ class RocCurve:
     threshold: np.ndarray
 
     def __post_init__(self) -> None:
-        self._hold(np.array(self.fp), np.array(self.tp), np.array(self.threshold, dtype=np.float64))
-
-    @classmethod
-    def _of_own_arrays(cls, fp: np.ndarray, tp: np.ndarray, threshold: np.ndarray) -> RocCurve:
-        """The curve of arrays that nothing else refers to, such as the sweep's own: checked, not copied."""
-        curve = object.__new__(cls)
-        curve._hold(fp, tp, threshold)
-        return curve
-
-    def _hold(self, fp: np.ndarray, tp: np.ndarray, threshold: np.ndarray) -> None:
-        fp, tp = _count_column("fp", fp), _count_column("tp", tp)
-        threshold = np.asarray(threshold, dtype=np.float64)
-        for name, column in (("fp", fp), ("tp", tp), ("threshold", threshold)):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        fp, tp = _count_column("fp", np.array(self.fp)), _count_column("tp", np.array(self.tp))
+        threshold = np.array(self.threshold, dtype=np.float64)
         if fp.ndim != 1 or fp.shape != tp.shape or fp.shape != threshold.shape:
             raise ValueError("fp, tp and threshold must be 1-d arrays of one length")
         if fp.size < 2:
@@ -102,6 +89,17 @@ class RocCurve:
             raise ValueError("thresholds must be strictly decreasing")
         if not np.isfinite(threshold[1:]).all():
             raise ValueError("thresholds after the first must be finite")
+        _hold(self, fp=fp, tp=tp, threshold=threshold)
+
+    @classmethod
+    def _of_own_arrays(cls, fp: np.ndarray, tp: np.ndarray, threshold: np.ndarray) -> RocCurve:
+        """The curve of the sweep's own ``int64``, ``int64`` and ``float64`` arrays, neither copied nor checked.
+
+        The sweep builds a valid curve; the tests check it with the constructor.
+        """
+        curve = object.__new__(cls)
+        _hold(curve, fp=fp, tp=tp, threshold=threshold)
+        return curve
 
     @property
     def fpr(self) -> np.ndarray:
@@ -121,7 +119,7 @@ class RocCurve:
         return tuple(map(RocPoint, self.fpr.tolist(), self.tpr.tolist(), self.threshold.tolist()))
 
 
-def roc_points(samples: Sequence[ScoredSample]) -> RocCurve:
+def roc_points(samples: ScoredColumns | Sequence[ScoredSample]) -> RocCurve:
     """Sweep the decision threshold over ``samples`` and build the curve.
 
     Samples are sorted by score descending and the labels are cumulatively
@@ -206,7 +204,7 @@ def _pair_tallies_ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
     return greater, equal
 
 
-def auc_pair_count(samples: Sequence[ScoredSample]) -> float:
+def auc_pair_count(samples: ScoredColumns | Sequence[ScoredSample]) -> float:
     """AUC as the probability a random positive outscores a random negative.
 
     Ties get half credit. The tallies are exact integers: the negatives

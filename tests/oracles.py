@@ -7,6 +7,7 @@ against them.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -17,6 +18,7 @@ import numpy as np
 
 from binaryeval.counts import ConfusionCounts, Label, LabeledColumns, LabeledPrediction, ScoredColumns, ScoredSample
 from binaryeval.ingest import InputConfig, ParseError, ParseReport, _is_positive, _split_row
+from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
 from binaryeval.roc import RocCurve, RocPoint
 
 T = TypeVar("T")
@@ -207,6 +209,27 @@ def pair_tallies_brute(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
     greater = int(np.sum(pos[:, None] > neg[None, :]))
     equal = int(np.sum(pos[:, None] == neg[None, :]))
     return greater, equal
+
+
+def render_text(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
+    """What ``write_text`` writes, as one string."""
+    out = io.StringIO()
+    write_text(report, out, zero_division=zero_division)
+    return out.getvalue()
+
+
+def render_json(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
+    """What ``write_json`` writes, as one string."""
+    out = io.StringIO()
+    write_json(report, out, zero_division=zero_division)
+    return out.getvalue()
+
+
+def render_svg(curve: RocCurve, title: str) -> str:
+    """What ``write_svg`` writes, as one string."""
+    out = io.StringIO()
+    write_svg(curve, title, out)
+    return out.getvalue()
 
 
 def _format_meta_value(value: object) -> str:

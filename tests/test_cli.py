@@ -359,6 +359,15 @@ class TestStreamedInput:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(FailingStream()))
         assert invoke("evaluate", "-") == (2, "", "error: cannot read input '-': Input/output error\n")
 
+    def test_a_stdin_already_read_from_is_an_error_line(self, monkeypatch):
+        # The text layer cannot change the decoding of a stream it has read from.
+        stdin = io.TextIOWrapper(io.BytesIO(b"x\n1,1\n0,0\n"))
+        stdin.readline()
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = invoke("evaluate", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read input '-': ") and err.count("\n") == 1
+
     def test_a_stdin_closed_at_start_is_an_error_line(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         child = subprocess.run(

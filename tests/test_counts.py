@@ -165,14 +165,13 @@ class TestFromPredictions:
 
     @given(pairs_strategy)
     def test_columns_equal_the_loop_over_their_pairs(self, pairs):
-        columns = columns_of(pairs)
-        assert from_predictions(columns) == from_predictions(list(columns)) == tally_pairs(pairs)
+        assert from_predictions(columns_of(pairs)) == from_predictions(pairs) == tally_pairs(pairs)
 
     @given(pairs_strategy, st.lists(st.integers(0, 60), max_size=5))
     def test_merge_over_column_slices_equals_the_whole(self, pairs, cuts):
         columns = columns_of(pairs)
         bounds = [0, *sorted(min(cut, len(pairs)) for cut in cuts), len(pairs)]
-        shards = (columns[start:stop] for start, stop in zip(bounds, bounds[1:]))
+        shards = (LabeledColumns(columns.actual[a:b], columns.predicted[a:b]) for a, b in zip(bounds, bounds[1:]))
         assert reduce(merge, map(from_predictions, shards), empty()) == from_predictions(columns)
 
 
@@ -250,16 +249,6 @@ class TestThresholdCounts:
 
 
 class TestLabeledColumns:
-    @given(pairs_strategy, st.none() | st.integers(-65, 65), st.none() | st.integers(-5, 5).filter(bool))
-    def test_sequence_views_and_slices_equal_the_pairs(self, pairs, start, step):
-        columns = columns_of(pairs)
-        assert len(columns) == len(pairs)
-        assert list(columns) == pairs
-        assert [columns[i] for i in range(len(columns))] == pairs
-        part = columns[start::step]
-        assert isinstance(part, LabeledColumns)
-        assert list(part) == pairs[start::step]
-
     def test_columns_are_read_only_and_of_one_length(self):
         columns = LabeledColumns([True, False], [False, False])
         assert columns.actual.dtype == bool and columns.predicted.dtype == bool
@@ -267,9 +256,10 @@ class TestLabeledColumns:
             columns.actual[0] = False
         with pytest.raises(ValueError):
             columns.predicted[0] = True
-        assert columns[0] == lp(P, N)
-        with pytest.raises(IndexError):
-            columns[2]
+        assert len(columns) == 2
+        assert (columns.actual.tolist(), columns.predicted.tolist()) == ([True, False], [False, False])
+        with pytest.raises(TypeError):
+            columns[0]  # its pairs are its columns, not a sequence
         with pytest.raises(ValueError, match="one length"):
             LabeledColumns([True, False], [True])
         with pytest.raises(ValueError, match="1-d"):
@@ -288,26 +278,19 @@ class TestScoredSample:
 
 
 class TestScoredColumns:
-    @given(samples_strategy)
-    def test_sequence_views_equal_the_samples(self, samples):
-        columns = ScoredColumns([s.score for s in samples], [s.actual is P for s in samples])
-        assert len(columns) == len(samples)
-        assert list(columns) == samples
-        assert [columns[i] for i in range(len(columns))] == samples
-        if samples:
-            assert columns[-1] == samples[-1]
-
     @given(
         samples_strategy,
         st.none() | st.integers(-45, 45),
         st.none() | st.integers(-45, 45),
         st.none() | st.integers(-5, 5).filter(bool),
     )
-    def test_slice_is_columns_of_the_sliced_samples(self, samples, start, stop, step):
-        columns = ScoredColumns([s.score for s in samples], [s.actual is P for s in samples])
-        part = columns[start:stop:step]
-        assert isinstance(part, ScoredColumns)
-        assert list(part) == list(columns)[start:stop:step]
+    def test_columns_of_sliced_arrays_are_those_of_the_sliced_samples(self, samples, start, stop, step):
+        columns = _columns(samples)
+        part = slice(start, stop, step)
+        sliced = ScoredColumns(columns.score[part], columns.positive[part])
+        assert len(columns) == len(samples)
+        assert sliced.score.tolist() == _columns(samples[part]).score.tolist() == [s.score for s in samples[part]]
+        assert sliced.positive.tolist() == [s.actual is P for s in samples[part]]
 
     def test_columns_are_read_only_copies_handed_over_as_they_are(self):
         score, positive = [0.5, -1.0], [True, False]
@@ -318,8 +301,9 @@ class TestScoredColumns:
         with pytest.raises(ValueError):
             columns.positive[0] = False
         assert _columns(columns) is columns
-        with pytest.raises(IndexError):
-            columns[2]
+        assert len(columns) == 2
+        with pytest.raises(TypeError):
+            iter(columns)  # its samples are its columns, not a sequence
 
     def test_shape_and_finiteness_checked_once_at_construction(self):
         with pytest.raises(ValueError, match="one length"):

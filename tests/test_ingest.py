@@ -7,12 +7,12 @@ import re
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from binaryeval import ingest
-from binaryeval.counts import Label
 from binaryeval.ingest import (
     InputConfig,
     ParseError,
@@ -22,9 +22,6 @@ from binaryeval.ingest import (
 )
 from oracles import SCORE_PATTERN, parse_hard_labels_rows, parse_scores_rows, utf8_failure
 
-P = Label.POSITIVE
-N = Label.NEGATIVE
-
 CFG = InputConfig()
 
 label_text = st.text(
@@ -32,6 +29,11 @@ label_text = st.text(
     min_size=1,
     max_size=8,
 )
+
+
+def pairs_of(columns) -> list[tuple[bool, bool]]:
+    """The parsed label pairs as (actual, predicted), each true where that label is positive."""
+    return list(zip(columns.actual.tolist(), columns.predicted.tolist()))
 
 
 class TestConfig:
@@ -67,18 +69,18 @@ class TestParseReport:
 class TestHardLabels:
     def test_default_zero_one_mapping(self):
         pairs, report = parse_hard_labels("1,1\n1,0\n0,1\n", CFG)
-        assert [(p.actual, p.predicted) for p in pairs] == [(P, P), (P, N), (N, P)]
+        assert pairs_of(pairs) == [(True, True), (True, False), (False, True)]
         assert report == ParseReport(3, 3, ())
 
     def test_custom_positive_label(self):
         cfg = InputConfig(positive_label="spam")
         pairs, _ = parse_hard_labels("spam,ham\n", cfg)
-        assert [(p.actual, p.predicted) for p in pairs] == [(P, N)]
+        assert pairs_of(pairs) == [(True, False)]
 
     def test_one_vs_rest_maps_every_other_label_negative(self):
         cfg = InputConfig(positive_label="cat")
         pairs, report = parse_hard_labels("cat,dog\nbird,cat\n", cfg)
-        assert [(p.actual, p.predicted) for p in pairs] == [(P, N), (N, P)]
+        assert pairs_of(pairs) == [(True, False), (False, True)]
         assert report.failures == ()
 
     def test_declared_negative_label_makes_others_failures(self):
@@ -125,47 +127,44 @@ class TestHardLabels:
     def test_custom_delimiter(self):
         cfg = InputConfig(delimiter=";")
         pairs, _ = parse_hard_labels("1;0\n", cfg)
-        assert [(p.actual, p.predicted) for p in pairs] == [(P, N)]
+        assert pairs_of(pairs) == [(True, False)]
 
     def test_accepts_file_like_streams(self):
         text = "1,1\n0,0\n\n"  # the empty last line is a malformed row
         for source in (io.StringIO(text), ["1,1", "0,0", ""], io.StringIO(text.replace("\n", "\r\n"))):
             pairs, report = parse_hard_labels(source, CFG)
-            assert [(p.actual, p.predicted) for p in pairs] == [(P, P), (N, N)]
+            assert pairs_of(pairs) == [(True, True), (False, False)]
             assert report == ParseReport(3, 2, ((3, "expected 2 fields, got 1"),))
 
     def test_crlf_and_lf_parse_identically(self):
-        unix, _ = parse_hard_labels("1,1\n0,1\n", CFG)
-        dos, _ = parse_hard_labels("1,1\r\n0,1\r\n", CFG)
-        assert list(unix) == list(dos)
+        assert _labeled("1,1\n0,1\n", CFG) == _labeled("1,1\r\n0,1\r\n", CFG)
         # A lone CR ends a line too, as it does in the CLI.
-        for parse, text in [(parse_scores, "1\r,0.5\n"), (parse_hard_labels, "a,b\r\rc\n")]:
-            columns, report = parse(text, CFG)
-            lf_columns, lf_report = parse(text.replace("\r", "\n"), CFG)
-            assert (list(columns), report) == (list(lf_columns), lf_report)
-            assert report.failures
+        for read, text in [(_scored, "1\r,0.5\n"), (_labeled, "a,b\r\rc\n")]:
+            parsed = read(text, CFG)
+            assert read(text.replace("\r", "\n"), CFG) == parsed
+            assert parsed[2].failures
 
     def test_trailing_newline_is_irrelevant(self):
         with_newline, r1 = parse_hard_labels("1,1\n0,1\n", CFG)
         without, r2 = parse_hard_labels("1,1\n0,1", CFG)
-        assert list(with_newline) == list(without)
+        assert pairs_of(with_newline) == pairs_of(without)
         assert r1 == r2
 
     def test_empty_input(self):
         pairs, report = parse_hard_labels("", CFG)
-        assert list(pairs) == []
+        assert pairs_of(pairs) == []
         assert report == ParseReport(0, 0, ())
 
 
 class TestScores:
     def test_basic_rows(self):
         scored, report = parse_scores("1,0.9\n0,0.8\n", CFG)
-        assert [(s.score, s.actual) for s in scored] == [(0.9, P), (0.8, N)]
+        assert (scored.score.tolist(), scored.positive.tolist()) == ([0.9, 0.8], [True, False])
         assert report.failures == ()
 
     def test_scientific_notation_accepted(self):
         scored, _ = parse_scores("1,9e-1\n", CFG)
-        assert scored[0].score == 0.9
+        assert scored.score.tolist() == [0.9]
 
     @pytest.mark.parametrize(
         "token", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "0x1p3", "1_0", " 0.9", "0,9", ""]
@@ -196,7 +195,7 @@ class TestScores:
 
     def test_negative_and_extreme_scores(self):
         scored, _ = parse_scores("1,-3.5\n0,+2.25e2\n1,.5\n", CFG)
-        assert [s.score for s in scored] == [-3.5, 225.0, 0.5]
+        assert scored.score.tolist() == [-3.5, 225.0, 0.5]
 
 
 class TestProperties:
@@ -213,23 +212,20 @@ class TestProperties:
         )
         parsed, report = parse_hard_labels(rows, cfg)
         assert report.failures == ()
-        assert [(p.actual is P, p.predicted is P) for p in parsed] == flags
-        serialized = "\n".join(
-            f"{pos if p.actual is P else neg},{pos if p.predicted is P else neg}"
-            for p in parsed
-        )
+        assert pairs_of(parsed) == flags
+        serialized = "\n".join(f"{pos if a else neg},{pos if p else neg}" for a, p in pairs_of(parsed))
         assert serialized == rows
         reparsed, _ = parse_hard_labels(serialized, cfg)
-        assert list(reparsed) == list(parsed)
+        assert pairs_of(reparsed) == pairs_of(parsed)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
     def test_score_round_trip_through_repr(self, values):
         rows = "\n".join(f"1,{value!r}" for value in values)
         parsed, report = parse_scores(rows, CFG)
         assert report.failures == ()
-        assert [s.score for s in parsed] == values
-        reparsed, _ = parse_scores("\n".join(f"1,{s.score!r}" for s in parsed), CFG)
-        assert list(reparsed) == list(parsed)
+        assert parsed.score.tolist() == values
+        reparsed, _ = parse_scores("\n".join(f"1,{score!r}" for score in parsed.score.tolist()), CFG)
+        assert (reparsed.score.tolist(), reparsed.positive.tolist()) == (values, [True] * len(values))
 
     # characters() leaves out surrogates (category Cs) unless asked for
     # them, so half the soups are drawn with them added.
@@ -246,8 +242,10 @@ class TestProperties:
                     parse(source, CFG)
                 assert (exc_info.value.line_number, exc_info.value.reason) == utf8_failures[0]
             else:
-                _, report = parse(source, CFG)
+                columns, report = parse(source, CFG)
                 assert report.records_accepted + len(report.failures) == report.records_read
+                # The parser hands its scores to ScoredColumns unchecked: it must accept finite ones only.
+                assert parse is parse_hard_labels or np.isfinite(columns.score).all()
 
 
 # Line soup for the bulk/row differential: mostly valid rows, so that many
@@ -277,6 +275,7 @@ def _scored(source, cfg, strict=False, parse=parse_scores):
         columns, report = parse(source, cfg, strict=strict)
     except ParseError as exc:
         return ("error", exc.line_number, exc.reason)
+    assert np.isfinite(columns.score).all()  # ScoredColumns does not check the parser's own scores again
     return [s.hex() for s in columns.score.tolist()], columns.positive.tolist(), report
 
 
@@ -359,7 +358,7 @@ class TestBulkPath:
         data_rows = rows[1:] if options.get("has_header") else rows
         assert report == ParseReport(len(data_rows), len(data_rows))
         assert columns.positive.tolist() == [label == "1" for label, _ in data_rows]
-        assert [(p.actual is P, p.predicted is P) for p in pairs] == [(label == "1",) * 2 for label, _ in data_rows]
+        assert pairs_of(pairs) == [(label == "1",) * 2 for label, _ in data_rows]
 
     @given(st.text(alphabet="0123456789.+-eE_infa \u0665", max_size=10))
     def test_score_characters_and_float_accept_the_score_pattern(self, text):

@@ -18,18 +18,10 @@ from hypothesis import strategies as st
 from binaryeval import report as report_module
 from binaryeval.counts import ConfusionCounts, Label, ScoredColumns, ScoredSample
 from binaryeval.metrics import all_metrics
-from binaryeval.report import (
-    EvaluationReport,
-    render_json,
-    render_svg,
-    render_text,
-    write_json,
-    write_svg,
-    write_text,
-)
+from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
 from binaryeval.roc import RocCurve, roc_points
 
-from oracles import roc_json, roc_svg, roc_text
+from oracles import render_json, render_svg, render_text, roc_json, roc_svg, roc_text
 
 P = Label.POSITIVE
 N = Label.NEGATIVE

@@ -40,6 +40,13 @@ def samples(*score_label_pairs) -> list[ScoredSample]:
     return [ScoredSample(score, label) for score, label in score_label_pairs]
 
 
+def checked_sweep(s) -> RocCurve:
+    """``roc_points(s)``, once the public constructor has checked its arrays: the sweep hands them over unchecked."""
+    curve = roc_points(s)
+    RocCurve(curve.fp, curve.tp, curve.threshold)
+    return curve
+
+
 @st.composite
 def sample_sets(draw, tie_heavy: bool = False):
     """At least one sample of each class; tie_heavy draws scores off a small grid."""
@@ -100,7 +107,7 @@ class TestRocPoints:
 
     @given(sample_sets())
     def test_curve_satisfies_structural_invariants(self, s):
-        curve = roc_points(s)
+        curve = checked_sweep(s)
         first, last = curve.points[0], curve.points[-1]
         assert (first.fpr, first.tpr, first.threshold) == (0.0, 0.0, math.inf)
         assert (last.fpr, last.tpr) == (1.0, 1.0)
@@ -110,7 +117,7 @@ class TestRocPoints:
 
     @given(sample_sets(tie_heavy=True))
     def test_points_match_metrics_at_each_threshold(self, s):
-        curve = roc_points(s)
+        curve = checked_sweep(s)
         for point in curve.points:
             counts = from_predictions(apply_threshold(s, point.threshold))
             assert point.fpr == false_positive_rate(counts)
@@ -173,14 +180,14 @@ class TestReferenceSweep:
     @given(data=st.data())
     def test_curve_is_bit_identical_to_the_per_row_sweep(self, scores, data):
         s = data.draw(scored_sets(scores))
-        curve = roc_points(s)
+        curve = checked_sweep(s)
         points, auc = roc_sweep(s)
         assert bits(curve.fpr) == bits(p.fpr for p in points)
         assert bits(curve.tpr) == bits(p.tpr for p in points)
         assert bits(curve.threshold) == bits(p.threshold for p in points)
         assert bits([curve.auc]) == bits([auc])
         columns = ScoredColumns([x.score for x in s], [x.actual is P for x in s])
-        from_columns = roc_points(columns)
+        from_columns = checked_sweep(columns)
         assert bits(from_columns.threshold) == bits(curve.threshold)
         assert bits([from_columns.auc, auc_pair_count(columns)]) == bits([curve.auc, auc_pair_count(s)])
 
@@ -201,15 +208,10 @@ class TestReferenceSweep:
         zeros = np.flatnonzero(rng.random(n) < 0.05)
         score[zeros] = np.where(rng.random(zeros.size) < 0.5, -0.0, 0.0)
         positive = rng.random(n) < 0.3
-        curve = roc_points(ScoredColumns(score, positive))
+        curve = checked_sweep(ScoredColumns(score, positive))
         fp, tp, threshold = roc_sweep_stable(score, positive)
         assert np.array_equal(curve.fp, fp) and np.array_equal(curve.tp, tp)
         assert np.array_equal(curve.threshold.view(np.uint64), threshold.view(np.uint64))
-
-
-# The public constructor, which copies its arguments, and the sweep's
-# no-copy path: both run every check, with the same messages.
-CURVE_BUILDERS = (RocCurve, RocCurve._of_own_arrays)
 
 
 class TestCurveColumns:
@@ -224,18 +226,16 @@ class TestCurveColumns:
         )
 
     def test_nan_threshold_and_ragged_columns_rejected(self):
-        for build in CURVE_BUILDERS:
-            with pytest.raises(ValueError, match="strictly decreasing"):
-                build(fp=[0, 1], tp=[0, 1], threshold=[math.inf, math.nan])
-            with pytest.raises(ValueError, match="one length"):
-                build(fp=[0, 1], tp=[0, 1, 2], threshold=[math.inf, 0.5])
-            with pytest.raises(ValueError, match="at least the initial and final point"):
-                build(fp=[0], tp=[0], threshold=[math.inf])
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[math.inf, math.nan])
+        with pytest.raises(ValueError, match="one length"):
+            RocCurve(fp=[0, 1], tp=[0, 1, 2], threshold=[math.inf, 0.5])
+        with pytest.raises(ValueError, match="at least the initial and final point"):
+            RocCurve(fp=[0], tp=[0], threshold=[math.inf])
 
     def test_infinite_threshold_after_the_first_rejected(self):
-        for build in CURVE_BUILDERS:
-            with pytest.raises(ValueError, match="after the first must be finite"):
-                build(fp=[0, 1], tp=[0, 1], threshold=[math.inf, -math.inf])
+        with pytest.raises(ValueError, match="after the first must be finite"):
+            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[math.inf, -math.inf])
 
     def test_constructor_copies_and_the_sweep_path_does_not(self):
         fp, tp, threshold = np.array([0, 1, 2]), np.array([0, 2, 2]), np.array([math.inf, 0.5, 0.25])
@@ -370,26 +370,22 @@ class TestCurveTypes:
             RocPoint(fpr=0.5, tpr=-0.1, threshold=0.5)
 
     def test_curve_must_start_at_origin_with_infinite_threshold(self):
-        for build in CURVE_BUILDERS:
-            with pytest.raises(ValueError, match="start"):
-                build(fp=[0, 1], tp=[0, 1], threshold=[5.0, 0.5])
+        with pytest.raises(ValueError, match="start"):
+            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[5.0, 0.5])
 
     def test_curve_must_end_at_one_one(self):
-        for build in CURVE_BUILDERS:
-            with pytest.raises(ValueError, match="end"):
-                build(fp=[0, 1], tp=[0, 0], threshold=[math.inf, 0.5])
-            with pytest.raises(ValueError, match="must end with fp > 0 and tp > 0, got fp=0 and tp=1"):
-                build(fp=[0, 0], tp=[0, 1], threshold=[math.inf, 0.5])
+        with pytest.raises(ValueError, match="end"):
+            RocCurve(fp=[0, 1], tp=[0, 0], threshold=[math.inf, 0.5])
+        with pytest.raises(ValueError, match="must end with fp > 0 and tp > 0, got fp=0 and tp=1"):
+            RocCurve(fp=[0, 0], tp=[0, 1], threshold=[math.inf, 0.5])
 
     def test_curve_rejects_decreasing_rates(self):
-        for build in CURVE_BUILDERS:
-            with pytest.raises(ValueError, match="non-decreasing"):
-                build(fp=[0, 5, 4, 10], tp=[0, 4, 5, 5], threshold=[math.inf, 0.7, 0.6, 0.5])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            RocCurve(fp=[0, 5, 4, 10], tp=[0, 4, 5, 5], threshold=[math.inf, 0.7, 0.6, 0.5])
 
     def test_curve_rejects_non_decreasing_thresholds(self):
-        for build in CURVE_BUILDERS:
-            with pytest.raises(ValueError, match="strictly decreasing"):
-                build(fp=[0, 1, 2], tp=[0, 1, 2], threshold=[math.inf, 0.5, 0.5])
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            RocCurve(fp=[0, 1, 2], tp=[0, 1, 2], threshold=[math.inf, 0.5, 0.5])
 
     @pytest.mark.parametrize(
         "fp, tp, match",
@@ -405,6 +401,5 @@ class TestCurveTypes:
         ids=["fraction", "float", "negative", "beyond-int64", "beyond-int64-list", "beyond-uint64-list"],
     )
     def test_curve_rejects_counts_that_are_not_counts(self, fp, tp, match):
-        for build in CURVE_BUILDERS:
-            with pytest.raises(ValueError, match=match):
-                build(fp=fp, tp=tp, threshold=[math.inf, 0.5])
+        with pytest.raises(ValueError, match=match):
+            RocCurve(fp=fp, tp=tp, threshold=[math.inf, 0.5])
