@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -230,14 +230,15 @@ def binarize(actual_class: Hashable, positive_class: Hashable) -> Label:
     return Label.POSITIVE if actual_class == positive_class else Label.NEGATIVE
 
 
-def _columns(samples: ScoredColumns | Sequence[ScoredSample]) -> ScoredColumns:
-    """``samples`` as columns: a :class:`ScoredColumns` as it is, any other sequence read into one."""
+def _columns(samples: ScoredColumns | Iterable[ScoredSample]) -> ScoredColumns:
+    """``samples`` as columns: a :class:`ScoredColumns` as it is, any other iterable read into one in a single pass."""
     if isinstance(samples, ScoredColumns):
         return samples
-    return ScoredColumns([sample.score for sample in samples], [sample.actual is Label.POSITIVE for sample in samples])
+    rows = list(samples)
+    return ScoredColumns([sample.score for sample in rows], [sample.actual is Label.POSITIVE for sample in rows])
 
 
-def threshold_counts(samples: ScoredColumns | Sequence[ScoredSample], threshold: float) -> ConfusionCounts:
+def threshold_counts(samples: ScoredColumns | Iterable[ScoredSample], threshold: float) -> ConfusionCounts:
     """The tally of hard predictions that are positive iff score >= ``threshold``.
 
     ``+inf`` predicts everything negative and ``-inf`` everything positive,

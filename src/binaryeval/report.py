@@ -8,13 +8,14 @@ raise (the argument checks, the JSON encoding of counts, metrics and
 meta, the title's escaping) runs before the first write. To get a
 report as one string, write it to an ``io.StringIO``.
 
-Two curve columns have a fixed shape: a text rate is ``d.dddddd`` and an
-SVG pixel ``dd.dd`` or ``ddd.dd``. Each chunk of them is built as one
-``uint8`` matrix of ASCII digits from the values scaled and rounded in
-float (``_decimal_rows``), with no string per value; ``_scaled`` settles
-a product exactly on a half by the sign of its exact error. The ``repr``
-columns (JSON rates, thresholds) are formatted once per run of equal
-values (``_run_strings``).
+Each chunk is laid out as one ``uint8`` matrix of ASCII codes, a row per
+point, whose NUL bytes are dropped as it is written (``_joined``); no
+string is made per value. Two curve columns have a fixed shape: a text
+rate is ``d.dddddd`` and an SVG pixel ``dd.dd`` or ``ddd.dd``, scaled and
+rounded in float (``_decimal_rows``); ``_scaled`` settles a product
+exactly on a half by the sign of its exact error. The JSON rates and
+every threshold are ``repr``'s shortest round-trip digits, computed for
+the whole chunk at once by :func:`binaryeval._shortest.repr_codes`.
 
 All writers are pure: identical inputs produce byte-identical output.
 Undefined metric values render as ``"undefined"`` (text) or ``null``
@@ -42,6 +43,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
+from binaryeval._shortest import repr_codes
 from binaryeval.counts import ConfusionCounts
 from binaryeval.metrics import MetricSet
 from binaryeval.roc import RocCurve
@@ -118,26 +120,12 @@ def _matrix_lines(c: ConfusionCounts) -> list[str]:
     ]
 
 
-def _run_strings(column: np.ndarray) -> list[str]:
-    """``repr`` of every value, called once per run of consecutive equal values.
-
-    Values are equal when their bit patterns are, so ``-0.0`` and ``0.0``
-    never share a string.
-    """
-    bits = column.view(np.uint64)
-    starts = np.empty(bits.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    strings = np.array(list(map(repr, column[starts].tolist())), dtype=object)
-    return strings[np.cumsum(starts) - 1].tolist()
-
-
-def _curve_chunks(curve: RocCurve) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """The curve's points as slices of at most ``_CHUNK_POINTS``, each with its fpr and tpr.
+def _curve_chunks(curve: RocCurve, first: int = 0) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The curve's points from ``first`` on as slices of at most ``_CHUNK_POINTS``, each with its fpr and tpr.
 
     The rates divide as ``RocCurve.fpr`` and ``tpr`` do, so no column is built whole.
     """
-    for start in range(0, curve.threshold.size, _CHUNK_POINTS):
+    for start in range(first, curve.threshold.size, _CHUNK_POINTS):
         points = slice(start, start + _CHUNK_POINTS)
         yield points, curve.fp[points] / curve.fp[-1], curve.tp[points] / curve.tp[-1]
 
@@ -166,24 +154,20 @@ def _scaled(values: np.ndarray, places: int) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
-def _decimal_rows(
-    template: str, columns: Sequence[np.ndarray], places: int, digits: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _decimal_rows(template: str, columns: Sequence[np.ndarray], places: int, digits: int) -> np.ndarray:
     """``template`` once per point as ASCII codes, each ``{}`` filled by ``format(v, f".{places}f")``.
 
     Row ``i`` of the ``uint8`` matrix is point ``i``: the template's
     literals with each column's value as ``digits`` integer digits, a point
-    and ``places`` decimals between them. ``keep`` marks the codes to
-    write: it drops the leading zeros of the integer part, judged on the
-    rounded value, so 99.995 keeps all three digits of ``100.00``. The
-    values must lie in ``[0, 10**digits)`` with ``digits + places`` at most
-    7; no string is made per value.
+    and ``places`` decimals between them. The leading zeros of the integer
+    part are NULs, judged on the rounded value, so 99.995 keeps all three
+    digits of ``100.00``. The values must lie in ``[0, 10**digits)`` with
+    ``digits + places`` at most 7.
     """
     literals = [np.frombuffer(text.encode("ascii"), dtype=np.uint8) for text in template.split("{}")]
     width = digits + 1 + places
     digit_offsets = [*range(digits), *range(digits + 1, width)]
     codes = np.empty((columns[0].size, sum(map(len, literals)) + width * len(columns)), dtype=np.uint8)
-    keep = np.ones(codes.shape, dtype=bool)
     at = 0
     for literal, column in zip(literals, columns):
         codes[:, at : at + literal.size] = literal
@@ -195,10 +179,21 @@ def _decimal_rows(
             rest, digit = np.divmod(rest, 10)
             codes[:, at + offset] = digit + ord("0")
         for lead in range(digits - 1):
-            keep[:, at + lead] = scaled >= 10 ** (places + digits - 1 - lead)
+            codes[:, at + lead] *= scaled >= 10 ** (places + digits - 1 - lead)
         at += width
     codes[:, at:] = literals[-1]
-    return codes, keep
+    return codes
+
+
+def _joined(parts: Sequence[str | np.ndarray]) -> str:
+    """The rows of ``parts`` side by side as text, without their NULs; a ``str`` part is on every row."""
+    rows = next(part.shape[0] for part in parts if not isinstance(part, str))
+    codes = [
+        np.broadcast_to(np.frombuffer(part.encode("ascii"), dtype=np.uint8), (rows, len(part)))
+        if isinstance(part, str) else part
+        for part in parts
+    ]
+    return np.concatenate(codes, axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "undefined") -> None:
@@ -223,14 +218,9 @@ def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
         return
     out.write("\n\n".join(blocks + ["fpr tpr threshold"]))
     for points, fpr, tpr in _curve_chunks(curve):
-        # Every rate is in [0, 1], so each line's head "\n<fpr> <tpr> " has one
-        # width, and the matrix viewed as UCS-4 strings cuts the heads apart.
-        codes, _ = _decimal_rows("\n{} {} ", (fpr, tpr), places=6, digits=1)
-        parts = [""] * (2 * codes.shape[0])
-        parts[::2] = codes.astype(np.uint32).view(f"<U{codes.shape[1]}").ravel().tolist()
+        rates = _decimal_rows("\n{} {} ", (fpr, tpr), places=6, digits=1)
         # repr(+inf) is "inf", the text form of the initial point's threshold.
-        parts[1::2] = _run_strings(curve.threshold[points])
-        out.write("".join(parts))
+        out.write(_joined([rates, repr_codes(curve.threshold[points])]))
     out.write(f"\nAUC {curve.auc:.6f}\n")
 
 
@@ -264,15 +254,16 @@ def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "u
         out.write("{\n" + ",\n".join(head + tail) + "\n}\n" if head or tail else "{}\n")
         return
     auc = json.dumps(curve.auc)
-    out.write("{\n" + "".join(text + ",\n" for text in head) + '  "roc": {\n    "points": [')
-    point = [',\n      {\n        "fpr": ', "", ',\n        "tpr": ', "", ',\n        "threshold": ', "", "\n      }"]
-    for points, fpr, tpr in _curve_chunks(curve):
-        parts = point * fpr.size
-        parts[1::7], parts[3::7], parts[5::7] = map(_run_strings, (fpr, tpr, curve.threshold[points]))
-        if points.start == 0:
-            # Point 0 has no comma before it, and its +inf threshold is "inf", as in meta.
-            parts[0], parts[5] = '\n      {\n        "fpr": ', '"inf"'
-        out.write("".join(parts))
+    # Every curve starts at (0, 0, +inf), and the infinite threshold is "inf", as in meta.
+    out.write(
+        "{\n" + "".join(text + ",\n" for text in head) + '  "roc": {\n    "points": [\n      {\n'
+        '        "fpr": 0.0,\n        "tpr": 0.0,\n        "threshold": "inf"\n      }'
+    )
+    for points, fpr, tpr in _curve_chunks(curve, first=1):
+        out.write(_joined([
+            ',\n      {\n        "fpr": ', repr_codes(fpr), ',\n        "tpr": ', repr_codes(tpr),
+            ',\n        "threshold": ', repr_codes(curve.threshold[points]), "\n      }",
+        ]))
     out.write(f'\n    ],\n    "auc": {auc}\n  }}' + "".join(",\n" + text for text in tail) + "\n}\n")
 
 
@@ -343,10 +334,10 @@ def write_svg(curve: RocCurve, title: str, out: TextIO) -> None:
     out.write("\n".join(lines))
     for points, fpr, tpr in _curve_chunks(curve):
         # Every pixel is in [50, 590], so "dd.dd" or "ddd.dd".
-        codes, keep = _decimal_rows(" {},{}", (x_px(fpr), y_px(tpr)), places=2, digits=3)
-        # Points are separated by a space, which point 0 does without.
-        keep[0, 0] = points.start != 0
-        out.write(codes[keep].tobytes().decode("ascii"))
+        codes = _decimal_rows(" {},{}", (x_px(fpr), y_px(tpr)), places=2, digits=3)
+        if points.start == 0:
+            codes[0, 0] = 0  # points are separated by a space, which point 0 does without
+        out.write(_joined([codes]))
     lines = [
         '" fill="none" stroke="#1f77b4" stroke-width="2"/>',
         f'<text x="{(left + right) / 2:.2f}" y="{bottom + 40}" text-anchor="middle" '

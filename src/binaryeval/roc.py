@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -204,7 +204,7 @@ def _pair_tallies_ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
     return greater, equal
 
 
-def auc_pair_count(samples: ScoredColumns | Sequence[ScoredSample]) -> float:
+def auc_pair_count(samples: ScoredColumns | Iterable[ScoredSample]) -> float:
     """AUC as the probability a random positive outscores a random negative.
 
     Ties get half credit. The tallies are exact integers: the negatives

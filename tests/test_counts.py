@@ -25,6 +25,7 @@ from binaryeval.counts import (
     record,
     threshold_counts,
 )
+from binaryeval.roc import auc_pair_count
 
 from oracles import apply_threshold, tally_pairs
 
@@ -246,6 +247,13 @@ class TestThresholdCounts:
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             threshold_counts([ScoredSample(0.5, P)], math.nan)
+
+    @given(samples_strategy, st.floats(allow_nan=False))
+    def test_a_one_shot_iterator_gives_the_tally_and_auc_of_the_list(self, samples, threshold):
+        # Both classes are present, so the pair-count AUC is defined.
+        samples = [ScoredSample(0.5, P), ScoredSample(0.2, N), *samples]
+        assert threshold_counts(iter(samples), threshold) == threshold_counts(samples, threshold)
+        assert auc_pair_count(iter(samples)) == auc_pair_count(samples)
 
 
 class TestLabeledColumns:

@@ -348,8 +348,7 @@ FAR_FROM_TIES = {
 
 def fixed_point_text(values: list[float], places: int, digits: int) -> str:
     """``report._decimal_rows`` of ``values`` with a space before each, as the text it writes."""
-    codes, keep = report_module._decimal_rows(" {}", (np.array(values, dtype=np.float64),), places, digits)
-    return codes[keep].tobytes().decode("ascii")
+    return report_module._joined([report_module._decimal_rows(" {}", (np.array(values, dtype=np.float64),), places, digits)])
 
 
 class TestDecimalRows:
