@@ -8,11 +8,12 @@ by :func:`parse_scores` into :class:`ScoredColumns`.
 Parsing is lenient by default (malformed rows are reported per line and
 skipped); ``strict=True`` aborts on the first failure instead.
 
-The source, a whole ``str``, a text stream (anything with ``read``,
-read in blocks of 64 Ki characters) or an iterable of pieces of whole
-lines, is read lazily in chunks of about 64 Ki characters that end on
-line boundaries, with CR and CRLF read as LF, so only one chunk of text
-is worked on at a time and the source is never joined into one string.
+The source, a ``str`` read in 64 Ki-character slices, a text stream
+(anything with ``read``) read in blocks as long, or an iterable of pieces
+of whole lines, is read lazily through the standard library's newline
+decoder (CR and CRLF read as LF) in chunks of about 64 Ki characters that
+end on LF, so only one chunk is worked on at a time and the source is
+never joined into one string.
 Each chunk is parsed in bulk: its code points are checked to
 hold exactly one delimiter per line, labels are matched on those code
 points, and scores are split once and checked as a whole column (score
@@ -28,6 +29,7 @@ fails a chunk's bulk checks, and the row loop or the header check raises
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -48,18 +50,14 @@ _SCORE_CHARS = b"0123456789.+-eE"
 # one chunk's code points, separator indices and field strings are alive
 # at a time. On 2x10^5-row inputs, the CLI's peak RSS was 30.9 MB (hard
 # labels) and 33.5 MB (scores) with this size, against 35.6 and 36.0 MB
-# with 256 Ki-character chunks, and parsing took no longer. A text stream,
-# such as the CLI's open input, is read in blocks of this many characters.
+# with 256 Ki-character chunks, and parsing took no longer. A str is read
+# in slices, and a text stream (the CLI's open input) in blocks, this long.
 _CHUNK_CHARS = 1 << 16
 
 # Each parsed column starts this many bytes long: large enough that glibc
 # maps it rather than carving it from the heap, and under the 4 MiB from
 # which numpy asks for huge pages. Pages never written cost no memory.
 _COLUMN_BYTES = 1 << 20
-
-# A line end: LF, CRLF, or a CR that has a character after it which is
-# not LF. A CR that ends the text read so far may be half of a CRLF.
-_LINE_END = re.compile(r"\r\n|\n|\r(?=[^\n])")
 
 # A surrogate: an invalid byte 0xNN decoded as U+DCNN, or a lone one that only a str can hold.
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -136,46 +134,44 @@ def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) 
 def _chunks(source: Iterable[str] | str, has_header: bool) -> Iterator[str]:
     """The data lines of ``source`` in chunks of about ``_CHUNK_CHARS`` characters, each ending on LF.
 
-    A ``str`` is one piece, and so is each block of ``_CHUNK_CHARS``
-    characters read from a source with a ``read`` method (an open file)
-    until it returns ``""``; a block may end inside a line. Any other
-    iterable's elements are pieces of whole lines, read one at a time; an
-    element that does not end in CR or LF gets an LF. The pieces then read
-    as their concatenation. Pieces are gathered until a line end (LF, CRLF
-    or a lone CR) lies ``_CHUNK_CHARS`` characters or more past the start
-    of the chunk, and the chunk ends after it. A CR that ends the pieces
-    gathered so far waits for the next one, as it may be the first half of
-    a CRLF. So a chunk never ends inside a CRLF, and reading CR and CRLF
-    as LF per chunk reads them as over the whole text. The header is the
-    first line of the first chunk.
+    A ``str`` is read in slices of ``_CHUNK_CHARS`` characters, and a
+    source with a ``read`` method (an open file) in blocks of as many
+    until it returns ``""``; a slice or block may end inside a line. Any
+    other iterable's elements are pieces of whole lines, read one at a
+    time; an element that does not end in CR or LF gets an LF. The pieces
+    then read as their concatenation: one newline decoder reads CR and
+    CRLF as LF across them, holding back a CR that ends a piece until the
+    next shows whether an LF follows. Decoded pieces are gathered until
+    they hold ``_CHUNK_CHARS`` characters, and the chunk ends at their
+    last LF. The header is the first line of the first chunk.
     """
     if hasattr(source, "read"):
-        # A byte stream's b"" ends the blocks too; its bytes then fail the join.
+        # A byte stream's b"" ends the blocks too; its bytes then fail the decoder.
         pieces: Iterable[str] = iter(lambda: source.read(_CHUNK_CHARS) or "", "")
+    elif isinstance(source, str):
+        pieces = (source[start:start + _CHUNK_CHARS] for start in range(0, len(source), _CHUNK_CHARS))
     else:
-        pieces = (source,) if isinstance(source, str) else (
-            piece if piece.endswith(("\n", "\r")) else piece + "\n" for piece in source
-        )
+        pieces = (piece if piece.endswith(("\n", "\r")) else piece + "\n" for piece in source)
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
     pending, size, header = [], 0, has_header
-    for piece in pieces:
+    for piece in map(newlines.decode, pieces):
         pending.append(piece)
         size += len(piece)
-        if size <= _CHUNK_CHARS:
+        if size < _CHUNK_CHARS:
             continue
-        text, start = "".join(pending), 0
-        while line_end := _LINE_END.search(text, start + _CHUNK_CHARS):
-            yield from _lines(text[start:line_end.end()], header)
-            start, header = line_end.end(), False
-        pending, size = [text[start:]], len(text) - start
-    text = "".join(pending)
+        text = "".join(pending)
+        end = text.rfind("\n") + 1
+        if end:
+            yield from _lines(text[:end], header)
+            header = False
+        pending, size = [text[end:]], len(text) - end
+    text = "".join(pending) + newlines.decode("", final=True)
     if text:
-        yield from _lines(text if text.endswith(("\n", "\r")) else text + "\n", header)
+        yield from _lines(text if text.endswith("\n") else text + "\n", header)
 
 
 def _lines(chunk: str, drop_first: bool) -> Iterator[str]:
-    """``chunk``, which ends on a line end, with CR and CRLF read as LF, less its first line if ``drop_first``."""
-    if "\r" in chunk:
-        chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+    """``chunk``, which ends on LF, less its first line if ``drop_first``."""
     if drop_first:
         _check_utf8(chunk[:chunk.find("\n")], 1)
         chunk = chunk[chunk.find("\n") + 1:]

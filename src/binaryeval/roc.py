@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class RocCurve:
         return tuple(map(RocPoint, self.fpr.tolist(), self.tpr.tolist(), self.threshold.tolist()))
 
 
-def roc_points(samples: ScoredColumns | Sequence[ScoredSample]) -> RocCurve:
+def roc_points(samples: ScoredColumns | Iterable[ScoredSample]) -> RocCurve:
     """Sweep the decision threshold over ``samples`` and build the curve.
 
     Samples are sorted by score descending and the labels are cumulatively
@@ -134,9 +134,9 @@ def roc_points(samples: ScoredColumns | Sequence[ScoredSample]) -> RocCurve:
     offending record index), and when either class is absent (one rate
     denominator would be zero everywhere).
     """
-    if len(samples) == 0:
-        raise ValueError("cannot build a curve from an empty sample sequence")
     columns = _columns(samples)
+    if len(columns) == 0:
+        raise ValueError("cannot build a curve from an empty sample sequence")
     positives = int(np.count_nonzero(columns.positive))
     negatives = len(columns) - positives
     if positives == 0 or negatives == 0:

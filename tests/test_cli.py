@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 
 from binaryeval import ingest
 from binaryeval.cli import run
-from binaryeval.ingest import InputConfig, ParseError
+from binaryeval.counts import ConfusionCounts, threshold_counts
+from binaryeval.ingest import InputConfig, ParseError, parse_scores
 from oracles import parse_hard_labels_rows, parse_scores_rows
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,6 +110,20 @@ class TestEvaluate:
         hard_payload = json.loads(via_hard)
         assert scores_payload["counts"] == hard_payload["counts"]
         assert scores_payload["metrics"] == hard_payload["metrics"]
+
+    def test_a_negative_threshold_is_passed_in_the_equals_form(self, tmp_path, monkeypatch):
+        # A bare -1e-3 after --threshold would read as an option.
+        rows = "1,-0.5\n0,-0.002\n1,-0.001\n0,0\n1,2e-4\n0,-3\n"
+        (tmp_path / "logits.csv").write_text(rows, newline="")
+        monkeypatch.chdir(tmp_path)
+        expected = {"-inf": ConfusionCounts(tp=3, fp=3, fn=0, tn=0),
+                    "-1e-3": threshold_counts(parse_scores(rows, InputConfig())[0], -1e-3)}
+        assert expected["-1e-3"] == ConfusionCounts(tp=2, fp=1, fn=1, tn=2)
+        for threshold, counts in expected.items():
+            code, out, err = invoke("evaluate", "logits.csv", "--mode", "scores", f"--threshold={threshold}",
+                                    "--format", "json")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["counts"] == dataclasses.asdict(counts)
 
     def test_reads_standard_input(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1,1\n0,0\n"))

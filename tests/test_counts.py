@@ -25,7 +25,7 @@ from binaryeval.counts import (
     record,
     threshold_counts,
 )
-from binaryeval.roc import auc_pair_count
+from binaryeval.roc import auc_pair_count, roc_points
 
 from oracles import apply_threshold, tally_pairs
 
@@ -254,6 +254,9 @@ class TestThresholdCounts:
         samples = [ScoredSample(0.5, P), ScoredSample(0.2, N), *samples]
         assert threshold_counts(iter(samples), threshold) == threshold_counts(samples, threshold)
         assert auc_pair_count(iter(samples)) == auc_pair_count(samples)
+        curve, expected = roc_points(iter(samples)), roc_points(samples)
+        for column in ("fp", "tp", "threshold"):
+            assert getattr(curve, column).tobytes() == getattr(expected, column).tobytes()
 
 
 class TestLabeledColumns:

@@ -261,6 +261,7 @@ _odd_line = st.sampled_from([
     "1, 0.5", "1,0.5\r", "\r", "1,\u0665", "1,0x1p3", "\u00e9,1",
 ])
 _soup = st.lists(st.one_of(*[_valid_line] * 9, _odd_line), max_size=25)
+_line_ends = st.sampled_from(["\n", "\r\n", "\r"])
 _configs = st.sampled_from([
     {},
     {"negative_label": "0"},
@@ -300,19 +301,23 @@ _label_configs = st.fixed_dictionaries({
 
 
 class TestBulkPath:
-    """The chunked parser against the row loop over the whole text in ``oracles``."""
+    """The chunked parser against the row loop over the whole text in ``oracles``.
 
-    @given(_soup, st.booleans(), _configs, st.integers(1, 40), st.booleans())
-    def test_scores_equal_the_row_loop(self, lines, final_newline, options, chunk_chars, strict):
-        source = "\n".join(lines) + ("\n" if final_newline and lines else "")
+    A ``str`` is read in slices of ``_CHUNK_CHARS`` characters, which may
+    end inside a line or between the CR and the LF of a CRLF.
+    """
+
+    @given(_soup, _line_ends, st.booleans(), _configs, st.integers(1, 40), st.booleans())
+    def test_scores_equal_the_row_loop(self, lines, line_end, final_newline, options, chunk_chars, strict):
+        source = line_end.join(lines) + (line_end if final_newline and lines else "")
         cfg = InputConfig(**options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             bulk = _scored(source, cfg, strict)
         assert bulk == _scored(source, cfg, strict, parse_scores_rows)
 
-    @given(_soup, st.booleans(), _configs, st.integers(1, 40), st.booleans())
-    def test_hard_labels_equal_the_row_loop(self, lines, final_newline, options, chunk_chars, strict):
-        source = "\n".join(line.replace(".", "") for line in lines) + ("\n" if final_newline and lines else "")
+    @given(_soup, _line_ends, st.booleans(), _configs, st.integers(1, 40), st.booleans())
+    def test_hard_labels_equal_the_row_loop(self, lines, line_end, final_newline, options, chunk_chars, strict):
+        source = line_end.join(line.replace(".", "") for line in lines) + (line_end if final_newline and lines else "")
         cfg = InputConfig(**options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             bulk = _labeled(source, cfg, strict)
@@ -398,7 +403,7 @@ def _without_line_end(piece):
 class TestStreaming:
     """A source read as an iterable of pieces or as a text stream against the same text as one ``str``."""
 
-    @given(_soup, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), _configs, st.integers(1, 40),
+    @given(_soup, _line_ends, st.booleans(), _configs, st.integers(1, 40),
            st.booleans(), st.data())
     def test_any_split_into_pieces_reads_as_the_whole_text(
         self, lines, line_end, final_newline, options, chunk_chars, strict, data
