@@ -14,25 +14,30 @@ of whole lines, is read lazily through the standard library's newline
 decoder (CR and CRLF read as LF) in chunks of about 64 Ki characters that
 end on LF, so only one chunk is worked on at a time and the source is
 never joined into one string.
-Each chunk is parsed in bulk: its code points are checked to
-hold exactly one delimiter per line, labels are matched on those code
-points, and scores are split once and checked as a whole column (score
-characters, ``float()``, finiteness). A chunk that fails any check is
-parsed again row by row, and only that chunk, so each failure carries
-its line number and strict mode stops at the first one.
+Each chunk is checked once, in bulk, and each row gets one verdict:
+good, not UTF-8, wrong field count, bad score or unknown label. The
+first that applies wins, in that order; a hard-label row's actual label
+is judged before its predicted one. The chunk's code points give the
+field counts, the label matches and the UTF-8 check. The scores are
+split once from the chunk's text with the lines already flagged cut out,
+checked for characters outside the grammar as one text (text by text
+only when that fails) and converted by ``float()`` (one text at a time
+only in a chunk where a text of score characters, such as ``1e``, is no
+number). Only a flagged row is put into words, from its own text and in
+line order: strict mode raises :class:`ParseError` at the first, and
+lenient mode records each with its line number.
 
-Text that is not UTF-8 fails in either mode: a surrogate code point
-(the CLI decodes an invalid byte 0xNN as U+DCNN, ``surrogateescape``)
-fails a chunk's bulk checks, and the row loop or the header check raises
-:class:`ParseError` at the first line that holds one.
+Text that is not UTF-8 fails in either mode: the first line, the header
+included, that holds a surrogate code point (the CLI decodes an invalid
+byte 0xNN as U+DCNN, ``surrogateescape``) raises :class:`ParseError`.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import re
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,6 +50,11 @@ from binaryeval.counts import LabeledColumns, ScoredColumns
 # It rejects nan/inf spellings, hex, underscores, other scripts' digits
 # and locale-specific decimal commas.
 _SCORE_CHARS = b"0123456789.+-eE"
+# Which code points lie outside that grammar; every one from 127 up reads as 127.
+_NOT_SCORE_CHAR = np.array([code not in _SCORE_CHARS for code in range(128)])
+
+# Row verdicts, in rising precedence: a row takes the highest that applies.
+_GOOD, _UNKNOWN_PREDICTED, _UNKNOWN_ACTUAL, _NON_FINITE, _MALFORMED, _FIELD_COUNT, _HEADER, _NOT_UTF8 = range(8)
 
 # The text is read in chunks of about this many characters, so at most
 # one chunk's code points, separator indices and field strings are alive
@@ -58,9 +68,6 @@ _CHUNK_CHARS = 1 << 16
 # maps it rather than carving it from the heap, and under the 4 MiB from
 # which numpy asks for huge pages. Pages never written cost no memory.
 _COLUMN_BYTES = 1 << 20
-
-# A surrogate: an invalid byte 0xNN decoded as U+DCNN, or a lone one that only a str can hold.
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +87,11 @@ class InputConfig:
     has_header: bool = False
 
     def __post_init__(self) -> None:
+        # A surrogate, such as an argv byte that is not UTF-8, could never match UTF-8 input.
+        for name in ("delimiter", "positive_label", "negative_label"):
+            text = getattr(self, name)
+            if text is not None and any("\ud800" <= char <= "\udfff" for char in text):
+                raise ValueError(f"{name} must be UTF-8 text, got {text!r}")
         if len(self.delimiter) != 1 or self.delimiter in "\r\n":
             raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
         for name in ("positive_label", "negative_label"):
@@ -112,12 +124,6 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-def _is_positive(field_text: str, cfg: InputConfig) -> bool:
-    if cfg.negative_label is not None and field_text not in (cfg.positive_label, cfg.negative_label):
-        raise ValueError(f"unknown label {field_text!r}")
-    return field_text == cfg.positive_label
-
-
 def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) -> np.ndarray:
     """Which fields equal ``label``, compared code point by code point.
 
@@ -131,8 +137,8 @@ def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) 
     return match
 
 
-def _chunks(source: Iterable[str] | str, has_header: bool) -> Iterator[str]:
-    """The data lines of ``source`` in chunks of about ``_CHUNK_CHARS`` characters, each ending on LF.
+def _chunks(source: Iterable[str] | str) -> Iterator[str]:
+    """The lines of ``source`` in chunks of about ``_CHUNK_CHARS`` characters, each ending on LF.
 
     A ``str`` is read in slices of ``_CHUNK_CHARS`` characters, and a
     source with a ``read`` method (an open file) in blocks of as many
@@ -143,7 +149,7 @@ def _chunks(source: Iterable[str] | str, has_header: bool) -> Iterator[str]:
     CRLF as LF across them, holding back a CR that ends a piece until the
     next shows whether an LF follows. Decoded pieces are gathered until
     they hold ``_CHUNK_CHARS`` characters, and the chunk ends at their
-    last LF. The header is the first line of the first chunk.
+    last LF.
     """
     if hasattr(source, "read"):
         # A byte stream's b"" ends the blocks too; its bytes then fail the decoder.
@@ -153,7 +159,7 @@ def _chunks(source: Iterable[str] | str, has_header: bool) -> Iterator[str]:
     else:
         pieces = (piece if piece.endswith(("\n", "\r")) else piece + "\n" for piece in source)
     newlines = io.IncrementalNewlineDecoder(None, translate=True)
-    pending, size, header = [], 0, has_header
+    pending, size = [], 0
     for piece in map(newlines.decode, pieces):
         pending.append(piece)
         size += len(piece)
@@ -162,49 +168,47 @@ def _chunks(source: Iterable[str] | str, has_header: bool) -> Iterator[str]:
         text = "".join(pending)
         end = text.rfind("\n") + 1
         if end:
-            yield from _lines(text[:end], header)
-            header = False
+            yield text[:end]
         pending, size = [text[end:]], len(text) - end
     text = "".join(pending) + newlines.decode("", final=True)
     if text:
-        yield from _lines(text if text.endswith("\n") else text + "\n", header)
-
-
-def _lines(chunk: str, drop_first: bool) -> Iterator[str]:
-    """``chunk``, which ends on LF, less its first line if ``drop_first``."""
-    if drop_first:
-        _check_utf8(chunk[:chunk.find("\n")], 1)
-        chunk = chunk[chunk.find("\n") + 1:]
-    if chunk:
-        yield chunk
+        yield text if text.endswith("\n") else text + "\n"
 
 
 def _parse_chunks(
     source: Iterable[str] | str, cfg: InputConfig, strict: bool, scored: bool
 ) -> tuple[np.ndarray, np.ndarray, ParseReport]:
-    """The positive mask of the label fields, the score column and the report, chunk by chunk.
+    """The positive mask of the good rows' label fields, their score column and the report, chunk by chunk.
 
     Rows are score rows when ``scored``, else hard-label rows. Label
     fields are both fields of a hard-label row and the first field of a
-    score row; hard labels have an empty score column. A chunk that the
-    bulk checks reject is explained row by row.
+    score row; hard labels have an empty score column. Each flagged row
+    is put into words in line order: raised as :class:`ParseError` when
+    ``strict`` or when it is not UTF-8, else appended to the failures.
     """
     # The columns grow in place, chunk by chunk: per-chunk arrays joined
     # at the end would hold every row twice. They start mapped and grow by
     # remapping: grown by realloc on the heap, a column could move late and
     # leave a hole its size, so peak RSS hung on the checkout's path length.
     positives, score_column, failures = np.empty(_COLUMN_BYTES, dtype=bool), np.empty(_COLUMN_BYTES // 8), []
-    labels = scores = read = 0
-    for chunk in _chunks(source, cfg.has_header):
-        first_line = cfg.has_header + read + 1
-        positive, score, rows = _bulk_chunk(chunk, cfg, scored) or _explain_chunk(
-            chunk, cfg, scored, first_line, strict, failures
-        )
+    labels = scores = lines = 0
+    for chunk in _chunks(source):
+        verdict, positive, score = _judge(chunk, cfg, scored, header=cfg.has_header and not lines)
+        flagged = np.flatnonzero(verdict)
+        rows = chunk.split("\n") if flagged.size else []
+        for line, kind in zip(flagged.tolist(), verdict[flagged].tolist()):
+            if kind == _HEADER:
+                continue
+            reason = _reason(kind, rows[line], cfg.delimiter)
+            if strict or kind == _NOT_UTF8:
+                raise ParseError(lines + line + 1, reason)
+            failures.append((lines + line + 1, reason))
         labels = _append(positives, labels, positive)
         scores = _append(score_column, scores, score)
-        read += rows
+        lines += verdict.size
     positives.resize(labels, refcheck=False)
     score_column.resize(scores, refcheck=False)
+    read = max(lines - cfg.has_header, 0)
     return positives, score_column, ParseReport(read, read - len(failures), tuple(failures))
 
 
@@ -217,88 +221,106 @@ def _append(column: np.ndarray, size: int, part: np.ndarray) -> int:
     return end
 
 
-def _bulk_chunk(chunk: str, cfg: InputConfig, scored: bool) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The chunk's label mask, score column and line count, or None unless every row is valid."""
+def _judge(chunk: str, cfg: InputConfig, scored: bool, header: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each line's verdict, and the good rows' label mask and score column.
+
+    The first line is a header when ``header``: it is judged only on being UTF-8.
+    """
     delimiter, line_end = ord(cfg.delimiter), ord("\n")
     codes = np.array([chunk]).view(np.uint32)  # numpy holds str as UCS-4 code points
-    # A surrogate (U+D800-U+DFFF) is left to the row loop; the max gates the costlier test.
-    if codes.max() >= 0xD800 and ((codes >> 11) == 0xD800 >> 11).any():
-        return None
     # Each temporary is deleted once used: they set the peak RSS of a large input.
     is_separator = codes == delimiter
     is_separator |= codes == line_end
     separators = np.flatnonzero(is_separator)
     del is_separator
-    kinds = codes[separators]
-    # Delimiter, line end, delimiter, line end, ...: one delimiter per line.
-    if kinds.size % 2 or (kinds[0::2] != delimiter).any() or (kinds[1::2] != line_end).any():
-        return None
-    del kinds
-    # A field's length plus one is its distance from the separator before it.
-    step = 2 if scored else 1
-    ends, gaps = separators[::step], np.diff(separators, prepend=-1)[::step]
-    positive = _matches(codes, ends, gaps, cfg.positive_label)
-    if cfg.negative_label is not None and not (positive | _matches(codes, ends, gaps, cfg.negative_label)).all():
-        return None
-    rows = separators.size // 2
-    del codes, separators, ends, gaps
-    score = np.empty(0)
+    # Each field ends at a separator, and is one code point shorter than its distance from the one before.
+    gaps = np.diff(separators, prepend=-1)
+    positive = _matches(codes, separators, gaps, cfg.positive_label)
+    if cfg.negative_label is not None:
+        unknown = ~(positive | _matches(codes, separators, gaps, cfg.negative_label))
+    # Each line's last field ends at its LF: a row's fields are its LF's and the one before.
+    lines = np.flatnonzero(codes[separators] == line_end)
+    verdict = np.zeros(lines.size, dtype=np.uint8)
+    if cfg.negative_label is not None:
+        if not scored:
+            verdict[unknown[lines]] = _UNKNOWN_PREDICTED
+        verdict[unknown[lines - 1]] = _UNKNOWN_ACTUAL
+        del unknown
     if scored:
-        try:
-            score = _score_column(chunk.replace("\n", cfg.delimiter).split(cfg.delimiter)[1::2])
-        except ValueError:
-            return None
-    return positive, score, rows
+        positive = positive[lines - 1]
+        verdict[gaps[lines] == 1] = _MALFORMED  # an empty score
+    del gaps
+    verdict[np.diff(lines, prepend=-1) != 2] = _FIELD_COUNT
+    if header:
+        verdict[0] = _HEADER
+    # A surrogate (U+D800-U+DFFF) is not UTF-8; the max gates the costlier test.
+    if codes.max() >= 0xD800:
+        verdict[np.searchsorted(separators[lines], np.flatnonzero((codes >> 11) == 0xD800 >> 11))] = _NOT_UTF8
+    del codes, separators
+    if scored:
+        del lines  # the split of the scores sets the peak
+        return verdict, *_scores(chunk, cfg.delimiter, verdict, positive)
+    if verdict.any():
+        positive = positive[np.repeat(verdict == _GOOD, np.diff(lines, prepend=-1))]
+    return verdict, positive, np.empty(0)
 
 
-def _explain_chunk(
-    chunk: str, cfg: InputConfig, scored: bool, first_line: int, strict: bool, failures: list[tuple[int, str]]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The chunk's label mask, score column and line count, converted row by row.
+def _scores(chunk: str, delimiter: str, verdict: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The good score rows' label mask and scores; a score outside the grammar or not finite flags its row.
 
-    A ``ValueError`` from splitting or converting is the row's failure
-    reason: raised as :class:`ParseError` when ``strict``, else appended
-    to ``failures`` with the row's line number, counted from ``first_line``.
-    A row that is not UTF-8 raises :class:`ParseError` in either mode.
+    Lines judged at the score's precedence or above hold no score to
+    check. They are cut out of the chunk's text first, so that every line
+    left holds two fields and a score that is not empty.
     """
-    labels: list[bool] = []
-    scores: list[float] = []
-    rows = chunk.split("\n")
-    rows.pop()  # the empty text after the chunk's last LF
-    for line_number, row in enumerate(rows, start=first_line):
-        if not row.isascii():
-            _check_utf8(row, line_number)
-        try:
-            first, second = _split_row(row, cfg.delimiter)
-            if scored:
-                score = _parse_score(second)
-                labels.append(_is_positive(first, cfg))
-                scores.append(score)
-            else:
-                labels += _is_positive(first, cfg), _is_positive(second, cfg)
-        except ValueError as exc:
-            if strict:
-                raise ParseError(line_number, str(exc)) from None
-            failures.append((line_number, str(exc)))
-    return np.array(labels, dtype=bool), np.array(scores, dtype=np.float64), len(rows)
-
-
-def _check_utf8(line: str, line_number: int) -> None:
-    """Raise :class:`ParseError` at ``line_number`` if ``line`` holds a surrogate; U+DCNN is invalid byte 0xNN."""
-    if surrogate := _SURROGATE.search(line):
-        code = ord(surrogate.group())
-        reason = f"invalid UTF-8 byte 0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else f"lone surrogate U+{code:04X}"
-        raise ParseError(line_number, reason)
-
-
-def _score_column(texts: list[str]) -> np.ndarray:
-    """The scores as ``float64``; ValueError unless every text is a finite score."""
-    if not _score_chars_only("".join(texts)):
-        raise ValueError("a score holds a character outside the score grammar")
-    score = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    has_score = verdict < _MALFORMED
+    if not has_score.all():
+        chunk = "\n".join([*compress(chunk.split("\n"), has_score.tolist()), ""])
+    texts = chunk.replace("\n", delimiter).split(delimiter)[1::2]
+    at = np.flatnonzero(has_score)
+    joined = "".join(texts)
+    # Only when the texts together hold a character outside the grammar is each one's code points looked at.
+    if not joined.isascii() or joined.encode().translate(None, _SCORE_CHARS):
+        lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+        outside = _NOT_SCORE_CHAR.take(np.array([joined]).view(np.uint32), mode="clip")
+        outside = np.logical_or.reduceat(outside, np.cumsum(lengths) - lengths)  # one run per text
+        verdict[at[outside]] = _MALFORMED
+        texts, at = list(compress(texts, (~outside).tolist())), at[~outside]
+    del joined
+    try:
+        score = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    except ValueError:  # a text of score characters that is no number, such as "1e" or "."
+        score = np.array([_float(text) for text in texts], dtype=np.float64)
+    del texts
     if not np.isfinite(score).all():
-        raise ValueError("a score is not finite")
-    return score
+        verdict[at[np.isnan(score)]] = _MALFORMED
+        verdict[at[np.isinf(score)]] = _NON_FINITE
+    if not verdict.any():
+        return positive, score
+    good = verdict == _GOOD
+    return positive[good], score[good[at]]
+
+
+def _float(text: str) -> float:
+    """``float(text)``, or NaN where it raises ValueError."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _reason(kind: int, row: str, delimiter: str) -> str:
+    """Why ``row``, judged ``kind``, failed, in words."""
+    if kind == _NOT_UTF8:
+        code = next(ord(char) for char in row if "\ud800" <= char <= "\udfff")  # U+DCNN is invalid byte 0xNN
+        return f"invalid UTF-8 byte 0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else f"lone surrogate U+{code:04X}"
+    fields = row.split(delimiter)
+    if kind == _FIELD_COUNT:
+        return f"expected 2 fields, got {len(fields)}"
+    if kind == _MALFORMED:
+        return f"non-finite or malformed score {fields[1]!r}"
+    if kind == _NON_FINITE:
+        return f"non-finite score {fields[1]!r}"
+    return f"unknown label {fields[kind == _UNKNOWN_PREDICTED]!r}"
 
 
 def parse_hard_labels(
@@ -325,28 +347,3 @@ def parse_scores(
     """
     positive, score, report = _parse_chunks(source, cfg, strict, scored=True)
     return ScoredColumns._of_own_arrays(score, positive), report
-
-
-def _split_row(row: str, delimiter: str) -> tuple[str, str]:
-    fields = row.split(delimiter)
-    if len(fields) != 2:
-        raise ValueError(f"expected 2 fields, got {len(fields)}")
-    return fields[0], fields[1]
-
-
-def _score_chars_only(text: str) -> bool:
-    return text.isascii() and not text.encode("ascii").translate(None, _SCORE_CHARS)
-
-
-def _parse_score(text: str) -> float:
-    """``text`` as a finite score; ValueError unless it is one, by the same test as the bulk path."""
-    if _score_chars_only(text):
-        try:
-            value = float(text)
-        except ValueError:
-            pass
-        else:
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite score {text!r}")
-            return value
-    raise ValueError(f"non-finite or malformed score {text!r}")

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from binaryeval.counts import ConfusionCounts, Label, LabeledColumns, LabeledPrediction, ScoredColumns, ScoredSample
-from binaryeval.ingest import InputConfig, ParseError, ParseReport, _is_positive, _split_row
+from binaryeval.ingest import InputConfig, ParseError, ParseReport
 from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
 from binaryeval.roc import RocCurve, RocPoint
 
@@ -86,6 +86,21 @@ def utf8_failure(line: str) -> str | None:
     return None
 
 
+def split_row(row: str, delimiter: str) -> tuple[str, str]:
+    """A row's two fields; ValueError naming the field count unless it has two."""
+    fields = row.split(delimiter)
+    if len(fields) != 2:
+        raise ValueError(f"expected 2 fields, got {len(fields)}")
+    return fields[0], fields[1]
+
+
+def is_positive(label: str, cfg: InputConfig) -> bool:
+    """Whether a label field is the positive label; ValueError if it is neither of two declared labels."""
+    if cfg.negative_label is not None and label not in (cfg.positive_label, cfg.negative_label):
+        raise ValueError(f"unknown label {label!r}")
+    return label == cfg.positive_label
+
+
 def _parse_rows(
     text: str,
     cfg: InputConfig,
@@ -110,7 +125,7 @@ def _parse_rows(
             continue
         read += 1
         try:
-            first, second = _split_row(row, cfg.delimiter)
+            first, second = split_row(row, cfg.delimiter)
             records.append(convert(first, second))
         except ValueError as exc:
             if strict:
@@ -123,7 +138,7 @@ def parse_hard_labels_rows(text: str, cfg: InputConfig, strict: bool = False) ->
     """``parse_hard_labels`` as one row loop over the whole text."""
 
     def convert(actual: str, predicted: str) -> tuple[bool, bool]:
-        return _is_positive(actual, cfg), _is_positive(predicted, cfg)
+        return is_positive(actual, cfg), is_positive(predicted, cfg)
 
     rows, report = _parse_rows(text, cfg, strict, convert)
     return LabeledColumns([actual for actual, _ in rows], [predicted for _, predicted in rows]), report
@@ -143,7 +158,7 @@ def parse_scores_rows(text: str, cfg: InputConfig, strict: bool = False) -> tupl
     """``parse_scores`` as one row loop over the whole text, scores read by :data:`SCORE_PATTERN`."""
 
     def convert(actual: str, score: str) -> tuple[float, bool]:
-        return parse_score(score), _is_positive(actual, cfg)
+        return parse_score(score), is_positive(actual, cfg)
 
     rows, report = _parse_rows(text, cfg, strict, convert)
     return ScoredColumns([score for score, _ in rows], [positive for _, positive in rows]), report

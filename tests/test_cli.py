@@ -517,6 +517,13 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: --negative-label must not contain the delimiter or a line break")
 
+    @pytest.mark.parametrize("flag", ["--delimiter", "--positive-label", "--negative-label"])
+    def test_a_byte_that_is_not_utf8_in_an_option_rejected(self, worked_files, flag):
+        # Argv is decoded with surrogateescape: the byte 0xff arrives as U+DCFF.
+        code, out, err = invoke("evaluate", "preds.csv", flag, "\udcff")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} must be UTF-8 text")
+
     def test_missing_subcommand(self):
         code, _, err = invoke()
         assert code == 2
