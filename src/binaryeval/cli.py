@@ -20,9 +20,7 @@ import argparse
 import io
 import math
 import os
-import re
 import sys
-from collections import Counter
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from typing import Callable, ContextManager, Sequence, TextIO, TypeVar
 
@@ -37,8 +35,6 @@ from binaryeval.roc import roc_points
 _MAX_ROW_WARNINGS = 20
 # What a stdout pipe is widened to: Linux's default limit for an unprivileged process.
 _PIPE_BYTES = 1 << 20
-# The row-specific tail of a failure reason: a field count or a quoted value.
-_REASON_DETAIL = re.compile(r", got \d+\Z| ['\"].*\Z")
 
 _Columns = TypeVar("_Columns")
 
@@ -150,17 +146,12 @@ def _common_meta(args: argparse.Namespace, parse_report: ParseReport) -> dict[st
 
 
 def _warn_failures(parse_report: ParseReport, err: TextIO) -> None:
-    """The first skipped rows with their reasons, then how many of all rows read were skipped, and why.
-
-    The summary counts each kind of reason, in order of first occurrence;
-    a reason's kind is the reason without its field count or quoted value.
-    """
+    """The first skipped rows with their reasons, then how many of all rows read were skipped, and why."""
     failures = parse_report.failures
     for line_number, reason in failures[:_MAX_ROW_WARNINGS]:
         err.write(f"warning: line {line_number}: {reason}\n")
     if failures:
-        kinds = Counter(_REASON_DETAIL.sub("", reason) for _, reason in failures)
-        why = ", ".join(f"{count} {kind}" for kind, count in kinds.items())
+        why = ", ".join(f"{count} {kind}" for kind, count in parse_report.skipped)
         err.write(f"warning: {len(failures)} of {parse_report.records_read} rows skipped ({why})\n")
 
 
@@ -231,10 +222,8 @@ def run(
     try:
         with redirect_stdout(out), redirect_stderr(err):
             args = parser.parse_args(argv if argv is None else list(argv))
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 2
+    except SystemExit as exc:  # argparse exits through ArgumentParser.exit, always with an int
+        return exc.code
 
     try:
         if args.subcommand == "evaluate":

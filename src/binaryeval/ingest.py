@@ -25,7 +25,7 @@ only when that fails) and converted by ``float()`` (one text at a time
 only in a chunk where a text of score characters, such as ``1e``, is no
 number). Only a flagged row is put into words, from its own text and in
 line order: strict mode raises :class:`ParseError` at the first, and
-lenient mode records each with its line number.
+lenient mode records each with its line number and counts it by kind.
 
 Text that is not UTF-8 fails in either mode: the first line, the header
 included, that holds a surrogate code point (the CLI decodes an invalid
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -104,11 +104,16 @@ class InputConfig:
 
 @dataclass(frozen=True, slots=True)
 class ParseReport:
-    """Per-input accounting: every row read is either accepted or a failure."""
+    """Per-input accounting: every row read is either accepted or a failure.
+
+    ``skipped`` counts the failures per kind of reason, in order of first
+    occurrence; the CLI's skip summary prints these counts.
+    """
 
     records_read: int
     records_accepted: int
-    failures: tuple[tuple[int, str], ...] = field(default=())
+    failures: tuple[tuple[int, str], ...] = ()
+    skipped: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.records_accepted + len(self.failures) != self.records_read:
@@ -184,13 +189,14 @@ def _parse_chunks(
     fields are both fields of a hard-label row and the first field of a
     score row; hard labels have an empty score column. Each flagged row
     is put into words in line order: raised as :class:`ParseError` when
-    ``strict`` or when it is not UTF-8, else appended to the failures.
+    ``strict`` or when it is not UTF-8, else recorded and counted by kind.
     """
     # The columns grow in place, chunk by chunk: per-chunk arrays joined
     # at the end would hold every row twice. They start mapped and grow by
     # remapping: grown by realloc on the heap, a column could move late and
     # leave a hole its size, so peak RSS hung on the checkout's path length.
     positives, score_column, failures = np.empty(_COLUMN_BYTES, dtype=bool), np.empty(_COLUMN_BYTES // 8), []
+    skipped: dict[str, int] = {}  # in order of first occurrence
     labels = scores = lines = 0
     for chunk in _chunks(source):
         verdict, positive, score = _judge(chunk, cfg, scored, header=cfg.has_header and not lines)
@@ -199,17 +205,18 @@ def _parse_chunks(
         for line, kind in zip(flagged.tolist(), verdict[flagged].tolist()):
             if kind == _HEADER:
                 continue
-            reason = _reason(kind, rows[line], cfg.delimiter)
+            why, detail = _reason(kind, rows[line], cfg.delimiter)
             if strict or kind == _NOT_UTF8:
-                raise ParseError(lines + line + 1, reason)
-            failures.append((lines + line + 1, reason))
+                raise ParseError(lines + line + 1, why + detail)
+            failures.append((lines + line + 1, why + detail))
+            skipped[why] = skipped.get(why, 0) + 1
         labels = _append(positives, labels, positive)
         scores = _append(score_column, scores, score)
         lines += verdict.size
     positives.resize(labels, refcheck=False)
     score_column.resize(scores, refcheck=False)
     read = max(lines - cfg.has_header, 0)
-    return positives, score_column, ParseReport(read, read - len(failures), tuple(failures))
+    return positives, score_column, ParseReport(read, read - len(failures), tuple(failures), tuple(skipped.items()))
 
 
 def _append(column: np.ndarray, size: int, part: np.ndarray) -> int:
@@ -308,19 +315,21 @@ def _float(text: str) -> float:
         return math.nan
 
 
-def _reason(kind: int, row: str, delimiter: str) -> str:
-    """Why ``row``, judged ``kind``, failed, in words."""
+def _reason(kind: int, row: str, delimiter: str) -> tuple[str, str]:
+    """Why ``row``, judged ``kind``, failed, in words: its kind and the row's detail, joined as the reason."""
     if kind == _NOT_UTF8:
-        code = next(ord(char) for char in row if "\ud800" <= char <= "\udfff")  # U+DCNN is invalid byte 0xNN
-        return f"invalid UTF-8 byte 0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else f"lone surrogate U+{code:04X}"
+        code = next(ord(char) for char in row if "\ud800" <= char <= "\udfff")
+        if 0xDC80 <= code <= 0xDCFF:  # U+DCNN is invalid byte 0xNN
+            return "invalid UTF-8 byte", f" 0x{code - 0xDC00:02x}"
+        return "lone surrogate", f" U+{code:04X}"
     fields = row.split(delimiter)
     if kind == _FIELD_COUNT:
-        return f"expected 2 fields, got {len(fields)}"
+        return "expected 2 fields", f", got {len(fields)}"
     if kind == _MALFORMED:
-        return f"non-finite or malformed score {fields[1]!r}"
+        return "non-finite or malformed score", f" {fields[1]!r}"
     if kind == _NON_FINITE:
-        return f"non-finite score {fields[1]!r}"
-    return f"unknown label {fields[kind == _UNKNOWN_PREDICTED]!r}"
+        return "non-finite score", f" {fields[1]!r}"
+    return "unknown label", f" {fields[kind == _UNKNOWN_PREDICTED]!r}"
 
 
 def parse_hard_labels(

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -27,6 +28,9 @@ T = TypeVar("T")
 # notation in ASCII digits. It rejects nan/inf spellings, hex, underscores,
 # other scripts' digits and locale-specific decimal commas.
 SCORE_PATTERN = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+# The row-specific tail of a failure reason: a field count or a quoted value.
+# What is left of the reason is its kind.
+_REASON_DETAIL = re.compile(r", got \d+\Z| ['\"].*\Z")
 
 
 def tally_pairs(pairs: Iterable[LabeledPrediction]) -> ConfusionCounts:
@@ -112,7 +116,8 @@ def _parse_rows(
     A line that is not UTF-8, the header included, raises :class:`ParseError`
     in either mode. A ``ValueError`` from splitting or converting is the
     row's failure reason: raised as :class:`ParseError` when ``strict``,
-    else recorded.
+    else recorded. The skipped rows are counted per kind of reason, read
+    off each reason's text, in order of first occurrence.
     """
     records: list[T] = []
     failures: list[tuple[int, str]] = []
@@ -131,7 +136,8 @@ def _parse_rows(
             if strict:
                 raise ParseError(line_number, str(exc)) from None
             failures.append((line_number, str(exc)))
-    return records, ParseReport(read, len(records), tuple(failures))
+    skipped = Counter(_REASON_DETAIL.sub("", reason) for _, reason in failures)
+    return records, ParseReport(read, len(records), tuple(failures), tuple(skipped.items()))
 
 
 def parse_hard_labels_rows(text: str, cfg: InputConfig, strict: bool = False) -> tuple[LabeledColumns, ParseReport]:

@@ -177,6 +177,25 @@ class TestEvaluate:
         assert lines[20:] == ["warning: 1000 of 1002 rows skipped (1000 expected 2 fields)"]
         assert json.loads(out)["meta"]["records_accepted"] == 2
 
+    def test_the_skip_summary_counts_each_kind_in_order_of_first_occurrence(self, tmp_path, monkeypatch):
+        # The kinds first appear in different 64 Ki-character chunks of the parse.
+        bad = {10: "1,0.5,1", 20: "0,1,0", 20_000: "0,NA", 35_000: "1,1e999", 50_000: "2,1", 55_000: "1,NA"}
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mixed.csv").write_text("".join(bad.get(i, ("0,0.25", "1,0.5")[i % 2]) + "\n"
+                                                    for i in range(60_000)), newline="")
+        code, _, err = invoke("evaluate", "mixed.csv", "--mode", "scores", "--threshold", "0.5", "--negative-label", "0")
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: line 11: expected 2 fields, got 3",
+            "warning: line 21: expected 2 fields, got 3",
+            "warning: line 20001: non-finite or malformed score 'NA'",
+            "warning: line 35001: non-finite score '1e999'",
+            "warning: line 50001: unknown label '2'",
+            "warning: line 55001: non-finite or malformed score 'NA'",
+            "warning: 6 of 60000 rows skipped (2 expected 2 fields, 2 non-finite or malformed score, "
+            "1 non-finite score, 1 unknown label)",
+        ]
+
 
 class TestRoc:
     def test_json_output(self, worked_files):

@@ -141,7 +141,7 @@ class TestHardLabels:
         for source in (io.StringIO(text), ["1,1", "0,0", ""], io.StringIO(text.replace("\n", "\r\n"))):
             pairs, report = parse_hard_labels(source, CFG)
             assert pairs_of(pairs) == [(True, True), (False, False)]
-            assert report == ParseReport(3, 2, ((3, "expected 2 fields, got 1"),))
+            assert report == ParseReport(3, 2, ((3, "expected 2 fields, got 1"),), (("expected 2 fields", 1),))
 
     def test_crlf_and_lf_parse_identically(self):
         assert _labeled("1,1\n0,1\n", CFG) == _labeled("1,1\r\n0,1\r\n", CFG)
@@ -205,6 +205,28 @@ class TestScores:
         assert scored.score.tolist() == [-3.5, 225.0, 0.5]
 
 
+# Bad rows far apart: a third field near the top, then NA, 1e999 and an
+# unknown label under negative_label="0" further down, keyed by line index.
+_BAD_ROWS = {10: "1,0.5,1", 20: "0,1,0", 20_000: "0,NA", 35_000: "1,1e999", 50_000: "2,1", 55_000: "1,NA"}
+
+
+class TestSkippedByKind:
+    """``ParseReport.skipped`` on 60,000 rows whose bad rows' kinds first appear in different chunks."""
+
+    @pytest.mark.parametrize(("parse", "good", "skipped"), [
+        (parse_scores, ("0,0.25", "1,0.5"), (("expected 2 fields", 2), ("non-finite or malformed score", 2),
+                                             ("non-finite score", 1), ("unknown label", 1))),
+        (parse_hard_labels, ("0,0", "1,1"), (("expected 2 fields", 2), ("unknown label", 4))),
+    ], ids=["scores", "hard-labels"])
+    def test_kinds_are_counted_in_order_of_first_occurrence(self, parse, good, skipped):
+        text = "".join(_BAD_ROWS.get(i, good[i % 2]) + "\n" for i in range(60_000))
+        chunk_ends = np.cumsum([chunk.count("\n") for chunk in ingest._chunks(text)])
+        assert np.unique(np.searchsorted(chunk_ends, [10, 20_000, 35_000, 50_000], side="right")).size == 4
+        _, report = parse(text, InputConfig(negative_label="0"))
+        assert report.skipped == skipped
+        assert [line for line, _ in report.failures] == [i + 1 for i in _BAD_ROWS]
+
+
 class TestProperties:
     @given(
         st.lists(st.tuples(st.booleans(), st.booleans()), max_size=30),
@@ -251,6 +273,7 @@ class TestProperties:
             else:
                 columns, report = parse(source, CFG)
                 assert report.records_accepted + len(report.failures) == report.records_read
+                _check_skipped(report)
                 # The parser hands its scores to ScoredColumns unchecked: it must accept finite ones only.
                 assert parse is parse_hard_labels or np.isfinite(columns.score).all()
 
@@ -278,6 +301,11 @@ _configs = st.sampled_from([
 ])
 
 
+def _check_skipped(report):
+    """The report's counts per kind add up to its failures."""
+    assert sum(count for _, count in report.skipped) == len(report.failures)
+
+
 def _scored(source, cfg, strict=False, parse=parse_scores):
     """Scores as float.hex, the positive mask and the report, or the strict-mode failure."""
     try:
@@ -285,6 +313,7 @@ def _scored(source, cfg, strict=False, parse=parse_scores):
     except ParseError as exc:
         return ("error", exc.line_number, exc.reason)
     assert np.isfinite(columns.score).all()  # ScoredColumns does not check the parser's own scores again
+    _check_skipped(report)
     return [s.hex() for s in columns.score.tolist()], columns.positive.tolist(), report
 
 
@@ -294,6 +323,7 @@ def _labeled(source, cfg, strict=False, parse=parse_hard_labels):
         columns, report = parse(source, cfg, strict=strict)
     except ParseError as exc:
         return ("error", exc.line_number, exc.reason)
+    _check_skipped(report)
     return columns.actual.tolist(), columns.predicted.tolist(), report
 
 
@@ -417,7 +447,7 @@ class TestStreaming:
     def test_an_element_holding_several_lines_reads_as_that_text(self):
         text = "1,1\n\n0,0\r\n"  # the empty second line is a malformed row
         assert _labeled(["1,1\n\n", "0,0\r\n"], CFG) == _labeled(text, CFG)
-        assert _labeled(text, CFG)[2] == ParseReport(3, 2, ((2, "expected 2 fields, got 1"),))
+        assert _labeled(text, CFG)[2] == ParseReport(3, 2, ((2, "expected 2 fields, got 1"),), (("expected 2 fields", 1),))
 
     def test_a_byte_stream_is_a_type_error(self):
         # Its empty read is b"", not "": it must end the reads all the same.
