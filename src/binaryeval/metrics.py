@@ -10,7 +10,7 @@ produces NaN. Mapping undefined to 0 is a rendering concern (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from binaryeval.counts import ConfusionCounts
 
@@ -24,6 +24,8 @@ class MetricSet:
 
     ``rec`` and ``sen`` are literal aliases of ``tpr``, and ``tnr`` of
     ``spc``: :func:`all_metrics` assigns the identical value to each.
+    The order of the fields after ``counts`` is the canonical key order
+    of the JSON and text reports (:meth:`as_dict`).
     """
 
     counts: ConfusionCounts
@@ -40,20 +42,8 @@ class MetricSet:
     mcc: MetricValue
 
     def as_dict(self) -> dict[str, MetricValue]:
-        """Metric values keyed by short name, in canonical order."""
-        return {
-            "err": self.err,
-            "acc": self.acc,
-            "fpr": self.fpr,
-            "tpr": self.tpr,
-            "pre": self.pre,
-            "rec": self.rec,
-            "f1": self.f1,
-            "sen": self.sen,
-            "spc": self.spc,
-            "tnr": self.tnr,
-            "mcc": self.mcc,
-        }
+        """Metric values keyed by short name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
 
 
 def error_rate(c: ConfusionCounts) -> MetricValue:

@@ -3,10 +3,12 @@
 Each format has one writer, ``write_text``, ``write_json`` or
 ``write_svg``, which writes the report to a text stream: the fixed parts
 in a few writes, the curve points in chunks of ``_CHUNK_POINTS``, so
-memory does not grow with the size of the report. Everything that can
-raise (the argument checks, the JSON encoding of counts, metrics and
-meta, the title's escaping) runs before the first write. To get a
-report as one string, write it to an ``io.StringIO``.
+memory does not grow with the size of the report. A JSON report is laid
+out by one ``json.dumps`` of the whole document, in which a ``null``
+holds the place of the curve points after the first; those are streamed
+in its place. Everything that can raise (the argument checks, that
+``json.dumps``, the title's escaping) runs before the first write. To
+get a report as one string, write it to an ``io.StringIO``.
 
 Each chunk is laid out as one ``uint8`` matrix of ASCII codes, a row per
 point, whose NUL bytes are dropped as it is written (``_joined``); no
@@ -28,7 +30,8 @@ optional ROC ``curve`` and a ``meta`` echo; each writer emits only the
 parts that are present. JSON key order is part of the contract:
 ``counts`` and ``metrics`` (when metrics are present), ``roc`` (when a
 curve is present), ``meta`` (when non-empty); metric keys follow
-:meth:`binaryeval.metrics.MetricSet.as_dict`. Standard JSON has no
+:meth:`binaryeval.metrics.MetricSet.as_dict` and count keys the fields of
+:class:`~binaryeval.counts.ConfusionCounts`. Standard JSON has no
 Infinity literal, so an infinite float (in ``meta``, or the initial
 curve point's threshold) is the string ``"inf"`` or ``"-inf"``.
 """
@@ -38,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -233,38 +236,36 @@ def _json_safe(value: object) -> object:
 def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "undefined") -> None:
     """Machine-readable report; floats use shortest round-trip formatting.
 
-    The text is what ``json.dumps(..., indent=2)`` writes for the whole
-    report; only the curve points are laid out here instead of by json,
-    ``repr`` being what json uses for a float.
+    The whole report is laid out by one ``json.dumps(..., indent=2)``
+    before the first write, with a ``null`` in the place of the curve
+    points after the first. Those points are streamed in its place, laid
+    out as json lays them out, ``repr`` being what json uses for a float.
     """
     _check_zero_division(zero_division)
-
-    def member(key: str, value: object) -> str:
-        # Indented one level deeper: json only writes a newline between tokens.
-        return f'  "{key}": ' + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
-
-    head: list[str] = []
+    document: dict[str, object] = {}
     if report.metrics is not None:
-        counts = report.metrics.counts
-        head.append(member("counts", {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn}))
-        head.append(member("metrics", _metric_values(report.metrics, zero_division)))
-    tail = [member("meta", {key: _json_safe(value) for key, value in report.meta.items()})] if report.meta else []
+        document["counts"] = asdict(report.metrics.counts)
+        document["metrics"] = _metric_values(report.metrics, zero_division)
     curve = report.curve
+    if curve is not None:
+        # Every curve starts at (0, 0, +inf), and the infinite threshold is "inf", as in meta.
+        document["roc"] = {"points": [{"fpr": 0.0, "tpr": 0.0, "threshold": "inf"}, None], "auc": curve.auc}
+    if report.meta:
+        document["meta"] = {key: _json_safe(value) for key, value in report.meta.items()}
+    text = json.dumps(document, indent=2, allow_nan=False)
     if curve is None:
-        out.write("{\n" + ",\n".join(head + tail) + "\n}\n" if head or tail else "{}\n")
+        out.write(text + "\n")
         return
-    auc = json.dumps(curve.auc)
-    # Every curve starts at (0, 0, +inf), and the infinite threshold is "inf", as in meta.
-    out.write(
-        "{\n" + "".join(text + ",\n" for text in head) + '  "roc": {\n    "points": [\n      {\n'
-        '        "fpr": 0.0,\n        "tpr": 0.0,\n        "threshold": "inf"\n      }'
-    )
+    # Only numbers and "key": null pairs come before the placeholder, so
+    # its text is found first there; meta, which may hold it too, comes after.
+    head, _, tail = text.partition(",\n      null")
+    out.write(head)
     for points, fpr, tpr in _curve_chunks(curve, first=1):
         out.write(_joined([
             ',\n      {\n        "fpr": ', repr_codes(fpr), ',\n        "tpr": ', repr_codes(tpr),
             ',\n        "threshold": ', repr_codes(curve.threshold[points]), "\n      }",
         ]))
-    out.write(f'\n    ],\n    "auc": {auc}\n  }}' + "".join(",\n" + text for text in tail) + "\n}\n")
+    out.write(tail + "\n")
 
 
 def _escape(text: str) -> str:

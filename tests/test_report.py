@@ -100,8 +100,11 @@ class TestRenderText:
         assert "MCC 0.000000" in text
 
     def test_unknown_zero_division_mode_rejected(self):
-        with pytest.raises(ValueError):
-            render_text(c_star_report(), zero_division="nan")
+        for write in (write_text, write_json):
+            out = io.StringIO()
+            with pytest.raises(ValueError):
+                write(c_star_report(curve=FOUR_SAMPLE_CURVE), out, zero_division="nan")
+            assert out.getvalue() == ""
 
     def test_meta_block_comes_first(self):
         report = c_star_report(meta={"input": "x.csv", "threshold": None, "header": False})
@@ -173,6 +176,28 @@ class TestRenderJson:
         text = render_json(c_star_report(meta={"threshold": math.inf}))
         payload = json.loads(text)
         assert payload["meta"]["threshold"] == "inf"
+
+    def test_unencodable_meta_raises_before_the_first_write(self):
+        out = io.StringIO()
+        with pytest.raises(TypeError):
+            write_json(c_star_report(curve=FOUR_SAMPLE_CURVE, meta={"input": object()}), out)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("report", [
+        EvaluationReport(),
+        c_star_report(curve=FOUR_SAMPLE_CURVE, meta={"input": "x.csv"}),
+        # Meta holding the text json writes for the curve's placeholder, inside and outside a string.
+        EvaluationReport(curve=FOUR_SAMPLE_CURVE, meta={"list": [1, None], "points": None, "text": ",\n      null"}),
+        EvaluationReport(meta={"list": [1, None], "points": None, "text": ",\n      null"}),
+    ])
+    def test_layout_is_one_json_dumps_indent_2(self, report):
+        for chunk_points in (1, 2, 4096):
+            text = written(write_json, report, chunk_points=chunk_points)
+            payload = json.loads(text)
+            assert text == json.dumps(payload, indent=2) + "\n"
+            assert payload.get("meta", {}) == report.meta
+            if report.curve is not None:
+                assert len(payload["roc"]["points"]) == report.curve.threshold.size
 
 
 # Meta text, often with the characters JSON must escape, non-ASCII and
