@@ -122,10 +122,10 @@ class RocCurve:
 def roc_points(samples: ScoredColumns | Iterable[ScoredSample]) -> RocCurve:
     """Sweep the decision threshold over ``samples`` and build the curve.
 
-    Samples are sorted by score descending and the labels are cumulatively
-    summed in that order; each distinct score value emits one point holding
-    the false- and true-positive counts at that threshold (positive iff
-    score >= threshold), taken at the last sample of its tie group. The
+    The scores are sorted and read descending. Each distinct score emits one
+    point holding the false- and true-positive counts at that threshold
+    (positive iff score >= threshold): tp by a binary search among the sorted
+    positives' scores, fp as the rest of the samples so far. The
     initial point is (0, 0) at threshold +inf and the lowest distinct score
     lands on every negative and every positive, (1, 1). A threshold of zero
     has the sign of the first zero in input order.
@@ -145,31 +145,31 @@ def roc_points(samples: ScoredColumns | Iterable[ScoredSample]) -> RocCurve:
             f"{positives} positive and {negatives} negative samples"
         )
 
-    # Each n-sized temporary is dropped once used, and the curve takes the arrays built here uncopied.
-    # The sorted scores and the running counts carry the initial point at
-    # index 0, so that one boolean mask over them selects the whole curve.
-    # The order within a tie group changes no count, so the sort need not be stable.
-    order = np.argsort(-columns.score)
-    ordered = np.empty(len(columns) + 1)
-    ordered[0] = math.inf
-    np.take(columns.score, order, out=ordered[1:])
-    labels = columns.positive[order]
-    del order
+    # One buffer is sorted twice, for the scores and then for the positives'
+    # scores, and dropped before fp is built; the curve takes the other arrays
+    # uncopied. Read descending, it has the initial point's +inf at index 0, so
+    # one boolean mask selects the whole curve. Order within a tie group changes no count.
+    buffer = np.append(columns.score, math.inf)
+    buffer.sort()
+    descending = buffer[::-1]
     # Where each tie group ends, at its last sample (-0.0 ties 0.0).
-    ends = np.empty(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:-1], ordered[2:], out=ends[1:-1])
+    ends = np.empty(buffer.size, dtype=bool)
+    np.not_equal(descending[1:-1], descending[2:], out=ends[1:-1])
     ends[0] = ends[-1] = True
-    threshold = ordered[ends]
-    del ordered
+    threshold = descending[ends]
     # Only a group of -0.0 and 0.0 has members that differ; it keeps the
     # sign of whichever came first in input order, as a stable sort would.
     zero = np.flatnonzero(threshold == 0)
     if zero.size:
         threshold[zero] = columns.score[np.argmax(columns.score == 0)]
-    running = np.zeros(ends.size, dtype=np.int64)
-    np.cumsum(labels, out=running[1:])
-    tp = running[ends]
-    del running, labels
+    # The positives' scores, in place among +inf, sort to the buffer's front;
+    # those at or above a threshold are the positives not below it.
+    buffer.fill(math.inf)
+    np.copyto(buffer[:-1], columns.score, where=columns.positive)
+    buffer.sort()
+    tp = np.searchsorted(buffer[:positives], threshold, side="left").astype(np.int64, copy=False)
+    del buffer, descending
+    np.subtract(positives, tp, out=tp)
     # A point's index is the number of samples taken so far; those not positive are its fp.
     fp = np.flatnonzero(ends).astype(np.int64, copy=False)
     np.subtract(fp, tp, out=fp)

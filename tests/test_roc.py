@@ -147,6 +147,20 @@ class TestRocPoints:
         # A copy of the curve, or a second n-sized running count, takes the peak past this.
         assert peak < 1.25 * (curve.fp.nbytes + curve.tp.nbytes + curve.threshold.nbytes)
 
+    def test_tie_heavy_sweep_holds_little_beyond_one_score_copy(self):
+        n = 200_000
+        score = np.random.default_rng(5).integers(0, 101, n) / 100
+        columns = ScoredColumns(score, np.arange(n) % 3 == 0)
+        tracemalloc.start()
+        try:
+            curve = roc_points(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.fp.size <= 102
+        # The 101-point curve is small; an n-sized integer index or running count takes the peak past this.
+        assert peak < 1.6 * score.nbytes
+
 
 # Score sets for the differential test against the reference sweep.
 CONTINUOUS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -196,6 +210,35 @@ class TestReferenceSweep:
             curve = roc_points(samples((first, P), (second, N), (1.0, N)))
             assert bits(curve.threshold) == bits([math.inf, 1.0, first])
 
+    @pytest.mark.parametrize(
+        "scored",
+        [
+            # Positives only at -0.0, the first zero in input order a negative's 0.0; and the mirror.
+            [(0.5, N), (0.0, N), (-0.0, P), (-1.0, N), (-0.0, P)],
+            [(0.5, N), (-0.0, N), (0.0, P), (-1.0, N), (0.0, P)],
+            # Every positive tied at the lowest score, or at the highest.
+            [(2.0, N), (1.0, P), (3.0, N), (1.0, P), (1.0, N)],
+            [(3.0, P), (1.0, N), (3.0, P), (2.0, N), (3.0, N)],
+            # One positive among many tied negatives.
+            [(0.5, N)] * 17 + [(0.5, P)] + [(0.5, N)] * 32 + [(0.25, N)],
+            # The largest and the smallest finite doubles, of either sign.
+            [(1.7976931348623157e308, P), (-1.7976931348623157e308, P), (5e-324, N), (-5e-324, P), (0.0, N),
+             (2.2250738585072014e-308, N), (-1.7976931348623157e308, N)],
+        ],
+        ids=["minus-zero-positives", "plus-zero-positives", "positives-lowest", "positives-highest",
+             "one-tied-positive", "float-limits"],
+    )
+    def test_search_boundaries_match_both_references(self, scored):
+        score, positive = np.array([x for x, _ in scored]), np.array([label is P for _, label in scored])
+        curve = checked_sweep(ScoredColumns(score, positive))
+        fp, tp, threshold = roc_sweep_stable(score, positive)
+        assert np.array_equal(curve.fp, fp) and np.array_equal(curve.tp, tp)
+        assert bits(curve.threshold) == bits(threshold)
+        points, auc = roc_sweep(samples(*scored))
+        assert bits(curve.fpr) == bits(p.fpr for p in points)
+        assert bits(curve.tpr) == bits(p.tpr for p in points)
+        assert bits(curve.threshold) == bits(p.threshold for p in points)
+        assert bits([curve.auc]) == bits([auc])
 
     @pytest.mark.parametrize("seed", range(30))
     def test_large_tie_heavy_curve_matches_the_stable_sort(self, seed):
