@@ -15,9 +15,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, TypeVar
 
 import numpy as np
+
+_Holder = TypeVar("_Holder")
 
 
 class Label(Enum):
@@ -76,15 +78,28 @@ def _hold(owner: object, **columns: np.ndarray) -> None:
         object.__setattr__(owner, name, column)
 
 
+def _of_own_arrays(cls: type[_Holder], **columns: np.ndarray) -> _Holder:
+    """A ``cls`` that holds the package's own fresh arrays as they are, read-only.
+
+    Not copied, which would hold them twice at the peak, nor checked
+    again: the parsers and the sweep build only valid columns, and the
+    tests check theirs with the public constructors.
+    """
+    holder = object.__new__(cls)
+    _hold(holder, **columns)
+    return holder
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class ScoredColumns:
     """Scored samples as two read-only columns of one length.
 
     ``score`` is a ``float64`` array of finite scores and ``positive`` a
     ``bool`` array, true where the actual label is positive; index ``i``
-    of each is sample ``i``. Both are copied and checked once, here, the
+    of each is sample ``i``. The constructor copies and checks both, the
     one place scored samples from outside the package are checked for
-    finiteness. Its length is the number of samples.
+    finiteness; the parser's own arrays are held as they are. Its length
+    is the number of samples.
     """
 
     score: np.ndarray
@@ -101,17 +116,6 @@ class ScoredColumns:
             raise ValueError(f"non-finite score at record {index}: {score[index].item()!r}")
         _hold(self, score=score, positive=positive)
 
-    @classmethod
-    def _of_own_arrays(cls, score: np.ndarray, positive: np.ndarray) -> ScoredColumns:
-        """Columns that hold the parser's fresh ``float64`` and ``bool`` arrays as they are.
-
-        Not copied, which would hold them twice at the peak, nor checked
-        again: the parser accepts finite scores only.
-        """
-        columns = object.__new__(cls)
-        _hold(columns, score=score, positive=positive)
-        return columns
-
     def __len__(self) -> int:
         return self.score.size
 
@@ -121,8 +125,9 @@ class LabeledColumns:
     """Label pairs as two read-only ``bool`` columns of one length.
 
     ``actual`` and ``predicted`` are true where that label is positive;
-    index ``i`` of each is pair ``i``. Both are copied and checked once,
-    here. Its length is the number of pairs.
+    index ``i`` of each is pair ``i``. The constructor copies and checks
+    both; the parser's own arrays are held as they are. Its length is the
+    number of pairs.
     """
 
     actual: np.ndarray
@@ -216,7 +221,7 @@ def from_predictions(pairs: LabeledColumns | Iterable[LabeledPrediction]) -> Con
         flat = np.fromiter(
             (label is Label.POSITIVE for pair in pairs for label in (pair.actual, pair.predicted)), dtype=bool
         )
-        pairs = LabeledColumns(flat[0::2], flat[1::2])
+        pairs = _of_own_arrays(LabeledColumns, actual=flat[0::2], predicted=flat[1::2])
     return _tally(pairs.actual, pairs.predicted)
 
 

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from binaryeval.counts import LabeledColumns, ScoredColumns
+from binaryeval.counts import LabeledColumns, ScoredColumns, _of_own_arrays
 
 
 # The score grammar: a text made only of these characters that float()
@@ -183,23 +183,26 @@ def _chunks(source: Iterable[str] | str) -> Iterator[str]:
 def _parse_chunks(
     source: Iterable[str] | str, cfg: InputConfig, strict: bool, scored: bool
 ) -> tuple[np.ndarray, np.ndarray, ParseReport]:
-    """The positive mask of the good rows' label fields, their score column and the report, chunk by chunk.
+    """The good rows' two columns and the report, chunk by chunk.
 
-    Rows are score rows when ``scored``, else hard-label rows. Label
-    fields are both fields of a hard-label row and the first field of a
-    score row; hard labels have an empty score column. Each flagged row
-    is put into words in line order: raised as :class:`ParseError` when
-    ``strict`` or when it is not UTF-8, else recorded and counted by kind.
+    Score rows, when ``scored``, give the positive mask of their labels
+    and their scores; hard-label rows give the positive masks of their
+    actual and their predicted labels. Each flagged row is put into words
+    in line order: raised as :class:`ParseError` when ``strict`` or when
+    it is not UTF-8, else recorded and counted by kind.
     """
     # The columns grow in place, chunk by chunk: per-chunk arrays joined
     # at the end would hold every row twice. They start mapped and grow by
     # remapping: grown by realloc on the heap, a column could move late and
     # leave a hole its size, so peak RSS hung on the checkout's path length.
-    positives, score_column, failures = np.empty(_COLUMN_BYTES, dtype=bool), np.empty(_COLUMN_BYTES // 8), []
+    # The bool column is mapped first: the other way round, the score parse's peak RSS rose.
+    dtype = np.dtype(np.float64 if scored else bool)
+    columns = np.empty(_COLUMN_BYTES, dtype=bool), np.empty(_COLUMN_BYTES // dtype.itemsize, dtype=dtype)
+    failures: list[tuple[int, str]] = []
     skipped: dict[str, int] = {}  # in order of first occurrence
-    labels = scores = lines = 0
+    kept = lines = 0
     for chunk in _chunks(source):
-        verdict, positive, score = _judge(chunk, cfg, scored, header=cfg.has_header and not lines)
+        verdict, *parts = _judge(chunk, cfg, scored, header=cfg.has_header and not lines)
         flagged = np.flatnonzero(verdict)
         rows = chunk.split("\n") if flagged.size else []
         for line, kind in zip(flagged.tolist(), verdict[flagged].tolist()):
@@ -210,26 +213,26 @@ def _parse_chunks(
                 raise ParseError(lines + line + 1, why + detail)
             failures.append((lines + line + 1, why + detail))
             skipped[why] = skipped.get(why, 0) + 1
-        labels = _append(positives, labels, positive)
-        scores = _append(score_column, scores, score)
+        for column, part in zip(columns, parts):
+            _append(column, kept, part)
+        kept += parts[0].size
         lines += verdict.size
-    positives.resize(labels, refcheck=False)
-    score_column.resize(scores, refcheck=False)
+    for column in columns:
+        column.resize(kept, refcheck=False)
     read = max(lines - cfg.has_header, 0)
-    return positives, score_column, ParseReport(read, read - len(failures), tuple(failures), tuple(skipped.items()))
+    return *columns, ParseReport(read, read - len(failures), tuple(failures), tuple(skipped.items()))
 
 
-def _append(column: np.ndarray, size: int, part: np.ndarray) -> int:
-    """Write ``part`` after the first ``size`` items of ``column``, resized in place to fit; returns the new size."""
+def _append(column: np.ndarray, size: int, part: np.ndarray) -> None:
+    """Write ``part`` after the first ``size`` items of ``column``, resized in place to fit."""
     end = size + part.size
     if end > column.size:
         column.resize(end, refcheck=False)
     column[size:end] = part
-    return end
 
 
 def _judge(chunk: str, cfg: InputConfig, scored: bool, header: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each line's verdict, and the good rows' label mask and score column.
+    """Each line's verdict and the good rows' two columns: label mask and scores, or actual and predicted mask.
 
     The first line is a header when ``header``: it is judged only on being UTF-8.
     """
@@ -267,9 +270,9 @@ def _judge(chunk: str, cfg: InputConfig, scored: bool, header: bool) -> tuple[np
     if scored:
         del lines  # the split of the scores sets the peak
         return verdict, *_scores(chunk, cfg.delimiter, verdict, positive)
-    if verdict.any():
+    if verdict.any():  # keep the good rows' fields, two to a row
         positive = positive[np.repeat(verdict == _GOOD, np.diff(lines, prepend=-1))]
-    return verdict, positive, np.empty(0)
+    return verdict, positive[0::2], positive[1::2]
 
 
 def _scores(chunk: str, delimiter: str, verdict: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,8 +342,8 @@ def parse_hard_labels(
     strict: bool = False,
 ) -> tuple[LabeledColumns, ParseReport]:
     """Parse ``actual<delim>predicted`` rows into label columns, in input order."""
-    positive, _, report = _parse_chunks(source, cfg, strict, scored=False)  # actual, predicted, actual, ...
-    return LabeledColumns(positive[0::2], positive[1::2]), report
+    actual, predicted, report = _parse_chunks(source, cfg, strict, scored=False)
+    return _of_own_arrays(LabeledColumns, actual=actual, predicted=predicted), report
 
 
 def parse_scores(
@@ -355,4 +358,4 @@ def parse_scores(
     digits); an empty input yields empty columns rather than an error.
     """
     positive, score, report = _parse_chunks(source, cfg, strict, scored=True)
-    return ScoredColumns._of_own_arrays(score, positive), report
+    return _of_own_arrays(ScoredColumns, score=score, positive=positive), report

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from binaryeval.counts import ScoredColumns, ScoredSample, _columns, _hold
+from binaryeval.counts import ScoredColumns, ScoredSample, _columns, _hold, _of_own_arrays
 
 __all__ = [
     "ScoredSample",
@@ -91,16 +91,6 @@ class RocCurve:
             raise ValueError("thresholds after the first must be finite")
         _hold(self, fp=fp, tp=tp, threshold=threshold)
 
-    @classmethod
-    def _of_own_arrays(cls, fp: np.ndarray, tp: np.ndarray, threshold: np.ndarray) -> RocCurve:
-        """The curve of the sweep's own ``int64``, ``int64`` and ``float64`` arrays, neither copied nor checked.
-
-        The sweep builds a valid curve; the tests check it with the constructor.
-        """
-        curve = object.__new__(cls)
-        _hold(curve, fp=fp, tp=tp, threshold=threshold)
-        return curve
-
     @property
     def fpr(self) -> np.ndarray:
         return self.fp / self.fp[-1]
@@ -173,7 +163,7 @@ def roc_points(samples: ScoredColumns | Iterable[ScoredSample]) -> RocCurve:
     # A point's index is the number of samples taken so far; those not positive are its fp.
     fp = np.flatnonzero(ends).astype(np.int64, copy=False)
     np.subtract(fp, tp, out=fp)
-    return RocCurve._of_own_arrays(fp, tp, threshold)
+    return _of_own_arrays(RocCurve, fp=fp, tp=tp, threshold=threshold)
 
 
 def auc_trapezoid(curve: RocCurve) -> float:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binaryeval.counts import Label, ScoredColumns, ScoredSample, from_predictions
+from binaryeval.counts import Label, LabeledColumns, ScoredColumns, ScoredSample, _of_own_arrays, from_predictions
 from binaryeval.metrics import false_positive_rate, true_positive_rate
 from binaryeval.roc import (
     RocCurve,
@@ -280,16 +280,27 @@ class TestCurveColumns:
         with pytest.raises(ValueError, match="after the first must be finite"):
             RocCurve(fp=[0, 1], tp=[0, 1], threshold=[math.inf, -math.inf])
 
-    def test_constructor_copies_and_the_sweep_path_does_not(self):
-        fp, tp, threshold = np.array([0, 1, 2]), np.array([0, 2, 2]), np.array([math.inf, 0.5, 0.25])
-        curve = RocCurve(fp=fp, tp=tp, threshold=threshold)
-        fp[1], tp[1], threshold[1] = 2, 1, 0.375
-        assert curve.fp.tolist() == [0, 1, 2] and curve.tp.tolist() == [0, 2, 2]
-        assert curve.threshold.tolist() == [math.inf, 0.5, 0.25]
-        assert fp.flags.writeable and tp.flags.writeable and threshold.flags.writeable
-        own = RocCurve._of_own_arrays(fp, tp, threshold)
-        assert own.fp is fp and own.tp is tp and own.threshold is threshold
-        assert not (fp.flags.writeable or tp.flags.writeable or threshold.flags.writeable)
+    @pytest.mark.parametrize(
+        "cls, make_columns",
+        [
+            (ScoredColumns, lambda: {"score": np.array([0.5, 0.25]), "positive": np.array([True, False])}),
+            (LabeledColumns, lambda: {"actual": np.array([True, False]), "predicted": np.array([True, True])}),
+            (RocCurve, lambda: {"fp": np.array([0, 1]), "tp": np.array([0, 2]), "threshold": np.array([math.inf, 0.5])}),
+        ],
+        ids=["ScoredColumns", "LabeledColumns", "RocCurve"],
+    )
+    def test_constructor_copies_and_the_own_array_hand_over_does_not(self, cls, make_columns):
+        columns = make_columns()
+        built = cls(**columns)
+        for name, column in columns.items():
+            assert np.array_equal(getattr(built, name), column)
+            assert not np.shares_memory(getattr(built, name), column)
+            assert column.flags.writeable
+        own = _of_own_arrays(cls, **columns)
+        assert type(own) is cls
+        for name, column in columns.items():
+            assert getattr(own, name) is column
+            assert not column.flags.writeable
 
 
 class TestAucTrapezoid:
