@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
 """Tally a batch of predictions and walk through every metric."""
 
-from binaryeval import ConfusionCounts, Label, LabeledPrediction, all_metrics, from_predictions
-
-P, N = Label.POSITIVE, Label.NEGATIVE
+from binaryeval import ConfusionCounts, LabeledColumns, all_metrics, from_predictions
 
 # Ten predictions: four hits, two misses, one false alarm, three correct rejections.
-pairs = (
-    [LabeledPrediction(P, P)] * 4
-    + [LabeledPrediction(P, N)] * 2
-    + [LabeledPrediction(N, P)]
-    + [LabeledPrediction(N, N)] * 3
+# Each column is true where that label is positive.
+pairs = LabeledColumns(
+    actual=[True] * 6 + [False] * 4,
+    predicted=[True] * 4 + [False] * 2 + [True] + [False] * 3,
 )
 counts = from_predictions(pairs)
+assert counts == ConfusionCounts(tp=4, fp=1, fn=2, tn=3)
 print(f"tally: tp={counts.tp} fp={counts.fp} fn={counts.fn} tn={counts.tn}")
 print(f"totals: {counts.total} samples, {counts.positives} positive, {counts.negatives} negative")
 print()

@@ -8,16 +8,17 @@ from pathlib import Path
 
 import numpy as np
 
-from binaryeval import Label, ScoredSample, auc_pair_count, auc_trapezoid, roc_points, write_svg
+from binaryeval import ScoredColumns, auc_pair_count, auc_trapezoid, roc_points, write_svg
 
 rng = np.random.default_rng(42)
 
 # Positives score higher on average; overlap makes the curve interesting.
 pos_scores = rng.normal(loc=0.65, scale=0.18, size=400)
 neg_scores = rng.normal(loc=0.35, scale=0.18, size=600)
-samples = [ScoredSample(float(s), Label.POSITIVE) for s in pos_scores] + [
-    ScoredSample(float(s), Label.NEGATIVE) for s in neg_scores
-]
+samples = ScoredColumns(
+    score=np.concatenate([pos_scores, neg_scores]),
+    positive=np.arange(pos_scores.size + neg_scores.size) < pos_scores.size,
+)
 
 curve = roc_points(samples)
 print(f"curve has {curve.threshold.size} points "
@@ -26,6 +27,7 @@ print(f"curve has {curve.threshold.size} points "
 # Two independent AUC algorithms divide the same integer ratio once: the floats are equal.
 trapezoid = auc_trapezoid(curve)
 pair_count = auc_pair_count(samples)
+assert trapezoid == pair_count
 print(f"AUC by trapezoidal rule: {trapezoid:.12f}")
 print(f"AUC by pair counting:    {pair_count:.12f}")
 print(f"difference:              {abs(trapezoid - pair_count):.2e}")

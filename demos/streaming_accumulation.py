@@ -5,25 +5,24 @@ from functools import reduce
 
 import numpy as np
 
-from binaryeval import Label, LabeledPrediction, empty, from_predictions, merge, record
+from binaryeval import LabeledColumns, empty, from_predictions, merge
 
 rng = np.random.default_rng(7)
-labels = (Label.NEGATIVE, Label.POSITIVE)
-
-stream = [
-    LabeledPrediction(actual=labels[a], predicted=labels[p])
-    for a, p in zip(rng.integers(0, 2, 10_000), rng.integers(0, 2, 10_000))
-]
+actual, predicted = rng.integers(0, 2, 10_000) == 1, rng.integers(0, 2, 10_000) == 1
 
 # Pretend four workers each saw a contiguous slice of the stream.
-shards = np.array_split(np.arange(len(stream)), 4)
-partials = [from_predictions([stream[i] for i in shard]) for shard in shards]
+partials = [
+    from_predictions(LabeledColumns(a, p))
+    for a, p in zip(np.array_split(actual, 4), np.array_split(predicted, 4))
+]
 for worker, partial in enumerate(partials):
     print(f"worker {worker}: tp={partial.tp} fp={partial.fp} fn={partial.fn} tn={partial.tn}")
 
 combined = reduce(merge, partials, empty())
 # The sequential tally records one pair at a time, as a single worker would.
-sequential = reduce(record, stream, empty())
+one_pair_tallies = (from_predictions(LabeledColumns(actual[i : i + 1], predicted[i : i + 1])) for i in range(actual.size))
+sequential = reduce(merge, one_pair_tallies, empty())
+assert combined == sequential
 print(f"merged:    {combined}")
 print(f"sequential: {sequential}")
 print(f"bit-identical: {combined == sequential}")

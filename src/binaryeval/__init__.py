@@ -2,16 +2,11 @@
 
 from binaryeval.counts import (
     ConfusionCounts,
-    Label,
     LabeledColumns,
-    LabeledPrediction,
     ScoredColumns,
-    ScoredSample,
-    binarize,
     empty,
     from_predictions,
     merge,
-    record,
     threshold_counts,
 )
 from binaryeval.ingest import (
@@ -45,7 +40,6 @@ from binaryeval.report import (
 )
 from binaryeval.roc import (
     RocCurve,
-    RocPoint,
     auc_pair_count,
     auc_trapezoid,
     roc_points,
@@ -57,22 +51,17 @@ __all__ = [
     "ConfusionCounts",
     "EvaluationReport",
     "InputConfig",
-    "Label",
     "LabeledColumns",
-    "LabeledPrediction",
     "MetricSet",
     "MetricValue",
     "ParseError",
     "ParseReport",
     "RocCurve",
-    "RocPoint",
     "ScoredColumns",
-    "ScoredSample",
     "accuracy",
     "all_metrics",
     "auc_pair_count",
     "auc_trapezoid",
-    "binarize",
     "empty",
     "error_rate",
     "f1_score",
@@ -84,7 +73,6 @@ __all__ = [
     "parse_scores",
     "precision",
     "recall",
-    "record",
     "roc_points",
     "sensitivity",
     "specificity",

@@ -74,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="decision threshold, required with --mode scores")
     roc = sub.add_parser("roc", parents=[common],
                          help="ROC curve and AUC from scored predictions")
-    roc.add_argument("--mode", choices=("hard-labels", "scores"), default="scores",
-                     help="must be scores for this subcommand")
+    # roc reads only actual,score rows; its meta echo still names the mode.
+    roc.set_defaults(mode="scores")
     roc.add_argument("--svg", default=None, metavar="PATH",
                      help="also write an SVG plot of the curve")
     return parser
@@ -185,8 +185,6 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    if args.mode != "scores":
-        raise _UsageError("--mode must be 'scores' for the roc subcommand")
     samples, parse_report = _parse(args, parse_scores)
     _warn_failures(parse_report, err)
 

@@ -3,10 +3,10 @@
 Everything here is a plain immutable value: tallies are accumulated by
 building new :class:`ConfusionCounts` instances, so sharded/parallel
 accumulation followed by :func:`merge` is bit-identical to a sequential
-fold of :func:`record`.
+fold of :func:`merge` over the tallies of one pair at a time.
 
-Label pairs and scored samples are counted and swept as columns; any
-other input is read into columns first, so each has one code path.
+Pairs of labels and scored samples have one form each, two columns:
+:class:`LabeledColumns` and :class:`ScoredColumns`.
 """
 
 from __future__ import annotations
@@ -14,27 +14,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
-from typing import Hashable, Iterable, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
 _Holder = TypeVar("_Holder")
-
-
-class Label(Enum):
-    """One of the two classes a sample can belong to."""
-
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
-@dataclass(frozen=True, slots=True)
-class LabeledPrediction:
-    """A single (actual, predicted) label pair."""
-
-    actual: Label
-    predicted: Label
 
 
 def _real(value: float) -> float:
@@ -43,24 +27,6 @@ def _real(value: float) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-@dataclass(frozen=True, slots=True)
-class ScoredSample:
-    """An actual label together with the classifier's positive-class score.
-
-    The score must be finite (no NaN, no infinities); it is typically a
-    posterior probability but any finite real works.
-    """
-
-    score: float
-    actual: Label
-
-    def __post_init__(self) -> None:
-        score = _real(self.score)
-        if not math.isfinite(score):
-            raise ValueError(f"score must be finite, got {self.score!r}")
-        object.__setattr__(self, "score", score)
 
 
 def _mask(values: object, name: str) -> np.ndarray:
@@ -122,7 +88,7 @@ class ScoredColumns:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class LabeledColumns:
-    """Label pairs as two read-only ``bool`` columns of one length.
+    """Pairs of (actual, predicted) labels as two read-only ``bool`` columns of one length.
 
     ``actual`` and ``predicted`` are true where that label is positive;
     index ``i`` of each is pair ``i``. The constructor copies and checks
@@ -187,11 +153,6 @@ def empty() -> ConfusionCounts:
     return ConfusionCounts(tp=0, fp=0, fn=0, tn=0)
 
 
-def record(counts: ConfusionCounts, prediction: LabeledPrediction) -> ConfusionCounts:
-    """Return a new tally with the cell for ``prediction`` incremented by one."""
-    return merge(counts, from_predictions((prediction,)))
-
-
 def merge(a: ConfusionCounts, b: ConfusionCounts) -> ConfusionCounts:
     """Cell-wise sum of two tallies."""
     return ConfusionCounts(
@@ -210,40 +171,12 @@ def _tally(actual: np.ndarray, predicted: np.ndarray) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=actual.size - tp - fp - fn)
 
 
-def from_predictions(pairs: LabeledColumns | Iterable[LabeledPrediction]) -> ConfusionCounts:
-    """Tally label pairs; equal to folding :func:`record` over :func:`empty`.
-
-    A :class:`LabeledColumns` is counted as it is. Any other iterable is
-    read into one first, in a single pass, so an iterator works too.
-    """
-    if not isinstance(pairs, LabeledColumns):
-        # Each pair's actual label, then its predicted one.
-        flat = np.fromiter(
-            (label is Label.POSITIVE for pair in pairs for label in (pair.actual, pair.predicted)), dtype=bool
-        )
-        pairs = _of_own_arrays(LabeledColumns, actual=flat[0::2], predicted=flat[1::2])
+def from_predictions(pairs: LabeledColumns) -> ConfusionCounts:
+    """Tally label pairs; merging the tallies of any sharding of them gives the same."""
     return _tally(pairs.actual, pairs.predicted)
 
 
-def binarize(actual_class: Hashable, positive_class: Hashable) -> Label:
-    """One-vs-rest reduction: equal to the chosen positive class, or not.
-
-    Every class identifier other than ``positive_class`` collapses to the
-    negative label, so multi-class inputs reduce to a binary problem
-    against one declared positive class.
-    """
-    return Label.POSITIVE if actual_class == positive_class else Label.NEGATIVE
-
-
-def _columns(samples: ScoredColumns | Iterable[ScoredSample]) -> ScoredColumns:
-    """``samples`` as columns: a :class:`ScoredColumns` as it is, any other iterable read into one in a single pass."""
-    if isinstance(samples, ScoredColumns):
-        return samples
-    rows = list(samples)
-    return ScoredColumns([sample.score for sample in rows], [sample.actual is Label.POSITIVE for sample in rows])
-
-
-def threshold_counts(samples: ScoredColumns | Iterable[ScoredSample], threshold: float) -> ConfusionCounts:
+def threshold_counts(samples: ScoredColumns, threshold: float) -> ConfusionCounts:
     """The tally of hard predictions that are positive iff score >= ``threshold``.
 
     ``+inf`` predicts everything negative and ``-inf`` everything positive,
@@ -254,5 +187,4 @@ def threshold_counts(samples: ScoredColumns | Iterable[ScoredSample], threshold:
     threshold = _real(threshold)
     if math.isnan(threshold):
         raise ValueError("threshold must be a real number or +/-inf, not NaN")
-    columns = _columns(samples)
-    return _tally(columns.positive, columns.score >= threshold)
+    return _tally(samples.positive, samples.score >= threshold)

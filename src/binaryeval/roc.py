@@ -11,35 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from binaryeval.counts import ScoredColumns, ScoredSample, _columns, _hold, _of_own_arrays
+from binaryeval.counts import ScoredColumns, _hold, _of_own_arrays
 
 __all__ = [
-    "ScoredSample",
-    "RocPoint",
     "RocCurve",
     "roc_points",
     "auc_trapezoid",
     "auc_pair_count",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class RocPoint:
-    """One (fpr, tpr) point and the decision threshold that produced it."""
-
-    fpr: float
-    tpr: float
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fpr <= 1.0:
-            raise ValueError(f"fpr must be in [0, 1], got {self.fpr!r}")
-        if not 0.0 <= self.tpr <= 1.0:
-            raise ValueError(f"tpr must be in [0, 1], got {self.tpr!r}")
 
 
 def _count_column(name: str, values: object) -> np.ndarray:
@@ -63,8 +45,7 @@ class RocCurve:
     ``i``-th point. Only the initial point's threshold is infinite (+inf).
     The last point counts every negative and every positive, so the rates
     ``fpr = fp / fp[-1]`` and ``tpr = tp / tp[-1]`` (each a fresh array of
-    the curve's length) and the ``auc`` are derived on each access;
-    ``points`` is the same curve as :class:`RocPoint` values. The
+    the curve's length) and the ``auc`` are derived on each access. The
     constructor copies and checks its arguments.
     """
 
@@ -104,12 +85,12 @@ class RocCurve:
         return auc_trapezoid(self)
 
     @property
-    def points(self) -> tuple[RocPoint, ...]:
-        """The curve as one :class:`RocPoint` per threshold, in sweep order."""
-        return tuple(map(RocPoint, self.fpr.tolist(), self.tpr.tolist(), self.threshold.tolist()))
+    def points(self) -> tuple[tuple[float, float, float], ...]:
+        """The curve as one ``(fpr, tpr, threshold)`` tuple per point, in sweep order."""
+        return tuple(zip(self.fpr.tolist(), self.tpr.tolist(), self.threshold.tolist()))
 
 
-def roc_points(samples: ScoredColumns | Iterable[ScoredSample]) -> RocCurve:
+def roc_points(samples: ScoredColumns) -> RocCurve:
     """Sweep the decision threshold over ``samples`` and build the curve.
 
     The scores are sorted and read descending. Each distinct score emits one
@@ -120,15 +101,13 @@ def roc_points(samples: ScoredColumns | Iterable[ScoredSample]) -> RocCurve:
     lands on every negative and every positive, (1, 1). A threshold of zero
     has the sign of the first zero in input order.
 
-    Raises ValueError on empty input, on a non-finite score (naming the
-    offending record index), and when either class is absent (one rate
-    denominator would be zero everywhere).
+    Raises ValueError on empty input and when either class is absent (one
+    rate denominator would be zero everywhere).
     """
-    columns = _columns(samples)
-    if len(columns) == 0:
+    if len(samples) == 0:
         raise ValueError("cannot build a curve from an empty sample sequence")
-    positives = int(np.count_nonzero(columns.positive))
-    negatives = len(columns) - positives
+    positives = int(np.count_nonzero(samples.positive))
+    negatives = len(samples) - positives
     if positives == 0 or negatives == 0:
         raise ValueError(
             "need both classes: got "
@@ -139,7 +118,7 @@ def roc_points(samples: ScoredColumns | Iterable[ScoredSample]) -> RocCurve:
     # scores, and dropped before fp is built; the curve takes the other arrays
     # uncopied. Read descending, it has the initial point's +inf at index 0, so
     # one boolean mask selects the whole curve. Order within a tie group changes no count.
-    buffer = np.append(columns.score, math.inf)
+    buffer = np.append(samples.score, math.inf)
     buffer.sort()
     descending = buffer[::-1]
     # Where each tie group ends, at its last sample (-0.0 ties 0.0).
@@ -151,11 +130,11 @@ def roc_points(samples: ScoredColumns | Iterable[ScoredSample]) -> RocCurve:
     # sign of whichever came first in input order, as a stable sort would.
     zero = np.flatnonzero(threshold == 0)
     if zero.size:
-        threshold[zero] = columns.score[np.argmax(columns.score == 0)]
+        threshold[zero] = samples.score[np.argmax(samples.score == 0)]
     # The positives' scores, in place among +inf, sort to the buffer's front;
     # those at or above a threshold are the positives not below it.
     buffer.fill(math.inf)
-    np.copyto(buffer[:-1], columns.score, where=columns.positive)
+    np.copyto(buffer[:-1], samples.score, where=samples.positive)
     buffer.sort()
     tp = np.searchsorted(buffer[:positives], threshold, side="left").astype(np.int64, copy=False)
     del buffer, descending
@@ -194,7 +173,7 @@ def _pair_tallies_ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
     return greater, equal
 
 
-def auc_pair_count(samples: ScoredColumns | Iterable[ScoredSample]) -> float:
+def auc_pair_count(samples: ScoredColumns) -> float:
     """AUC as the probability a random positive outscores a random negative.
 
     Ties get half credit. The tallies are exact integers: the negatives
@@ -202,8 +181,7 @@ def auc_pair_count(samples: ScoredColumns | Iterable[ScoredSample]) -> float:
     is deliberately independent of the threshold sweep in
     :func:`roc_points` and serves as its cross-check.
     """
-    columns = _columns(samples)
-    pos, neg = columns.score[columns.positive], columns.score[~columns.positive]
+    pos, neg = samples.score[samples.positive], samples.score[~samples.positive]
     pairs = pos.size * neg.size
     if pairs == 0:
         raise ValueError(

@@ -17,10 +17,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from binaryeval.counts import ConfusionCounts, Label, LabeledColumns, LabeledPrediction, ScoredColumns, ScoredSample
+from binaryeval.counts import ConfusionCounts, LabeledColumns, ScoredColumns
 from binaryeval.ingest import InputConfig, ParseError, ParseReport
 from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
-from binaryeval.roc import RocCurve, RocPoint
+from binaryeval.roc import RocCurve
 
 T = TypeVar("T")
 
@@ -33,24 +33,36 @@ SCORE_PATTERN = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.AS
 _REASON_DETAIL = re.compile(r", got \d+\Z| ['\"].*\Z")
 
 
-def tally_pairs(pairs: Iterable[LabeledPrediction]) -> ConfusionCounts:
-    """``from_predictions`` as one loop over the pairs, one cell incremented per pair."""
+def labeled_columns(pairs: Iterable[tuple[bool, bool]]) -> LabeledColumns:
+    """``(actual, predicted)`` rows, each true where that label is positive, as the package's columns."""
+    pairs = list(pairs)
+    return LabeledColumns([actual for actual, _ in pairs], [predicted for _, predicted in pairs])
+
+
+def scored_columns(samples: Iterable[tuple[float, bool]]) -> ScoredColumns:
+    """``(score, positive)`` rows as the package's columns."""
+    samples = list(samples)
+    return ScoredColumns([score for score, _ in samples], [positive for _, positive in samples])
+
+
+def tally_pairs(pairs: Iterable[tuple[bool, bool]]) -> ConfusionCounts:
+    """``from_predictions`` as one loop over ``(actual, predicted)`` rows, one cell incremented per pair."""
     tp = fp = fn = tn = 0
-    for pair in pairs:
-        if pair.actual is Label.POSITIVE:
-            if pair.predicted is Label.POSITIVE:
+    for actual, predicted in pairs:
+        if actual:
+            if predicted:
                 tp += 1
             else:
                 fn += 1
-        elif pair.predicted is Label.POSITIVE:
+        elif predicted:
             fp += 1
         else:
             tn += 1
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def apply_threshold(samples: Sequence[ScoredSample], threshold: float) -> list[LabeledPrediction]:
-    """Turn scores into hard predictions: positive iff score >= threshold.
+def apply_threshold(samples: Iterable[tuple[float, bool]], threshold: float) -> list[tuple[bool, bool]]:
+    """Turn ``(score, positive)`` rows into ``(actual, predicted)`` ones: predicted iff score >= threshold.
 
     ``+inf`` predicts everything negative and ``-inf`` everything positive;
     NaN is rejected. Actual labels pass through and order is preserved.
@@ -58,13 +70,7 @@ def apply_threshold(samples: Sequence[ScoredSample], threshold: float) -> list[L
     """
     if isinstance(threshold, float) and math.isnan(threshold):
         raise ValueError("threshold must be a real number or +/-inf, not NaN")
-    return [
-        LabeledPrediction(
-            actual=sample.actual,
-            predicted=Label.POSITIVE if sample.score >= threshold else Label.NEGATIVE,
-        )
-        for sample in samples
-    ]
+    return [(positive, score >= threshold) for score, positive in samples]
 
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
@@ -175,8 +181,8 @@ def trapezoid_area(rates: Sequence[tuple[Fraction, Fraction]]) -> float:
     return float(sum((f1 - f0) * (t0 + t1) / 2 for (f0, t0), (f1, t1) in zip(rates, rates[1:])))
 
 
-def roc_sweep(samples: Sequence[ScoredSample]) -> tuple[list[RocPoint], float]:
-    """The per-row threshold sweep: its points and their trapezoid area.
+def roc_sweep(samples: Sequence[tuple[float, bool]]) -> tuple[list[tuple[float, float, float]], float]:
+    """The per-row threshold sweep over ``(score, positive)`` rows: its ``(fpr, tpr, threshold)`` points and their trapezoid area.
 
     Sorts by score descending (stable, so ties keep input order), scans
     once with running tp/fp counters and emits one point per distinct
@@ -184,23 +190,23 @@ def roc_sweep(samples: Sequence[ScoredSample]) -> tuple[list[RocPoint], float]:
     is taken over the exact rates fp/negatives and tp/positives. Expects
     both classes and finite scores.
     """
-    positives = sum(1 for sample in samples if sample.actual is Label.POSITIVE)
+    positives = sum(1 for _, positive in samples if positive)
     negatives = len(samples) - positives
-    ordered = sorted(samples, key=lambda s: s.score, reverse=True)
-    points = [RocPoint(fpr=0.0, tpr=0.0, threshold=math.inf)]
+    ordered = sorted(samples, key=lambda sample: sample[0], reverse=True)
+    points = [(0.0, 0.0, math.inf)]
     rates = [(Fraction(0), Fraction(0))]
     tp = fp = 0
     i = 0
     n = len(ordered)
     while i < n:
-        score = ordered[i].score
-        while i < n and ordered[i].score == score:
-            if ordered[i].actual is Label.POSITIVE:
+        score = ordered[i][0]
+        while i < n and ordered[i][0] == score:
+            if ordered[i][1]:
                 tp += 1
             else:
                 fp += 1
             i += 1
-        points.append(RocPoint(fpr=fp / negatives, tpr=tp / positives, threshold=score))
+        points.append((fp / negatives, tp / positives, score))
         rates.append((Fraction(fp, negatives), Fraction(tp, positives)))
     return points, trapezoid_area(rates)
 
@@ -274,9 +280,9 @@ def roc_text(curve: RocCurve, meta: Mapping[str, object]) -> str:
     lines = [f"{key} {_format_meta_value(value)}" for key, value in meta.items()]
     lines.append("")
     lines.append("fpr tpr threshold")
-    for p in curve.points:
-        threshold = "inf" if math.isinf(p.threshold) else repr(p.threshold)
-        lines.append(f"{p.fpr:.6f} {p.tpr:.6f} {threshold}")
+    for fpr, tpr, threshold in curve.points:
+        threshold = "inf" if math.isinf(threshold) else repr(threshold)
+        lines.append(f"{fpr:.6f} {tpr:.6f} {threshold}")
     lines.append(f"AUC {curve.auc:.6f}")
     return "\n".join(lines) + "\n"
 
@@ -284,8 +290,8 @@ def roc_text(curve: RocCurve, meta: Mapping[str, object]) -> str:
 def roc_json(curve: RocCurve, meta: Mapping[str, object]) -> str:
     """The ``roc`` subcommand's JSON report: ``roc`` then ``meta``."""
     points = [
-        {"fpr": p.fpr, "tpr": p.tpr, "threshold": repr(p.threshold) if math.isinf(p.threshold) else p.threshold}
-        for p in curve.points
+        {"fpr": fpr, "tpr": tpr, "threshold": repr(threshold) if math.isinf(threshold) else threshold}
+        for fpr, tpr, threshold in curve.points
     ]
     return json.dumps({"roc": {"points": points, "auc": curve.auc}, "meta": dict(meta)},
                       indent=2, allow_nan=False) + "\n"
@@ -351,7 +357,7 @@ def roc_svg(curve: RocCurve, title: str) -> str:
         f'<line x1="{x_px(0.0):.2f}" y1="{y_px(0.0):.2f}" x2="{x_px(1.0):.2f}" y2="{y_px(1.0):.2f}" '
         'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>'
     )
-    polyline = " ".join(f"{x_px(p.fpr):.2f},{y_px(p.tpr):.2f}" for p in curve.points)
+    polyline = " ".join(f"{x_px(fpr):.2f},{y_px(tpr):.2f}" for fpr, tpr, _ in curve.points)
     lines.append(
         f'<polyline points="{polyline}" fill="none" stroke="#1f77b4" stroke-width="2"/>'
     )

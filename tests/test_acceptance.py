@@ -15,21 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from binaryeval.cli import run
-from binaryeval.counts import (
-    ConfusionCounts,
-    Label,
-    LabeledPrediction,
-    ScoredSample,
-    empty,
-    from_predictions,
-    merge,
-    record,
-)
+from binaryeval.counts import ConfusionCounts, LabeledColumns, ScoredColumns, empty, from_predictions, merge
 from binaryeval.metrics import all_metrics, matthews_corrcoef
 from binaryeval.roc import auc_pair_count, auc_trapezoid, roc_points
-
-P = Label.POSITIVE
-N = Label.NEGATIVE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,7 +47,7 @@ def _pearson_r_binary(actual: np.ndarray, predicted: np.ndarray) -> float | None
     return float((ac * pc).sum()) / denominator
 
 
-def _random_sample_set(rng: np.random.Generator, tie_grid: bool) -> list[ScoredSample]:
+def _random_sample_set(rng: np.random.Generator, tie_grid: bool) -> ScoredColumns:
     n_pos = int(rng.integers(1, 41))
     n_neg = int(rng.integers(1, 41))
     total = n_pos + n_neg
@@ -67,9 +55,9 @@ def _random_sample_set(rng: np.random.Generator, tie_grid: bool) -> list[ScoredS
         scores = rng.integers(0, 11, size=total) / 8.0
     else:
         scores = rng.uniform(-100.0, 100.0, size=total)
-    labels = [P] * n_pos + [N] * n_neg
+    positive = np.arange(total) < n_pos
     order = rng.permutation(total)
-    return [ScoredSample(float(scores[i]), labels[i]) for i in order]
+    return ScoredColumns(scores[order], positive[order])
 
 
 def test_worked_example_suite():
@@ -124,13 +112,9 @@ def test_mcc_equals_pearson_r_oracle():
     for _ in range(10_000):
         n = int(rng.integers(2, 201))
         bias = rng.choice([0.1, 0.5, 0.9])
-        actual = (rng.random(n) < bias).astype(np.int64)
-        predicted = (rng.random(n) < rng.choice([0.1, 0.5, 0.9])).astype(np.int64)
-        pairs = [
-            LabeledPrediction(actual=P if a else N, predicted=P if p else N)
-            for a, p in zip(actual, predicted)
-        ]
-        mcc = matthews_corrcoef(from_predictions(pairs))
+        actual = rng.random(n) < bias
+        predicted = rng.random(n) < rng.choice([0.1, 0.5, 0.9])
+        mcc = matthews_corrcoef(from_predictions(LabeledColumns(actual, predicted)))
         r = _pearson_r_binary(actual, predicted)
         assert (mcc is None) == (r is None)
         if mcc is not None:
@@ -157,26 +141,20 @@ def test_roc_structural_suite():
     for i in range(300):
         samples = _random_sample_set(rng, tie_grid=(i % 2 == 0))
         curve = roc_points(samples)
-        first, last = curve.points[0], curve.points[-1]
-        assert (first.fpr, first.tpr) == (0.0, 0.0)
-        assert (last.fpr, last.tpr) == (1.0, 1.0)
-        for prev, cur in zip(curve.points, curve.points[1:]):
-            assert cur.fpr >= prev.fpr and cur.tpr >= prev.tpr
-        flipped = [ScoredSample(s.score, N if s.actual is P else P) for s in samples]
+        fpr, tpr = curve.fpr, curve.tpr
+        assert (fpr[0], tpr[0]) == (0.0, 0.0)
+        assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
+        assert (np.diff(fpr) >= 0).all() and (np.diff(tpr) >= 0).all()
+        flipped = ScoredColumns(samples.score, ~samples.positive)
         assert abs(roc_points(flipped).auc - (1.0 - curve.auc)) <= 1e-12
 
-    perfect = [ScoredSample(float(s), P) for s in range(60, 90)] + [
-        ScoredSample(float(s), N) for s in range(0, 30)
-    ]
+    perfect = ScoredColumns(np.r_[60:90, 0:30].astype(float), np.arange(60) < 30)
     perfect_curve = roc_points(perfect)
     assert perfect_curve.auc == 1.0
-    assert (0.0, 1.0) in {(p.fpr, p.tpr) for p in perfect_curve.points}
+    assert (0.0, 1.0) in set(zip(perfect_curve.fpr.tolist(), perfect_curve.tpr.tolist()))
 
     labels = rng.integers(0, 2, size=100_000)
-    iid = [
-        ScoredSample(float(s), P if l else N)
-        for s, l in zip(rng.random(100_000), labels)
-    ]
+    iid = ScoredColumns(rng.random(100_000), labels == 1)
     chance_auc = roc_points(iid).auc
     assert 0.49 <= chance_auc <= 0.51, chance_auc
     print(f"ACCEPTANCE ROC structural suite (chance AUC {chance_auc:.4f}): PASS")
@@ -185,21 +163,20 @@ def test_roc_structural_suite():
 def test_accumulation_suite():
     """Sharded merge is bit-exact against sequential folding; monoid laws hold."""
     rng = np.random.default_rng(99)
-    label_pool = [P, N]
     for _ in range(300):
         n = int(rng.integers(0, 400))
-        pairs = [
-            LabeledPrediction(actual=label_pool[a], predicted=label_pool[p])
-            for a, p in zip(rng.integers(0, 2, n), rng.integers(0, 2, n))
-        ]
-        sequential = reduce(record, pairs, empty())
-        assert from_predictions(pairs) == sequential
+        actual, predicted = rng.integers(0, 2, n) == 0, rng.integers(0, 2, n) == 0
+        # One pair at a time, as a single worker would record them.
+        sequential = reduce(
+            merge, (from_predictions(LabeledColumns(actual[i : i + 1], predicted[i : i + 1])) for i in range(n)), empty()
+        )
+        assert from_predictions(LabeledColumns(actual, predicted)) == sequential
 
         n_cuts = int(rng.integers(0, 6))
         cuts = sorted(int(c) for c in rng.integers(0, n + 1, size=n_cuts))
         bounds = [0, *cuts, n]
-        shards = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        sharded = reduce(merge, (from_predictions(shard) for shard in shards), empty())
+        shards = [LabeledColumns(actual[lo:hi], predicted[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        sharded = reduce(merge, map(from_predictions, shards), empty())
         assert sharded == sequential
 
     for _ in range(1_000):

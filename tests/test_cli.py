@@ -214,9 +214,14 @@ class TestRoc:
         assert out == ""
         assert "need both classes" in err
 
-    def test_explicit_scores_mode_accepted(self, worked_files):
-        code, _, _ = invoke("roc", "scores.csv", "--mode", "scores")
-        assert code == 0
+    def test_mode_is_not_an_option(self, worked_files):
+        # roc reads only actual,score rows; --mode is evaluate's flag.
+        code, out, err = invoke("roc", "scores.csv", "--mode", "scores")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "usage: binaryeval [-h] {evaluate,roc} ...",
+            "binaryeval: error: unrecognized arguments: --mode scores",
+        ]
 
     def test_unwritable_svg_fails_before_any_report_output(self, worked_files):
         code, out, err = invoke("roc", "scores.csv", "--svg", "no_such_dir/out.svg")
@@ -508,11 +513,6 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "--threshold" in err
-
-    def test_roc_rejects_hard_labels_mode(self, worked_files):
-        code, _, err = invoke("roc", "preds.csv", "--mode", "hard-labels")
-        assert code == 2
-        assert "--mode" in err
 
     def test_multi_character_delimiter(self, worked_files):
         code, _, err = invoke("evaluate", "preds.csv", "--delimiter", "ab")

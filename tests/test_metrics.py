@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binaryeval.counts import ConfusionCounts, Label, LabeledPrediction, from_predictions
+from binaryeval.counts import ConfusionCounts, LabeledColumns, from_predictions
 from binaryeval.metrics import (
     accuracy,
     all_metrics,
@@ -24,9 +24,6 @@ from binaryeval.metrics import (
     true_negative_rate,
     true_positive_rate,
 )
-
-P = Label.POSITIVE
-N = Label.NEGATIVE
 
 C_STAR = ConfusionCounts(tp=4, fp=1, fn=2, tn=3)
 PERFECT = ConfusionCounts(tp=5, fp=0, fn=0, tn=5)
@@ -54,13 +51,6 @@ def pearson_r_binary(actual: np.ndarray, predicted: np.ndarray) -> float | None:
     if denominator == 0.0:
         return None
     return float((ac * pc).sum()) / denominator
-
-
-def pairs_from_binary(actual, predicted) -> list[LabeledPrediction]:
-    return [
-        LabeledPrediction(actual=P if a else N, predicted=P if p else N)
-        for a, p in zip(actual, predicted)
-    ]
 
 
 class TestWorkedValues:
@@ -245,7 +235,7 @@ class TestMccOracles:
             n = int(rng.integers(2, 60))
             actual = rng.integers(0, 2, size=n)
             predicted = rng.integers(0, 2, size=n)
-            mcc = matthews_corrcoef(from_predictions(pairs_from_binary(actual, predicted)))
+            mcc = matthews_corrcoef(from_predictions(LabeledColumns(actual == 1, predicted == 1)))
             r = pearson_r_binary(actual, predicted)
             assert (mcc is None) == (r is None)
             if mcc is not None:

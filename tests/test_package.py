@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
+from pathlib import Path
+
 import binaryeval
 
 
@@ -15,22 +19,17 @@ def test_the_exported_names_are_these():
         "ConfusionCounts",
         "EvaluationReport",
         "InputConfig",
-        "Label",
         "LabeledColumns",
-        "LabeledPrediction",
         "MetricSet",
         "MetricValue",
         "ParseError",
         "ParseReport",
         "RocCurve",
-        "RocPoint",
         "ScoredColumns",
-        "ScoredSample",
         "accuracy",
         "all_metrics",
         "auc_pair_count",
         "auc_trapezoid",
-        "binarize",
         "empty",
         "error_rate",
         "f1_score",
@@ -42,7 +41,6 @@ def test_the_exported_names_are_these():
         "parse_scores",
         "precision",
         "recall",
-        "record",
         "roc_points",
         "sensitivity",
         "specificity",
@@ -53,3 +51,23 @@ def test_the_exported_names_are_these():
         "write_svg",
         "write_text",
     ]
+
+
+def test_the_readme_python_blocks_run_and_print_what_their_comments_state():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    printed = []
+    namespace = {"print": lambda *values: printed.append(values)}
+    stated = []
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+        comments = re.findall(r"^print\(.*#(.*)$", block, flags=re.MULTILINE)
+        stated += [re.findall(r"-?\d+\.\d+(?:\.\.\.)?", comment) for comment in comments]
+    assert len(printed) == len(stated) == 3
+    for values, texts in zip(printed, stated):
+        assert len(values) == len(texts)
+        for value, text in zip(values, texts):
+            # "0.666..." states leading digits; any other number is the exact value.
+            assert repr(value).startswith(text[:-3]) if text.endswith("...") else value == float(text)
+    assert json.loads(namespace["report"])["metrics"]["mcc"] == 0.5

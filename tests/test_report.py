@@ -16,27 +16,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binaryeval import report as report_module
-from binaryeval.counts import ConfusionCounts, Label, ScoredColumns, ScoredSample
+from binaryeval.counts import ConfusionCounts, ScoredColumns
 from binaryeval.metrics import all_metrics
 from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
 from binaryeval.roc import RocCurve, roc_points
 
 from oracles import render_json, render_svg, render_text, roc_json, roc_svg, roc_text
 
-P = Label.POSITIVE
-N = Label.NEGATIVE
-
 C_STAR = ConfusionCounts(tp=4, fp=1, fn=2, tn=3)
 EMPTY = ConfusionCounts(tp=0, fp=0, fn=0, tn=0)
 
-FOUR_SAMPLE_CURVE = roc_points(
-    [
-        ScoredSample(0.9, P),
-        ScoredSample(0.8, N),
-        ScoredSample(0.7, P),
-        ScoredSample(0.6, N),
-    ]
-)
+FOUR_SAMPLE_CURVE = roc_points(ScoredColumns(score=[0.9, 0.8, 0.7, 0.6], positive=[True, False, True, False]))
 
 
 def c_star_report(**kwargs) -> EvaluationReport:
@@ -218,7 +208,7 @@ def curve_and_meta(draw):
     ]))
     pos = draw(st.lists(scores, min_size=1, max_size=25))
     neg = draw(st.lists(scores, min_size=1, max_size=25))
-    curve = roc_points([ScoredSample(x, P) for x in pos] + [ScoredSample(x, N) for x in neg])
+    curve = roc_points(ScoredColumns(pos + neg, [True] * len(pos) + [False] * len(neg)))
     meta = {
         "input": draw(META_TEXT),
         "mode": "scores",
@@ -453,7 +443,7 @@ class TestRenderSvg:
         assert "AUC = 0.750" in render_svg(FOUR_SAMPLE_CURVE, title="demo")
 
     def test_perfect_curve_reaches_the_top_left_data_corner(self):
-        curve = roc_points([ScoredSample(0.9, P), ScoredSample(0.1, N)])
+        curve = roc_points(ScoredColumns([0.9, 0.1], [True, False]))
         root = ET.fromstring(render_svg(curve, title="perfect"))
         polyline = next(e for e in root.iter() if local_name(e) == "polyline")
         assert "50.00,50.00" in polyline.get("points").split()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -12,37 +11,39 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binaryeval.counts import Label, LabeledColumns, ScoredColumns, ScoredSample, _of_own_arrays, from_predictions
+from binaryeval.counts import LabeledColumns, ScoredColumns, _of_own_arrays, from_predictions
 from binaryeval.metrics import false_positive_rate, true_positive_rate
 from binaryeval.roc import (
     RocCurve,
-    RocPoint,
     _pair_tallies_ranked,
     auc_pair_count,
     auc_trapezoid,
     roc_points,
 )
 
-from oracles import apply_threshold, pair_tallies_brute, roc_sweep, roc_sweep_stable
+from oracles import (
+    apply_threshold,
+    labeled_columns,
+    pair_tallies_brute,
+    roc_sweep,
+    roc_sweep_stable,
+    scored_columns,
+)
 
-P = Label.POSITIVE
-N = Label.NEGATIVE
-
-FOUR_SAMPLES = [
-    ScoredSample(0.9, P),
-    ScoredSample(0.8, N),
-    ScoredSample(0.7, P),
-    ScoredSample(0.6, N),
-]
-
-
-def samples(*score_label_pairs) -> list[ScoredSample]:
-    return [ScoredSample(score, label) for score, label in score_label_pairs]
+# The positive flag of a (score, positive) row.
+P, N = True, False
 
 
-def checked_sweep(s) -> RocCurve:
-    """``roc_points(s)``, once the public constructor has checked its arrays: the sweep hands them over unchecked."""
-    curve = roc_points(s)
+def samples(*rows: tuple[float, bool]) -> ScoredColumns:
+    return scored_columns(rows)
+
+
+FOUR_SAMPLES = samples((0.9, P), (0.8, N), (0.7, P), (0.6, N))
+
+
+def checked_sweep(columns: ScoredColumns) -> RocCurve:
+    """``roc_points(columns)``, once the public constructor has checked its arrays: the sweep hands them over unchecked."""
+    curve = roc_points(columns)
     RocCurve(curve.fp, curve.tp, curve.threshold)
     return curve
 
@@ -54,8 +55,8 @@ def sample_sets(draw, tie_heavy: bool = False):
         scores = st.integers(0, 6).map(lambda v: v / 4)
     else:
         scores = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-    pos = draw(st.lists(st.builds(ScoredSample, scores, st.just(P)), min_size=1, max_size=25))
-    neg = draw(st.lists(st.builds(ScoredSample, scores, st.just(N)), min_size=1, max_size=25))
+    pos = draw(st.lists(st.tuples(scores, st.just(P)), min_size=1, max_size=25))
+    neg = draw(st.lists(st.tuples(scores, st.just(N)), min_size=1, max_size=25))
     return draw(st.permutations(pos + neg))
 
 
@@ -63,15 +64,15 @@ def sample_sets(draw, tie_heavy: bool = False):
 def integer_sample_sets(draw):
     # Integer-valued scores keep the monotone transforms below exact in floats.
     scores = st.integers(-100, 100).map(float)
-    pos = draw(st.lists(st.builds(ScoredSample, scores, st.just(P)), min_size=1, max_size=20))
-    neg = draw(st.lists(st.builds(ScoredSample, scores, st.just(N)), min_size=1, max_size=20))
+    pos = draw(st.lists(st.tuples(scores, st.just(P)), min_size=1, max_size=20))
+    neg = draw(st.lists(st.tuples(scores, st.just(N)), min_size=1, max_size=20))
     return draw(st.permutations(pos + neg))
 
 
-class TestRocPoints:
+class TestSweep:
     def test_worked_four_sample_sweep(self):
         curve = roc_points(FOUR_SAMPLES)
-        assert [(p.fpr, p.tpr, p.threshold) for p in curve.points] == [
+        assert list(curve.points) == [
             (0.0, 0.0, math.inf),
             (0.0, 0.5, 0.9),
             (0.5, 0.5, 0.8),
@@ -81,17 +82,16 @@ class TestRocPoints:
 
     def test_perfect_separation_passes_top_left_corner(self):
         curve = roc_points(samples((0.9, P), (0.8, P), (0.3, N), (0.1, N)))
-        assert (0.0, 1.0) in {(p.fpr, p.tpr) for p in curve.points}
+        assert (0.0, 1.0) in set(zip(curve.fpr.tolist(), curve.tpr.tolist()))
         assert curve.auc == 1.0
 
     def test_tied_scores_collapse_to_one_diagonal_segment(self):
         curve = roc_points(samples((0.5, P), (0.5, N)))
-        assert [(p.fpr, p.tpr) for p in curve.points] == [(0.0, 0.0), (1.0, 1.0)]
-        assert curve.points[1].threshold == 0.5
+        assert list(curve.points) == [(0.0, 0.0, math.inf), (1.0, 1.0, 0.5)]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            roc_points([])
+            roc_points(samples())
 
     def test_single_class_input_rejected(self):
         with pytest.raises(ValueError, match="need both classes"):
@@ -99,39 +99,31 @@ class TestRocPoints:
         with pytest.raises(ValueError, match="need both classes"):
             roc_points(samples((0.9, N)))
 
-    def test_non_finite_score_names_the_record_index(self):
-        Fake = namedtuple("Fake", ["score", "actual"])
-        bad = [Fake(0.9, P), Fake(math.nan, N), Fake(0.1, N)]
-        with pytest.raises(ValueError, match="record 1"):
-            roc_points(bad)
-
     @given(sample_sets())
     def test_curve_satisfies_structural_invariants(self, s):
-        curve = checked_sweep(s)
-        first, last = curve.points[0], curve.points[-1]
-        assert (first.fpr, first.tpr, first.threshold) == (0.0, 0.0, math.inf)
-        assert (last.fpr, last.tpr) == (1.0, 1.0)
-        for prev, cur in zip(curve.points, curve.points[1:]):
-            assert cur.fpr >= prev.fpr and cur.tpr >= prev.tpr
-            assert cur.threshold < prev.threshold
+        curve = checked_sweep(scored_columns(s))
+        points = curve.points
+        assert points[0] == (0.0, 0.0, math.inf)
+        assert points[-1][:2] == (1.0, 1.0)
+        for (fpr0, tpr0, threshold0), (fpr1, tpr1, threshold1) in zip(points, points[1:]):
+            assert fpr1 >= fpr0 and tpr1 >= tpr0
+            assert threshold1 < threshold0
 
     @given(sample_sets(tie_heavy=True))
     def test_points_match_metrics_at_each_threshold(self, s):
-        curve = checked_sweep(s)
-        for point in curve.points:
-            counts = from_predictions(apply_threshold(s, point.threshold))
-            assert point.fpr == false_positive_rate(counts)
-            assert point.tpr == true_positive_rate(counts)
+        curve = checked_sweep(scored_columns(s))
+        for fpr, tpr, threshold in curve.points:
+            counts = from_predictions(labeled_columns(apply_threshold(s, threshold)))
+            assert fpr == false_positive_rate(counts)
+            assert tpr == true_positive_rate(counts)
 
     @given(integer_sample_sets())
     def test_monotone_score_transform_leaves_rates_and_auc_unchanged(self, s):
-        base = roc_points(s)
+        base = roc_points(scored_columns(s))
         for transform in (lambda x: 16.0 * x, lambda x: x + 0.5, lambda x: x**3):
-            moved = [ScoredSample(transform(x.score), x.actual) for x in s]
-            curve = roc_points(moved)
-            assert [(p.fpr, p.tpr) for p in curve.points] == [
-                (p.fpr, p.tpr) for p in base.points
-            ]
+            curve = roc_points(scored_columns((transform(x), positive) for x, positive in s))
+            assert curve.fpr.tolist() == base.fpr.tolist()
+            assert curve.tpr.tolist() == base.tpr.tolist()
             assert curve.auc == pytest.approx(base.auc, abs=1e-12)
 
     def test_sweep_holds_each_curve_array_once(self):
@@ -177,8 +169,8 @@ EDGES = st.one_of(
 
 @st.composite
 def scored_sets(draw, scores):
-    pos = draw(st.lists(st.builds(ScoredSample, scores, st.just(P)), min_size=1, max_size=25))
-    neg = draw(st.lists(st.builds(ScoredSample, scores, st.just(N)), min_size=1, max_size=25))
+    pos = draw(st.lists(st.tuples(scores, st.just(P)), min_size=1, max_size=25))
+    neg = draw(st.lists(st.tuples(scores, st.just(N)), min_size=1, max_size=25))
     return draw(st.permutations(pos + neg))
 
 
@@ -194,16 +186,13 @@ class TestReferenceSweep:
     @given(data=st.data())
     def test_curve_is_bit_identical_to_the_per_row_sweep(self, scores, data):
         s = data.draw(scored_sets(scores))
-        curve = checked_sweep(s)
+        curve = checked_sweep(scored_columns(s))
         points, auc = roc_sweep(s)
-        assert bits(curve.fpr) == bits(p.fpr for p in points)
-        assert bits(curve.tpr) == bits(p.tpr for p in points)
-        assert bits(curve.threshold) == bits(p.threshold for p in points)
+        fpr, tpr, threshold = zip(*points)
+        assert bits(curve.fpr) == bits(fpr)
+        assert bits(curve.tpr) == bits(tpr)
+        assert bits(curve.threshold) == bits(threshold)
         assert bits([curve.auc]) == bits([auc])
-        columns = ScoredColumns([x.score for x in s], [x.actual is P for x in s])
-        from_columns = checked_sweep(columns)
-        assert bits(from_columns.threshold) == bits(curve.threshold)
-        assert bits([from_columns.auc, auc_pair_count(columns)]) == bits([curve.auc, auc_pair_count(s)])
 
     def test_signed_zero_group_keeps_its_first_members_sign(self):
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
@@ -229,15 +218,16 @@ class TestReferenceSweep:
              "one-tied-positive", "float-limits"],
     )
     def test_search_boundaries_match_both_references(self, scored):
-        score, positive = np.array([x for x, _ in scored]), np.array([label is P for _, label in scored])
-        curve = checked_sweep(ScoredColumns(score, positive))
-        fp, tp, threshold = roc_sweep_stable(score, positive)
+        columns = scored_columns(scored)
+        curve = checked_sweep(columns)
+        fp, tp, threshold = roc_sweep_stable(columns.score, columns.positive)
         assert np.array_equal(curve.fp, fp) and np.array_equal(curve.tp, tp)
         assert bits(curve.threshold) == bits(threshold)
-        points, auc = roc_sweep(samples(*scored))
-        assert bits(curve.fpr) == bits(p.fpr for p in points)
-        assert bits(curve.tpr) == bits(p.tpr for p in points)
-        assert bits(curve.threshold) == bits(p.threshold for p in points)
+        points, auc = roc_sweep(scored)
+        fpr, tpr, threshold = zip(*points)
+        assert bits(curve.fpr) == bits(fpr)
+        assert bits(curve.tpr) == bits(tpr)
+        assert bits(curve.threshold) == bits(threshold)
         assert bits([curve.auc]) == bits([auc])
 
     @pytest.mark.parametrize("seed", range(30))
@@ -258,15 +248,19 @@ class TestReferenceSweep:
 
 
 class TestCurveColumns:
-    def test_columns_are_read_only_and_points_view_matches(self):
+    def test_columns_are_read_only(self):
         curve = roc_points(FOUR_SAMPLES)
         assert [column.dtype for column in (curve.fp, curve.tp, curve.threshold)] == [np.int64, np.int64, np.float64]
         for column in (curve.fp, curve.tp, curve.threshold):
             with pytest.raises(ValueError):
                 column[0] = 1
-        assert curve.points == tuple(
-            RocPoint(f, t, th) for f, t, th in zip(curve.fpr, curve.tpr, curve.threshold)
-        )
+
+    @given(sample_sets(tie_heavy=True))
+    def test_points_are_the_zipped_rates_and_thresholds(self, s):
+        # The benchmark's per-layer trace counts a curve's points with len(curve.points).
+        curve = roc_points(scored_columns(s))
+        assert len(curve.points) == curve.threshold.size
+        assert curve.points == tuple(zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.threshold.tolist()))
 
     def test_nan_threshold_and_ragged_columns_rejected(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
@@ -373,32 +367,32 @@ class TestAucPairCount:
     def test_large_input_uses_ranked_route_and_matches_brute(self):
         rng = np.random.default_rng(3)
         scores = rng.integers(0, 40, size=1200) / 8.0
-        labels = rng.integers(0, 2, size=1200)
-        s = [ScoredSample(float(x), P if l else N) for x, l in zip(scores, labels)]
-        pos = np.array([x.score for x in s if x.actual is P])
-        neg = np.array([x.score for x in s if x.actual is N])
+        positive = rng.integers(0, 2, size=1200).astype(bool)
+        pos, neg = scores[positive], scores[~positive]
         assert pos.size * neg.size > 250_000
         greater, equal = pair_tallies_brute(pos, neg)
         expected = (2 * greater + equal) / (2 * pos.size * neg.size)
-        assert auc_pair_count(s) == expected
+        assert auc_pair_count(ScoredColumns(scores, positive)) == expected
 
 
 class TestOracleEquivalence:
     @given(sample_sets(tie_heavy=True))
     def test_trapezoid_equals_pair_count_with_ties(self, s):
-        assert auc_trapezoid(roc_points(s)) == pytest.approx(auc_pair_count(s), abs=1e-12)
+        columns = scored_columns(s)
+        assert auc_trapezoid(roc_points(columns)) == pytest.approx(auc_pair_count(columns), abs=1e-12)
 
     @given(sample_sets())
     def test_trapezoid_equals_pair_count_continuous(self, s):
-        assert auc_trapezoid(roc_points(s)) == pytest.approx(auc_pair_count(s), abs=1e-12)
+        columns = scored_columns(s)
+        assert auc_trapezoid(roc_points(columns)) == pytest.approx(auc_pair_count(columns), abs=1e-12)
 
     @pytest.mark.parametrize(
         "scores", [CONTINUOUS, TIE_HEAVY, INTEGER, EDGES], ids=["continuous", "tie-heavy", "integer", "edges"]
     )
     @given(data=st.data())
     def test_trapezoid_equals_pair_count_exactly(self, scores, data):
-        s = data.draw(scored_sets(scores))
-        assert roc_points(s).auc == auc_pair_count(s)
+        columns = scored_columns(data.draw(scored_sets(scores)))
+        assert roc_points(columns).auc == auc_pair_count(columns)
 
     def test_one_third_is_the_nearest_float_by_both_routes(self):
         # A float trapezoid sum gave the next float above 1/3 here.
@@ -407,22 +401,16 @@ class TestOracleEquivalence:
 
     @given(sample_sets(tie_heavy=True))
     def test_label_flip_reverses_auc(self, s):
-        flipped = [ScoredSample(x.score, N if x.actual is P else P) for x in s]
-        assert roc_points(flipped).auc == pytest.approx(1.0 - roc_points(s).auc, abs=1e-12)
+        flipped = scored_columns((x, not positive) for x, positive in s)
+        assert roc_points(flipped).auc == pytest.approx(1.0 - roc_points(scored_columns(s)).auc, abs=1e-12)
 
     @given(sample_sets(tie_heavy=True))
     def test_score_negation_with_label_flip_preserves_auc(self, s):
-        mirrored = [ScoredSample(-x.score, N if x.actual is P else P) for x in s]
-        assert roc_points(mirrored).auc == pytest.approx(roc_points(s).auc, abs=1e-12)
+        mirrored = scored_columns((-x, not positive) for x, positive in s)
+        assert roc_points(mirrored).auc == pytest.approx(roc_points(scored_columns(s)).auc, abs=1e-12)
 
 
 class TestCurveTypes:
-    def test_roc_point_range_validation(self):
-        with pytest.raises(ValueError):
-            RocPoint(fpr=1.2, tpr=0.5, threshold=0.5)
-        with pytest.raises(ValueError):
-            RocPoint(fpr=0.5, tpr=-0.1, threshold=0.5)
-
     def test_curve_must_start_at_origin_with_infinite_threshold(self):
         with pytest.raises(ValueError, match="start"):
             RocCurve(fp=[0, 1], tp=[0, 1], threshold=[5.0, 0.5])
