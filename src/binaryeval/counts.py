@@ -72,7 +72,11 @@ class ScoredColumns:
     positive: np.ndarray
 
     def __post_init__(self) -> None:
-        score, positive = np.array(self.score, dtype=np.float64), _mask(self.positive, "positive")
+        try:
+            score = np.array(self.score, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range, rejected below as an infinity
+            score = np.array([_real(value) for value in self.score], dtype=np.float64)
+        positive = _mask(self.positive, "positive")
         if score.ndim != 1 or score.shape != positive.shape:
             raise ValueError("score and positive must be 1-d arrays of one length")
         # The least and the greatest score are finite exactly when every score

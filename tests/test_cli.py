@@ -223,6 +223,14 @@ class TestRoc:
             "binaryeval: error: unrecognized arguments: --mode scores",
         ]
 
+    def test_reports_echo_the_scores_mode_without_the_flag(self, worked_files):
+        code, out, _ = invoke("roc", "scores.csv")
+        assert code == 0
+        assert out.splitlines()[1] == "mode scores"
+        code, out, _ = invoke("roc", "scores.csv", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["mode"] == "scores"
+
     def test_unwritable_svg_fails_before_any_report_output(self, worked_files):
         code, out, err = invoke("roc", "scores.csv", "--svg", "no_such_dir/out.svg")
         assert code == 1
@@ -513,6 +521,11 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "--threshold" in err
+
+    def test_roc_rejects_hard_labels_mode(self, worked_files):
+        code, _, err = invoke("roc", "preds.csv", "--mode", "hard-labels")
+        assert code == 2
+        assert "--mode" in err
 
     def test_multi_character_delimiter(self, worked_files):
         code, _, err = invoke("evaluate", "preds.csv", "--delimiter", "ab")

@@ -132,12 +132,14 @@ class TestFromPredictions:
     def test_order_independent(self):
         assert tally_of(reversed(C_STAR_PAIRS)) == tally_of(C_STAR_PAIRS)
 
+    @given(pairs_strategy)
+    def test_sequential_fold_equals_the_whole(self, pairs):
+        assert reduce(merge, (tally_of([pair]) for pair in pairs), empty()) == tally_of(pairs)
+
     @given(st.lists(pairs_strategy, max_size=6))
-    def test_sequential_fold_equals_the_whole_and_any_sharding(self, shards):
+    def test_merge_over_any_partition(self, shards):
         whole = [pair for shard in shards for pair in shard]
-        sequential = reduce(merge, (tally_of([pair]) for pair in whole), empty())
-        sharded = reduce(merge, map(tally_of, shards), empty())
-        assert sequential == tally_of(whole) == sharded
+        assert reduce(merge, map(tally_of, shards), empty()) == tally_of(whole)
 
     @given(pairs_strategy)
     def test_columns_equal_the_loop_over_their_pairs(self, pairs):
@@ -149,6 +151,19 @@ class TestFromPredictions:
         bounds = [0, *sorted(min(cut, len(pairs)) for cut in cuts), len(pairs)]
         shards = (LabeledColumns(columns.actual[a:b], columns.predicted[a:b]) for a, b in zip(bounds, bounds[1:]))
         assert reduce(merge, map(from_predictions, shards), empty()) == from_predictions(columns)
+
+
+class TestOneVsRest:
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=60))
+    def test_class_tallies_split_the_correct_and_the_wrong_predictions(self, pairs):
+        # Class k against the rest: a pair is positive where its label is k.
+        tallies = [
+            from_predictions(LabeledColumns([a == k for a, _ in pairs], [p == k for _, p in pairs])) for k in range(4)
+        ]
+        correct = sum(a == p for a, p in pairs)
+        assert all(tally.total == len(pairs) for tally in tallies)
+        assert sum(tally.tp for tally in tallies) == correct
+        assert sum(tally.fp for tally in tallies) == sum(tally.fn for tally in tallies) == len(pairs) - correct
 
 
 class TestApplyThreshold:
@@ -246,6 +261,17 @@ class TestScoredColumns:
         assert len(columns) == 2
         with pytest.raises(TypeError):
             iter(columns)  # its samples are its columns, not a sequence
+
+    def test_non_finite_scores_rejected(self):
+        # An integer beyond the float range is read as an infinity of its sign, as threshold_counts reads one.
+        for bad in (math.nan, math.inf, -math.inf, 10**400, -(10**400)):
+            with pytest.raises(ValueError, match="non-finite score at record 1"):
+                ScoredColumns([0.5, bad], [True, False])
+
+    def test_score_coerced_to_float(self):
+        columns = ScoredColumns([1, -2], [True, False])
+        assert columns.score.dtype == np.float64
+        assert columns.score.tolist() == [1.0, -2.0]
 
     def test_shape_and_finiteness_checked_once_at_construction(self):
         with pytest.raises(ValueError, match="one length"):

@@ -53,6 +53,14 @@ def test_the_exported_names_are_these():
     ]
 
 
+def test_the_row_types_are_gone():
+    # Scored samples and label pairs have one form each, two columns.
+    from binaryeval import counts, roc
+
+    removed = ("Label", "LabeledPrediction", "ScoredSample", "RocPoint", "record", "binarize")
+    assert [name for name in removed for module in (binaryeval, counts, roc) if hasattr(module, name)] == []
+
+
 def test_the_readme_python_blocks_run_and_print_what_their_comments_state():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binaryeval.counts import LabeledColumns, ScoredColumns, _of_own_arrays, from_predictions
+from binaryeval.counts import LabeledColumns, ScoredColumns, _of_own_arrays, from_predictions, threshold_counts
 from binaryeval.metrics import false_positive_rate, true_positive_rate
 from binaryeval.roc import (
     RocCurve,
@@ -69,7 +69,7 @@ def integer_sample_sets(draw):
     return draw(st.permutations(pos + neg))
 
 
-class TestSweep:
+class TestRocPoints:
     def test_worked_four_sample_sweep(self):
         curve = roc_points(FOUR_SAMPLES)
         assert list(curve.points) == [
@@ -116,6 +116,22 @@ class TestSweep:
             counts = from_predictions(labeled_columns(apply_threshold(s, threshold)))
             assert fpr == false_positive_rate(counts)
             assert tpr == true_positive_rate(counts)
+
+    @given(sample_sets(tie_heavy=True))
+    def test_threshold_counts_at_each_point_are_its_counts(self, s):
+        columns = scored_columns(s)
+        curve = roc_points(columns)
+        for fp, tp, threshold in zip(curve.fp.tolist(), curve.tp.tolist(), curve.threshold.tolist()):
+            counts = threshold_counts(columns, threshold)
+            assert (counts.fp, counts.tp) == (fp, tp)
+
+    @given(sample_sets(tie_heavy=True), st.randoms(use_true_random=False))
+    def test_sample_order_changes_no_count(self, s, random):
+        shuffled = random.sample(s, len(s))
+        curve, base = roc_points(scored_columns(shuffled)), roc_points(scored_columns(s))
+        assert np.array_equal(curve.fp, base.fp) and np.array_equal(curve.tp, base.tp)
+        assert np.array_equal(curve.threshold, base.threshold)  # a zero may change its sign, not its value
+        assert auc_pair_count(scored_columns(shuffled)) == auc_pair_count(scored_columns(s))
 
     @given(integer_sample_sets())
     def test_monotone_score_transform_leaves_rates_and_auc_unchanged(self, s):
