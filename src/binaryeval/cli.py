@@ -31,8 +31,6 @@ from binaryeval.report import EvaluationReport, write_json, write_svg, write_tex
 from binaryeval.roc import roc_points
 
 
-# Lenient mode prints this many per-row warnings, then one summary line.
-_MAX_ROW_WARNINGS = 20
 # What a stdout pipe is widened to: Linux's default limit for an unprivileged process.
 _PIPE_BYTES = 1 << 20
 
@@ -147,12 +145,12 @@ def _common_meta(args: argparse.Namespace, parse_report: ParseReport) -> dict[st
 
 def _warn_failures(parse_report: ParseReport, err: TextIO) -> None:
     """The first skipped rows with their reasons, then how many of all rows read were skipped, and why."""
-    failures = parse_report.failures
-    for line_number, reason in failures[:_MAX_ROW_WARNINGS]:
+    for line_number, reason in parse_report.failures:
         err.write(f"warning: line {line_number}: {reason}\n")
-    if failures:
+    if parse_report.skipped:
         why = ", ".join(f"{count} {kind}" for kind, count in parse_report.skipped)
-        err.write(f"warning: {len(failures)} of {parse_report.records_read} rows skipped ({why})\n")
+        skipped = parse_report.records_read - parse_report.records_accepted
+        err.write(f"warning: {skipped} of {parse_report.records_read} rows skipped ({why})\n")
 
 
 def _write_report(report: EvaluationReport, args: argparse.Namespace, out: TextIO) -> None:

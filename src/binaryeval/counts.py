@@ -63,19 +63,26 @@ class ScoredColumns:
     ``score`` is a ``float64`` array of finite scores and ``positive`` a
     ``bool`` array, true where the actual label is positive; index ``i``
     of each is sample ``i``. The constructor copies and checks both, the
-    one place scored samples from outside the package are checked for
-    finiteness; the parser's own arrays are held as they are. Its length
-    is the number of samples.
+    one place scored samples from outside the package are checked to be
+    finite numbers; the parser's own arrays are held as they are. Its
+    length is the number of samples.
     """
 
     score: np.ndarray
     positive: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            score = np.array(self.score, dtype=np.float64)
-        except OverflowError:  # an integer beyond the float range, rejected below as an infinity
-            score = np.array([_real(value) for value in self.score], dtype=np.float64)
+        # numpy reads [10**400] as an object array, and [True, 0.5] as float64: only the items show that boolean.
+        score = np.asarray(self.score)
+        items = self.score if isinstance(self.score, (list, tuple)) else ()
+        if score.dtype == object and all(
+            isinstance(item, numbers.Real) and not isinstance(item, bool) for item in score.flat
+        ):
+            score = np.array([_real(item) for item in score.flat], dtype=np.float64).reshape(score.shape)
+        elif score.dtype.kind in "iuf" and bool not in map(type, items):
+            score = np.array(score, dtype=np.float64)
+        else:
+            raise ValueError("score must hold integers or floats, not booleans or text")
         positive = _mask(self.positive, "positive")
         if score.ndim != 1 or score.shape != positive.shape:
             raise ValueError("score and positive must be 1-d arrays of one length")

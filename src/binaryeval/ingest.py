@@ -5,15 +5,14 @@ fields split on a single-character delimiter, no quoting. Hard-label rows
 are ``actual<delim>predicted``, read by :func:`parse_hard_labels` into
 :class:`LabeledColumns`, and score rows are ``actual<delim>score``, read
 by :func:`parse_scores` into :class:`ScoredColumns`.
-Parsing is lenient by default (malformed rows are reported per line and
-skipped); ``strict=True`` aborts on the first failure instead.
+Parsing is lenient by default (malformed rows are counted and skipped);
+``strict=True`` aborts on the first failure instead.
 
-The source, a ``str`` read in 64 Ki-character slices, a text stream
-(anything with ``read``) read in blocks as long, or an iterable of pieces
-of whole lines, is read lazily through the standard library's newline
-decoder (CR and CRLF read as LF) in chunks of about 64 Ki characters that
-end on LF, so only one chunk is worked on at a time and the source is
-never joined into one string.
+The source, a ``str`` read in 64 Ki-character slices or a text stream
+(anything with ``read``) read in blocks as long, is read lazily through
+the standard library's newline decoder (CR and CRLF read as LF) in chunks
+of about 64 Ki characters that end on LF, so only one chunk is worked on
+at a time and the source is never joined into one string.
 Each chunk is checked once, in bulk, and each row gets one verdict:
 good, not UTF-8, wrong field count, bad score or unknown label. The
 first that applies wins, in that order; a hard-label row's actual label
@@ -23,9 +22,9 @@ split once from the chunk's text with the lines already flagged cut out,
 checked for characters outside the grammar as one text (text by text
 only when that fails) and converted by ``float()`` (one text at a time
 only in a chunk where a text of score characters, such as ``1e``, is no
-number). Only a flagged row is put into words, from its own text and in
-line order: strict mode raises :class:`ParseError` at the first, and
-lenient mode records each with its line number and counts it by kind.
+number). Flagged rows are counted by kind; only the first 20 are put into
+words, from their own text and in line order: strict mode raises
+:class:`ParseError` at the first, and lenient mode records them by line.
 
 Text that is not UTF-8 fails in either mode: the first line, the header
 included, that holds a surrogate code point (the CLI decodes an invalid
@@ -38,7 +37,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -55,6 +54,11 @@ _NOT_SCORE_CHAR = np.array([code not in _SCORE_CHARS for code in range(128)])
 
 # Row verdicts, in rising precedence: a row takes the highest that applies.
 _GOOD, _UNKNOWN_PREDICTED, _UNKNOWN_ACTUAL, _NON_FINITE, _MALFORMED, _FIELD_COUNT, _HEADER, _NOT_UTF8 = range(8)
+# The kind of reason each verdict of a skipped row is counted under.
+_KIND = {_UNKNOWN_PREDICTED: "unknown label", _UNKNOWN_ACTUAL: "unknown label", _NON_FINITE: "non-finite score",
+         _MALFORMED: "non-finite or malformed score", _FIELD_COUNT: "expected 2 fields"}
+# Lenient mode words this many skipped rows, the first; the rest are only counted.
+_MAX_FAILURES = 20
 
 # The text is read in chunks of about this many characters, so at most
 # one chunk's code points, separator indices and field strings are alive
@@ -104,10 +108,11 @@ class InputConfig:
 
 @dataclass(frozen=True, slots=True)
 class ParseReport:
-    """Per-input accounting: every row read is either accepted or a failure.
+    """Per-input accounting: every row read is either accepted or skipped.
 
-    ``skipped`` counts the failures per kind of reason, in order of first
-    occurrence; the CLI's skip summary prints these counts.
+    ``skipped`` counts the skipped rows per kind of reason, in order of
+    first occurrence; the CLI's skip summary prints these counts.
+    ``failures`` holds the first 20 skipped rows' line numbers and reasons.
     """
 
     records_read: int
@@ -116,8 +121,8 @@ class ParseReport:
     skipped: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.records_accepted + len(self.failures) != self.records_read:
-            raise ValueError("accepted + failures must equal records read")
+        if self.records_accepted + sum(count for _, count in self.skipped) != self.records_read:
+            raise ValueError("accepted + skipped counts must equal records read")
 
 
 class ParseError(ValueError):
@@ -142,54 +147,45 @@ def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) 
     return match
 
 
-def _chunks(source: Iterable[str] | str) -> Iterator[str]:
+def _chunks(source: str | TextIO) -> Iterator[str]:
     """The lines of ``source`` in chunks of about ``_CHUNK_CHARS`` characters, each ending on LF.
 
     A ``str`` is read in slices of ``_CHUNK_CHARS`` characters, and a
     source with a ``read`` method (an open file) in blocks of as many
-    until it returns ``""``; a slice or block may end inside a line. Any
-    other iterable's elements are pieces of whole lines, read one at a
-    time; an element that does not end in CR or LF gets an LF. The pieces
-    then read as their concatenation: one newline decoder reads CR and
-    CRLF as LF across them, holding back a CR that ends a piece until the
-    next shows whether an LF follows. Decoded pieces are gathered until
-    they hold ``_CHUNK_CHARS`` characters, and the chunk ends at their
-    last LF.
+    until it returns ``""``. A slice or block may end inside a line or a
+    CRLF: one newline decoder reads CR and CRLF as LF across them, and
+    each chunk ends at the last LF read so far.
     """
-    if hasattr(source, "read"):
-        # A byte stream's b"" ends the blocks too; its bytes then fail the decoder.
-        pieces: Iterable[str] = iter(lambda: source.read(_CHUNK_CHARS) or "", "")
-    elif isinstance(source, str):
+    if isinstance(source, str):
         pieces = (source[start:start + _CHUNK_CHARS] for start in range(0, len(source), _CHUNK_CHARS))
+    elif hasattr(source, "read"):
+        # A byte stream's b"" ends the blocks too; its bytes then fail the decoder.
+        pieces = iter(lambda: source.read(_CHUNK_CHARS) or "", "")
     else:
-        pieces = (piece if piece.endswith(("\n", "\r")) else piece + "\n" for piece in source)
+        raise TypeError(f"source must be a str or a text stream (with read), not {type(source).__name__}")
     newlines = io.IncrementalNewlineDecoder(None, translate=True)
-    pending, size = [], 0
+    pending: list[str] = []  # what was read after the last LF, joined only once an LF ends it
     for piece in map(newlines.decode, pieces):
-        pending.append(piece)
-        size += len(piece)
-        if size < _CHUNK_CHARS:
-            continue
-        text = "".join(pending)
-        end = text.rfind("\n") + 1
+        end = piece.rfind("\n") + 1
         if end:
-            yield text[:end]
-        pending, size = [text[end:]], len(text) - end
+            yield "".join([*pending, piece[:end]])
+            pending = []
+        pending.append(piece[end:])
     text = "".join(pending) + newlines.decode("", final=True)
     if text:
         yield text if text.endswith("\n") else text + "\n"
 
 
 def _parse_chunks(
-    source: Iterable[str] | str, cfg: InputConfig, strict: bool, scored: bool
+    source: str | TextIO, cfg: InputConfig, strict: bool, scored: bool
 ) -> tuple[np.ndarray, np.ndarray, ParseReport]:
     """The good rows' two columns and the report, chunk by chunk.
 
     Score rows, when ``scored``, give the positive mask of their labels
     and their scores; hard-label rows give the positive masks of their
-    actual and their predicted labels. Each flagged row is put into words
-    in line order: raised as :class:`ParseError` when ``strict`` or when
-    it is not UTF-8, else recorded and counted by kind.
+    actual and their predicted labels. The first flagged row is raised as
+    :class:`ParseError` when ``strict`` or not UTF-8; else flagged rows
+    are counted by kind, and the first ``_MAX_FAILURES`` put into words.
     """
     # The columns grow in place, chunk by chunk: per-chunk arrays joined
     # at the end would hold every row twice. They start mapped and grow by
@@ -203,24 +199,26 @@ def _parse_chunks(
     kept = lines = 0
     for chunk in _chunks(source):
         verdict, *parts = _judge(chunk, cfg, scored, header=cfg.has_header and not lines)
-        flagged = np.flatnonzero(verdict)
-        rows = chunk.split("\n") if flagged.size else []
-        for line, kind in zip(flagged.tolist(), verdict[flagged].tolist()):
-            if kind == _HEADER:
-                continue
-            why, detail = _reason(kind, rows[line], cfg.delimiter)
-            if strict or kind == _NOT_UTF8:
-                raise ParseError(lines + line + 1, why + detail)
-            failures.append((lines + line + 1, why + detail))
-            skipped[why] = skipped.get(why, 0) + 1
+        flagged = np.flatnonzero((verdict != _GOOD) & (verdict != _HEADER))
+        if flagged.size:
+            kinds = verdict[flagged]
+            fatal = flagged if strict else flagged[kinds == _NOT_UTF8]
+            words = fatal[:1] if fatal.size else flagged[:_MAX_FAILURES - len(failures)]
+            rows = chunk.split("\n") if words.size else []
+            failures += [(lines + line + 1, _reason(kind, rows[line], cfg.delimiter))
+                         for line, kind in zip(words.tolist(), verdict[words].tolist())]
+            if fatal.size:
+                raise ParseError(*failures[-1])
+            values, first, counts = np.unique(kinds, return_index=True, return_counts=True)
+            for _, kind, count in sorted(zip(first.tolist(), values.tolist(), counts.tolist())):
+                skipped[_KIND[kind]] = skipped.get(_KIND[kind], 0) + count
         for column, part in zip(columns, parts):
             _append(column, kept, part)
         kept += parts[0].size
         lines += verdict.size
     for column in columns:
         column.resize(kept, refcheck=False)
-    read = max(lines - cfg.has_header, 0)
-    return *columns, ParseReport(read, read - len(failures), tuple(failures), tuple(skipped.items()))
+    return *columns, ParseReport(max(lines - cfg.has_header, 0), kept, tuple(failures), tuple(skipped.items()))
 
 
 def _append(column: np.ndarray, size: int, part: np.ndarray) -> None:
@@ -318,25 +316,21 @@ def _float(text: str) -> float:
         return math.nan
 
 
-def _reason(kind: int, row: str, delimiter: str) -> tuple[str, str]:
-    """Why ``row``, judged ``kind``, failed, in words: its kind and the row's detail, joined as the reason."""
+def _reason(kind: int, row: str, delimiter: str) -> str:
+    """Why ``row``, judged ``kind``, failed, in words: its kind, then the row's detail."""
     if kind == _NOT_UTF8:
         code = next(ord(char) for char in row if "\ud800" <= char <= "\udfff")
         if 0xDC80 <= code <= 0xDCFF:  # U+DCNN is invalid byte 0xNN
-            return "invalid UTF-8 byte", f" 0x{code - 0xDC00:02x}"
-        return "lone surrogate", f" U+{code:04X}"
+            return f"invalid UTF-8 byte 0x{code - 0xDC00:02x}"
+        return f"lone surrogate U+{code:04X}"
     fields = row.split(delimiter)
     if kind == _FIELD_COUNT:
-        return "expected 2 fields", f", got {len(fields)}"
-    if kind == _MALFORMED:
-        return "non-finite or malformed score", f" {fields[1]!r}"
-    if kind == _NON_FINITE:
-        return "non-finite score", f" {fields[1]!r}"
-    return "unknown label", f" {fields[kind == _UNKNOWN_PREDICTED]!r}"
+        return f"{_KIND[kind]}, got {len(fields)}"
+    return f"{_KIND[kind]} {fields[kind != _UNKNOWN_ACTUAL]!r}"
 
 
 def parse_hard_labels(
-    source: Iterable[str] | str,
+    source: str | TextIO,
     cfg: InputConfig,
     *,
     strict: bool = False,
@@ -347,7 +341,7 @@ def parse_hard_labels(
 
 
 def parse_scores(
-    source: Iterable[str] | str,
+    source: str | TextIO,
     cfg: InputConfig,
     *,
     strict: bool = False,

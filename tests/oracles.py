@@ -31,6 +31,8 @@ SCORE_PATTERN = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.AS
 # The row-specific tail of a failure reason: a field count or a quoted value.
 # What is left of the reason is its kind.
 _REASON_DETAIL = re.compile(r", got \d+\Z| ['\"].*\Z")
+# A report holds this many skipped rows' reasons, the first in line order; it counts them all.
+MAX_FAILURES = 20
 
 
 def labeled_columns(pairs: Iterable[tuple[bool, bool]]) -> LabeledColumns:
@@ -123,7 +125,8 @@ def _parse_rows(
     in either mode. A ``ValueError`` from splitting or converting is the
     row's failure reason: raised as :class:`ParseError` when ``strict``,
     else recorded. The skipped rows are counted per kind of reason, read
-    off each reason's text, in order of first occurrence.
+    off each reason's text, in order of first occurrence; the report holds
+    the first :data:`MAX_FAILURES` reasons.
     """
     records: list[T] = []
     failures: list[tuple[int, str]] = []
@@ -143,7 +146,7 @@ def _parse_rows(
                 raise ParseError(line_number, str(exc)) from None
             failures.append((line_number, str(exc)))
     skipped = Counter(_REASON_DETAIL.sub("", reason) for _, reason in failures)
-    return records, ParseReport(read, len(records), tuple(failures), tuple(skipped.items()))
+    return records, ParseReport(read, len(records), tuple(failures[:MAX_FAILURES]), tuple(skipped.items()))
 
 
 def parse_hard_labels_rows(text: str, cfg: InputConfig, strict: bool = False) -> tuple[LabeledColumns, ParseReport]:

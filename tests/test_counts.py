@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -272,6 +273,19 @@ class TestScoredColumns:
         columns = ScoredColumns([1, -2], [True, False])
         assert columns.score.dtype == np.float64
         assert columns.score.tolist() == [1.0, -2.0]
+        # Integers beyond 64 bits and other real numbers read as the nearest float.
+        columns = ScoredColumns(np.array([2**64, Fraction(1, 3)], dtype=object), [True, False])
+        assert columns.score.tolist() == [2.0**64, 1 / 3]
+        assert ScoredColumns((2**64, 0.5), (True, False)).score.tolist() == [2.0**64, 0.5]
+
+    @pytest.mark.parametrize("score", [
+        np.array([True, False]), ["0.5", "1"], np.array(["0.5", "1"]), np.array([b"0.5", b"1"]),
+        [True, 0.5], (0.5, False), [10**400, True], np.array([2**64, True], dtype=object), [None, 0.5],
+    ], ids=["bool-dtype", "text-list", "str-dtype", "bytes-dtype", "bool-in-a-float-list", "bool-in-a-tuple",
+            "bool-beside-a-big-integer", "bool-in-an-object-array", "none"])
+    def test_booleans_and_text_are_rejected(self, score):
+        with pytest.raises(ValueError, match="^score must hold integers or floats, not booleans or text$"):
+            ScoredColumns(score, [True, False])
 
     def test_shape_and_finiteness_checked_once_at_construction(self):
         with pytest.raises(ValueError, match="one length"):

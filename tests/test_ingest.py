@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import re
+import time
 import tracemalloc
 from unittest import mock
 
@@ -65,12 +66,16 @@ class TestConfig:
 
 class TestParseReport:
     def test_accounting_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ParseReport(records_read=2, records_accepted=2, failures=((1, "boom"),))
+        # The counts by kind, not the rows put into words, account for the rows skipped.
+        for skipped in ((), (("boom", 2),)):
+            with pytest.raises(ValueError, match="accepted \\+ skipped counts must equal records read"):
+                ParseReport(records_read=2, records_accepted=1, failures=((1, "boom"),), skipped=skipped)
 
     def test_valid_report(self):
-        report = ParseReport(records_read=3, records_accepted=2, failures=((2, "bad"),))
+        report = ParseReport(records_read=3, records_accepted=2, failures=((2, "bad"),), skipped=(("bad", 1),))
         assert report.records_read == 3
+        # A report holds the first rows in words, and counts them all.
+        assert ParseReport(25, 0, ((1, "bad"),) * 20, (("bad", 25),)).records_accepted == 0
 
 
 class TestHardLabels:
@@ -136,12 +141,14 @@ class TestHardLabels:
         pairs, _ = parse_hard_labels("1;0\n", cfg)
         assert pairs_of(pairs) == [(True, False)]
 
-    def test_accepts_file_like_streams(self):
+    def test_accepts_file_like_streams(self, tmp_path):
         text = "1,1\n0,0\n\n"  # the empty last line is a malformed row
-        for source in (io.StringIO(text), ["1,1", "0,0", ""], io.StringIO(text.replace("\n", "\r\n"))):
-            pairs, report = parse_hard_labels(source, CFG)
-            assert pairs_of(pairs) == [(True, True), (False, False)]
-            assert report == ParseReport(3, 2, ((3, "expected 2 fields, got 1"),), (("expected 2 fields", 1),))
+        (tmp_path / "pairs.csv").write_text(text.replace("\n", "\r\n"), newline="")
+        with open(tmp_path / "pairs.csv", encoding="utf-8", newline="") as file:
+            for source in (io.StringIO(text), io.StringIO(text.replace("\n", "\r\n")), file):
+                pairs, report = parse_hard_labels(source, CFG)
+                assert pairs_of(pairs) == [(True, True), (False, False)]
+                assert report == ParseReport(3, 2, ((3, "expected 2 fields, got 1"),), (("expected 2 fields", 1),))
 
     def test_crlf_and_lf_parse_identically(self):
         assert _labeled("1,1\n0,1\n", CFG) == _labeled("1,1\r\n0,1\r\n", CFG)
@@ -226,6 +233,45 @@ class TestSkippedByKind:
         assert report.skipped == skipped
         assert [line for line, _ in report.failures] == [i + 1 for i in _BAD_ROWS]
 
+    # Rows valid in both layouts, and bad rows of every kind either parser gives under negative_label="0":
+    # "2,1" has an unknown actual label, and "1,2" an unknown predicted one (a good score row).
+    # The number of bad rows is drawn first, so that about two draws in three skip more than 20.
+    @given(st.integers(0, 60).flatmap(lambda bad: st.lists(
+               st.tuples(st.lists(st.sampled_from(["1,1", "0,0"]), max_size=3),
+                         st.sampled_from(["2,1", "1,2", "1", "1,0,1", "0,NA", "1,1e999", "x,0", "0,"])),
+               min_size=bad, max_size=bad)),
+           st.integers(4, 120))
+    def test_the_first_twenty_are_put_into_words_and_all_are_counted(self, rows, chunk_chars):
+        text = "".join(f"{line}\n" for good, bad in rows for line in (*good, bad))
+        cfg = InputConfig(negative_label="0")
+        for parse, oracle in ((parse_scores, parse_scores_rows), (parse_hard_labels, parse_hard_labels_rows)):
+            with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+                _, report = parse(text, cfg)
+            assert report == oracle(text, cfg)[1]  # the first 20 failures, and the counts in order of first occurrence
+            _check_skipped(report)  # the invariant, and 20 rows in words when as many were skipped
+
+    @pytest.mark.parametrize("chunk_chars", [16, ingest._CHUNK_CHARS])
+    @pytest.mark.parametrize("parse", [parse_scores, parse_hard_labels])
+    def test_a_line_not_utf8_after_the_worded_rows_still_fails_the_parse(self, parse, chunk_chars):
+        text = "1,1\n" + "broken\n" * 25 + "1,\udcff\n0,0\n"
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
+                pytest.raises(ParseError, match="^line 27: invalid UTF-8 byte 0xff$"):
+            parse(text, CFG)
+
+    def test_the_report_stays_small_however_many_rows_are_skipped(self):
+        text = "1,1,1\n" * 200_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pairs, report = parse_hard_labels(text, CFG)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (len(pairs), len(report.failures)) == (0, 20)
+        assert report.skipped == (("expected 2 fields", 200_000),)
+        # With one (line, reason) entry per skipped row, it would hold about 32 MiB.
+        assert held < 64 * 1024
+
 
 class TestProperties:
     @given(
@@ -272,7 +318,6 @@ class TestProperties:
                 assert (exc_info.value.line_number, exc_info.value.reason) == utf8_failures[0]
             else:
                 columns, report = parse(source, CFG)
-                assert report.records_accepted + len(report.failures) == report.records_read
                 _check_skipped(report)
                 # The parser hands its scores to ScoredColumns unchecked: it must accept finite ones only.
                 assert parse is parse_hard_labels or np.isfinite(columns.score).all()
@@ -302,8 +347,10 @@ _configs = st.sampled_from([
 
 
 def _check_skipped(report):
-    """The report's counts per kind add up to its failures."""
-    assert sum(count for _, count in report.skipped) == len(report.failures)
+    """The report's counts per kind add up to the rows it skipped, of which it holds the first 20 in words."""
+    skipped = sum(count for _, count in report.skipped)
+    assert report.records_accepted + skipped == report.records_read
+    assert len(report.failures) == min(skipped, 20)
 
 
 def _scored(source, cfg, strict=False, parse=parse_scores):
@@ -409,45 +456,23 @@ class TestBulkPath:
         assert labels == _labeled(source.replace(".", ""), InputConfig(has_header=True))
 
 
-def _without_line_end(piece):
-    """``piece`` with its final LF or CRLF removed, when the LF it gets back reads the same.
-
-    It does not when the rest ends in CR or LF, which keeps it from getting
-    one, or is empty, as its LF would then complete a CR ending the piece before.
-    """
-    if not piece.endswith("\n"):
-        return piece
-    stripped = piece[:-2] if piece.endswith("\r\n") else piece[:-1]
-    return stripped if stripped and not stripped.endswith(("\r", "\n")) else piece
-
-
 class TestStreaming:
-    """A source read as an iterable of pieces or as a text stream against the same text as one ``str``."""
+    """A source read as a text stream against the same text as one ``str``."""
 
-    @given(_soup, _line_ends, st.booleans(), _configs, st.integers(1, 40),
-           st.booleans(), st.data())
-    def test_any_split_into_pieces_reads_as_the_whole_text(
-        self, lines, line_end, final_newline, options, chunk_chars, strict, data
-    ):
+    @given(_soup, _line_ends, st.booleans(), _configs, st.integers(1, 40), st.booleans())
+    def test_a_text_stream_reads_as_the_whole_text(self, lines, line_end, final_newline, options, chunk_chars, strict):
         text = line_end.join(lines) + (line_end if final_newline and lines else "")
-        # A piece may end after any CR or LF, the CR of a CRLF included.
-        cuts = sorted(data.draw(st.sets(st.sampled_from([i for i, c in enumerate(text, 1) if c in "\r\n"]))
-                                if "\r" in text or "\n" in text else st.just(set())))
-        pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)]) if a < b]
-        bare = data.draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
-        pieces = [_without_line_end(piece) if strip else piece for piece, strip in zip(pieces, bare)]
         cfg = InputConfig(**options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
-            assert _scored(iter(pieces), cfg, strict) == _scored(text, cfg, strict)
-            assert _labeled(iter(pieces), cfg, strict) == _labeled(text, cfg, strict)
             # A stream's blocks of chunk_chars characters may end inside a line or a CRLF.
             assert _scored(io.StringIO(text, newline=""), cfg, strict) == _scored(text, cfg, strict)
             assert _labeled(io.StringIO(text, newline=""), cfg, strict) == _labeled(text, cfg, strict)
 
-    def test_an_element_holding_several_lines_reads_as_that_text(self):
-        text = "1,1\n\n0,0\r\n"  # the empty second line is a malformed row
-        assert _labeled(["1,1\n\n", "0,0\r\n"], CFG) == _labeled(text, CFG)
-        assert _labeled(text, CFG)[2] == ParseReport(3, 2, ((2, "expected 2 fields, got 1"),), (("expected 2 fields", 1),))
+    @pytest.mark.parametrize("source", [["1,1\n", "0,0\n"], (line for line in ["1,1\n"])], ids=["list", "generator"])
+    def test_a_source_neither_str_nor_stream_is_a_type_error(self, source):
+        for parse in (parse_scores, parse_hard_labels):
+            with pytest.raises(TypeError, match="^source must be a str or a text stream"):
+                parse(source, CFG)
 
     def test_a_byte_stream_is_a_type_error(self):
         # Its empty read is b"", not "": it must end the reads all the same.
@@ -459,24 +484,34 @@ class TestStreaming:
         cr_text = lf_text.replace("\n", "\r")
         with mock.patch.object(ingest, "_CHUNK_CHARS", 64):
             assert len(list(ingest._chunks(cr_text))) > 1
-            # A CR that ends a piece waits for the next one, which may start with LF.
-            assert len(list(ingest._chunks(iter(cr_text.splitlines(keepends=True))))) > 1
+            # A CR that ends a block waits for the next one, which may start with LF.
+            assert len(list(ingest._chunks(io.StringIO(cr_text, newline="")))) > 1
             assert _scored(cr_text, CFG) == _scored(lf_text, CFG)
         assert _scored(cr_text, CFG)[2] == ParseReport(200, 200)
 
-    def test_a_generator_of_lines_is_never_held_whole(self):
+    def test_a_line_of_many_blocks_is_joined_once(self):
+        # Joined again at each block, a line of n blocks would cost about n * n / 2 block copies.
+        line = "1," + "5" * (1 << 20) + "\n"
+        seconds = []
+        with mock.patch.object(ingest, "_CHUNK_CHARS", 64):
+            for text in (line, "1,5\n" * (len(line) // 4)):  # one line, then as many characters in short lines
+                start = time.perf_counter()
+                chunks = list(ingest._chunks(io.StringIO(text, newline="")))
+                seconds.append(time.perf_counter() - start)
+                assert "".join(chunks) == text
+        assert seconds[0] < 5 * seconds[1] + 0.05
+
+    def test_an_open_file_is_never_held_whole(self, tmp_path):
         rows = 200_000
-
-        def lines():
-            for i in range(rows):
-                yield f"{i % 3 == 0:d},{i * 7919 % 100_003 / 100_003!r}\n"
-
+        path = tmp_path / "scores.csv"
+        path.write_text("".join(f"{i % 3 == 0:d},{i * 7919 % 100_003 / 100_003!r}\n" for i in range(rows)))
         tracemalloc.start()
         try:
-            columns, report = parse_scores(lines(), CFG)
+            with open(path, encoding="utf-8", newline="") as file:
+                columns, report = parse_scores(file, CFG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report == ParseReport(rows, rows)
-        # Joined into one string, the lines alone would take about twice the columns.
+        # Read whole, the file's text alone would take about twice the columns.
         assert peak < 2.5 * (columns.score.nbytes + columns.positive.nbytes)
