@@ -70,17 +70,33 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return g1, g0, 10 ** np.arange(20, dtype=np.uint64), groups
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of ``a * b``, for ``a < 2**63`` and ``b < 2**60``.
+@functools.cache
+def _fives() -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of ``5**-k`` for ``k`` in [0, 19], scaled into [2**127, 2**128).
 
-    On 32-bit limbs; the bounds keep the sum of the two middle products
-    below ``2**64``.
+    Built on the first score read by Eisel-Lemire, laid out as fast_float
+    lays out its table: ``5**0`` is ``2**127``, and ``5**-k`` for ``k > 0``
+    is ``2**(127 + z) // 5**k + 1``, with ``2**z`` the least power of two
+    not below ``5**k``: one above the truncated value.
+    """
+    fives = [1 << 127] + [(1 << (127 + (5**k - 1).bit_length())) // 5**k + 1 for k in range(1, 20)]
+    return (np.array([five >> 64 for five in fives], dtype=np.uint64),
+            np.array([five & ((1 << 64) - 1) for five in fives], dtype=np.uint64))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of ``a * b``, on 32-bit limbs.
+
+    Only the low half of one cross product joins the middle sum, which
+    keeps it below ``2**64`` for any two ``uint64`` operands.
     """
     a_high, a_low = a >> np.uint64(32), a & _U32
     b_high, b_low = b >> np.uint64(32), b & _U32
     low = a_low * b_low
-    middle = a_high * b_low + a_low * b_high + (low >> np.uint64(32))
-    return a_high * b_high + (middle >> np.uint64(32)), (middle << np.uint64(32)) | (low & _U32)
+    cross = a_high * b_low
+    middle = a_low * b_high + (cross & _U32) + (low >> np.uint64(32))
+    high = a_high * b_high + (cross >> np.uint64(32)) + (middle >> np.uint64(32))
+    return high, (middle << np.uint64(32)) | (low & _U32)
 
 
 def _round_to_odd(x1: np.ndarray, y1: np.ndarray, y0: np.ndarray) -> np.ndarray:

@@ -17,14 +17,17 @@ Each chunk is checked once, in bulk, and each row gets one verdict:
 good, not UTF-8, wrong field count, bad score or unknown label. The
 first that applies wins, in that order; a hard-label row's actual label
 is judged before its predicted one. The chunk's code points give the
-field counts, the label matches and the UTF-8 check. The scores are
-split once from the chunk's text with the lines already flagged cut out,
-checked for characters outside the grammar as one text (text by text
-only when that fails) and converted by ``float()`` (one text at a time
-only in a chunk where a text of score characters, such as ``1e``, is no
-number). Flagged rows are counted by kind; only the first 20 are put into
-words, from their own text and in line order: strict mode raises
-:class:`ParseError` at the first, and lenient mode records them by line.
+field counts, the label matches and the UTF-8 check. A score that is a
+plain decimal, ``[+-]?digits[.digits]`` with at most 19 digits and any
+point among the first 8 characters after the sign, is read from the
+chunk's bytes in bulk, with no Python string per field, to the double
+``float()`` reads from it, bit for bit (:mod:`binaryeval._decimals`). Any
+other score, such as one with an exponent or of more digits, is checked
+against the grammar and read by ``float()``, one text at a time. Flagged
+rows are counted by kind; only the first 20 are put into words, from
+their own text and in line order: strict mode raises :class:`ParseError`
+at the first, and lenient mode records them by line. A reason quotes at
+most 40 characters of a field, then ``...``.
 
 Text that is not UTF-8 fails in either mode: the first line, the header
 included, that holds a surrogate code point (the CLI decodes an invalid
@@ -36,7 +39,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -49,8 +51,6 @@ from binaryeval.counts import LabeledColumns, ScoredColumns, _of_own_arrays
 # It rejects nan/inf spellings, hex, underscores, other scripts' digits
 # and locale-specific decimal commas.
 _SCORE_CHARS = b"0123456789.+-eE"
-# Which code points lie outside that grammar; every one from 127 up reads as 127.
-_NOT_SCORE_CHAR = np.array([code not in _SCORE_CHARS for code in range(128)])
 
 # Row verdicts, in rising precedence: a row takes the highest that applies.
 _GOOD, _UNKNOWN_PREDICTED, _UNKNOWN_ACTUAL, _NON_FINITE, _MALFORMED, _FIELD_COUNT, _HEADER, _NOT_UTF8 = range(8)
@@ -59,13 +59,17 @@ _KIND = {_UNKNOWN_PREDICTED: "unknown label", _UNKNOWN_ACTUAL: "unknown label", 
          _MALFORMED: "non-finite or malformed score", _FIELD_COUNT: "expected 2 fields"}
 # Lenient mode words this many skipped rows, the first; the rest are only counted.
 _MAX_FAILURES = 20
+# A reason quotes at most this many characters of a field, then "...".
+_MAX_QUOTED = 40
 
 # The text is read in chunks of about this many characters, so at most
-# one chunk's code points, separator indices and field strings are alive
-# at a time. On 2x10^5-row inputs, the CLI's peak RSS was 30.9 MB (hard
-# labels) and 33.5 MB (scores) with this size, against 35.6 and 36.0 MB
-# with 256 Ki-character chunks, and parsing took no longer. A str is read
-# in slices, and a text stream (the CLI's open input) in blocks, this long.
+# one chunk's code points, separator indices and per-field arrays are
+# alive at a time; only a score that is not a plain decimal (such as
+# 1e-05) is made a string, for float(). On 2x10^5-row inputs, the CLI's
+# peak RSS was 30.9 MB (hard labels) and 33.5 MB (scores) with this size,
+# against 35.6 and 36.0 MB with 256 Ki-character chunks, and parsing took
+# no longer. A str is read in slices, and a text stream (the CLI's open
+# input) in blocks, this long.
 _CHUNK_CHARS = 1 << 16
 
 # Each parsed column starts this many bytes long: large enough that glibc
@@ -264,52 +268,63 @@ def _judge(chunk: str, cfg: InputConfig, scored: bool, header: bool) -> tuple[np
     # A surrogate (U+D800-U+DFFF) is not UTF-8; the max gates the costlier test.
     if codes.max() >= 0xD800:
         verdict[np.searchsorted(separators[lines], np.flatnonzero((codes >> 11) == 0xD800 >> 11))] = _NOT_UTF8
-    del codes, separators
+    del codes
     if scored:
-        del lines  # the split of the scores sets the peak
-        return verdict, *_scores(chunk, cfg.delimiter, verdict, positive)
+        # Only rows of two fields with a score not empty hold a score to read.
+        has_score = verdict < _MALFORMED
+        last = lines[has_score]
+        starts, ends = separators[last - 1] + 1, separators[last]
+        del separators, lines, last
+        return verdict, *_scores(chunk, starts, ends, has_score, verdict, positive)
     if verdict.any():  # keep the good rows' fields, two to a row
         positive = positive[np.repeat(verdict == _GOOD, np.diff(lines, prepend=-1))]
     return verdict, positive[0::2], positive[1::2]
 
 
-def _scores(chunk: str, delimiter: str, verdict: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scores(
+    chunk: str, starts: np.ndarray, ends: np.ndarray, has_score: np.ndarray, verdict: np.ndarray, positive: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The good score rows' label mask and scores; a score outside the grammar or not finite flags its row.
 
-    Lines judged at the score's precedence or above hold no score to
-    check. They are cut out of the chunk's text first, so that every line
-    left holds two fields and a score that is not empty.
+    The rows where ``has_score`` holds their scores in ``chunk[starts:ends]``,
+    in order. :func:`binaryeval._decimals.read` reads the plain decimals
+    among them, bit for bit as ``float()`` reads them; :func:`_floats`
+    reads the rest by ``float()``.
     """
-    has_score = verdict < _MALFORMED
-    if not has_score.all():
-        chunk = "\n".join([*compress(chunk.split("\n"), has_score.tolist()), ""])
-    texts = chunk.replace("\n", delimiter).split(delimiter)[1::2]
-    at = np.flatnonzero(has_score)
-    joined = "".join(texts)
-    # Only when the texts together hold a character outside the grammar is each one's code points looked at.
-    if not joined.isascii() or joined.encode().translate(None, _SCORE_CHARS):
-        lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-        outside = _NOT_SCORE_CHAR.take(np.array([joined]).view(np.uint32), mode="clip")
-        outside = np.logical_or.reduceat(outside, np.cumsum(lengths) - lengths)  # one run per text
-        verdict[at[outside]] = _MALFORMED
-        texts, at = list(compress(texts, (~outside).tolist())), at[~outside]
-    del joined
-    try:
-        score = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
-    except ValueError:  # a text of score characters that is no number, such as "1e" or "."
-        score = np.array([_float(text) for text in texts], dtype=np.float64)
-    del texts
-    if not np.isfinite(score).all():
-        verdict[at[np.isnan(score)]] = _MALFORMED
-        verdict[at[np.isinf(score)]] = _NON_FINITE
+    from binaryeval import _decimals  # imported by parse_scores before its first chunk
+
+    simple, score = _decimals.read(chunk, starts, ends)
+    rest = np.flatnonzero(~simple)
+    if rest.size:
+        score[rest] = _floats([chunk[start:end] for start, end in zip(starts[rest].tolist(), ends[rest].tolist())])
+        at = np.flatnonzero(has_score)[rest]
+        verdict[at[np.isnan(score[rest])]] = _MALFORMED
+        verdict[at[np.isinf(score[rest])]] = _NON_FINITE
     if not verdict.any():
         return positive, score
     good = verdict == _GOOD
-    return positive[good], score[good[at]]
+    return positive[good], score[good[has_score]]
+
+
+def _floats(texts: list[str]) -> np.ndarray:
+    """``float()`` of each text, NaN for one outside the score grammar or that ``float()`` rejects.
+
+    ``float()`` maps over all of them at once unless one holds a character
+    outside the grammar or, such as ``1e`` or ``.``, is no number.
+    """
+    joined = "".join(texts)
+    if joined.isascii() and not joined.encode().translate(None, _SCORE_CHARS):
+        try:
+            return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+        except ValueError:
+            pass
+    return np.fromiter(map(_float, texts), dtype=np.float64, count=len(texts))
 
 
 def _float(text: str) -> float:
-    """``float(text)``, or NaN where it raises ValueError."""
+    """``float(text)`` for a text in the score grammar; NaN for one outside it or that ``float()`` rejects."""
+    if not text.isascii() or text.encode().translate(None, _SCORE_CHARS):
+        return math.nan
     try:
         return float(text)
     except ValueError:
@@ -326,7 +341,10 @@ def _reason(kind: int, row: str, delimiter: str) -> str:
     fields = row.split(delimiter)
     if kind == _FIELD_COUNT:
         return f"{_KIND[kind]}, got {len(fields)}"
-    return f"{_KIND[kind]} {fields[kind != _UNKNOWN_ACTUAL]!r}"
+    field = fields[kind != _UNKNOWN_ACTUAL]
+    if len(field) > _MAX_QUOTED:
+        return f"{_KIND[kind]} {field[:_MAX_QUOTED]!r}..."
+    return f"{_KIND[kind]} {field!r}"
 
 
 def parse_hard_labels(
@@ -351,5 +369,7 @@ def parse_scores(
     Scores must be finite decimals (plain or scientific notation in ASCII
     digits); an empty input yields empty columns rather than an error.
     """
+    from binaryeval import _decimals  # noqa: F401
+
     positive, score, report = _parse_chunks(source, cfg, strict, scored=True)
     return _of_own_arrays(ScoredColumns, score=score, positive=positive), report

@@ -33,6 +33,8 @@ SCORE_PATTERN = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.AS
 _REASON_DETAIL = re.compile(r", got \d+\Z| ['\"].*\Z")
 # A report holds this many skipped rows' reasons, the first in line order; it counts them all.
 MAX_FAILURES = 20
+# A reason quotes at most this many characters of a field, then "...".
+MAX_QUOTED = 40
 
 
 def labeled_columns(pairs: Iterable[tuple[bool, bool]]) -> LabeledColumns:
@@ -106,10 +108,15 @@ def split_row(row: str, delimiter: str) -> tuple[str, str]:
     return fields[0], fields[1]
 
 
+def quoted(field: str) -> str:
+    """A field as a reason quotes it: its repr, cut to its first :data:`MAX_QUOTED` characters and "..." when longer."""
+    return f"{field[:MAX_QUOTED]!r}..." if len(field) > MAX_QUOTED else repr(field)
+
+
 def is_positive(label: str, cfg: InputConfig) -> bool:
     """Whether a label field is the positive label; ValueError if it is neither of two declared labels."""
     if cfg.negative_label is not None and label not in (cfg.positive_label, cfg.negative_label):
-        raise ValueError(f"unknown label {label!r}")
+        raise ValueError(f"unknown label {quoted(label)}")
     return label == cfg.positive_label
 
 
@@ -162,10 +169,10 @@ def parse_hard_labels_rows(text: str, cfg: InputConfig, strict: bool = False) ->
 def parse_score(text: str) -> float:
     """A score field by :data:`SCORE_PATTERN`, with the package's failure reasons."""
     if not SCORE_PATTERN.match(text):
-        raise ValueError(f"non-finite or malformed score {text!r}")
+        raise ValueError(f"non-finite or malformed score {quoted(text)}")
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite score {text!r}")
+        raise ValueError(f"non-finite score {quoted(text)}")
     return value
 
 

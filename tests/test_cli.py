@@ -562,6 +562,16 @@ class TestUsageErrors:
 
 
 class TestStrict:
+    def test_a_long_bad_field_makes_a_short_line(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        field = "5" * (1 << 20)  # a score float() reads as inf
+        (tmp_path / "long.csv").write_text(f"1,0.5\n0,{field}\n", newline="")
+        reason = f"non-finite score {field[:40]!r}..."
+        code, out, err = invoke("evaluate", "long.csv", "--mode", "scores", "--threshold", "0.5")
+        assert (code, err.splitlines()[0]) == (0, f"warning: line 2: {reason}")
+        code, out, err = invoke("evaluate", "long.csv", "--mode", "scores", "--threshold", "0.5", "--strict")
+        assert (code, out, err) == (1, "", f"error: line 2: {reason}\n")
+
     def test_strict_parse_failure_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "messy.csv").write_text("1,1\nbroken\n", newline="")

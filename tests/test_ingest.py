@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import io
+import math
 import re
 import time
 import tracemalloc
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from binaryeval.ingest import (
     parse_hard_labels,
     parse_scores,
 )
-from oracles import SCORE_PATTERN, parse_hard_labels_rows, parse_scores_rows, utf8_failure
+from oracles import MAX_QUOTED, SCORE_PATTERN, parse_hard_labels_rows, parse_scores_rows, utf8_failure
 
 CFG = InputConfig()
 
@@ -210,6 +212,79 @@ class TestScores:
     def test_negative_and_extreme_scores(self):
         scored, _ = parse_scores("1,-3.5\n0,+2.25e2\n1,.5\n", CFG)
         assert scored.score.tolist() == [-3.5, 225.0, 0.5]
+
+    def test_a_long_bad_field_is_quoted_cut_short(self):
+        field = "5" * (1 << 20)  # a score float() reads as inf
+        reason = f"non-finite score {field[:MAX_QUOTED]!r}..."
+        _, report = parse_scores(f"1,0.5\n1,{field}\n", CFG)
+        assert report.failures == ((2, reason),)
+        with pytest.raises(ParseError) as exc_info:
+            parse_scores(f"1,0.5\n1,{field}\n", CFG, strict=True)
+        assert exc_info.value.reason == reason
+        assert len(str(exc_info.value)) < 100
+        cfg = InputConfig(negative_label="0")
+        _, report = parse_hard_labels(f"{field}x,1\n", cfg)
+        assert report.failures == ((1, f"unknown label {field[:MAX_QUOTED]!r}..."),)
+        # A field of the cap's length is quoted whole.
+        _, report = parse_scores(f"1,{'x' * MAX_QUOTED}\n", CFG)
+        assert report.failures == ((1, f"non-finite or malformed score {'x' * MAX_QUOTED!r}"),)
+
+
+def _decimal_texts():
+    """Score texts around the plain decimals the bulk route reads, and past its edges.
+
+    Mantissas of up to 25 digits with leading zeros, those around 2**53 and
+    2**64, exact halfway cases between two doubles, a point anywhere or
+    none, signs, exponents near the subnormal and overflow edges, and
+    texts ``float()`` rejects.
+    """
+    mantissa = st.one_of(
+        st.integers(0, 10**19).map(str),
+        st.integers(2**53 - 2**10, 2**53 + 2**10).map(str),
+        st.integers(2**64 - 2**10, 2**64 + 2**10).map(str),
+        st.integers(1, 25).flatmap(lambda n: st.text(alphabet="0123456789", min_size=n, max_size=n)),
+        st.tuples(st.integers(10**14, 10**19), st.integers(0, 4)).map(lambda pair: str(pair[0] * 5 ** pair[1])),
+    )
+    plain = st.tuples(st.sampled_from(["", "-", "+"]), mantissa, st.integers(-1, 25)).map(
+        lambda parts: parts[0] + (parts[1] if parts[2] < 0 else parts[1][:parts[2]] + "." + parts[1][parts[2]:]))
+    # Halfway between a double and the next one: its decimal is exact.
+    halfway = st.floats(2.0**40, 2.0**64).map(lambda x: format(Decimal(x) + Decimal(math.ulp(x)) / 2, "f"))
+    exponent = st.tuples(plain, st.sampled_from(["e", "E"]),
+                         st.integers(-345, -300) | st.integers(300, 310) | st.integers(-5, 5)).map(
+        lambda parts: f"{parts[0]}{parts[1]}{parts[2]}")
+    edges = st.sampled_from(["4.9e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+                             "1.7976931348623157e308", "1.7976931348623159e308", "-0", "-0.0", "+0", "0.",
+                             ".0", "-.5", "9007199254740993", "18446744073709551615", "18446744073709551616",
+                             "1e", ".", "+-1", "1.2.3", "-", "+", "e5", "1e+", "..", "1..", "1.5."])
+    return st.one_of(plain, plain, halfway, exponent, edges)
+
+
+class TestDecimalRoute:
+    """Scores read in bulk are bit for bit those ``float()`` reads; verdicts and reports those of the row loop."""
+
+    @given(st.lists(st.tuples(st.sampled_from(["1", "0"]), _decimal_texts()), max_size=40), st.integers(8, 200))
+    def test_scores_equal_the_row_loop(self, rows, chunk_chars):
+        source = "".join(f"{label},{text}\n" for label, text in rows)
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+            bulk = _scored(source, CFG)
+        assert bulk == _scored(source, CFG, parse=parse_scores_rows)
+
+    def test_generated_texts_read_as_float_reads_them(self):
+        rng = np.random.default_rng(27)
+        texts = [repr(x) for x in (10 ** rng.uniform(-4, 16, 20_000)).tolist()]
+        texts += [str(x) for x in rng.integers(2**53 - 2**16, 2**53 + 2**16, 5_000).tolist()]
+        texts += [f"{x}.{y:02d}" for x, y in zip(rng.integers(0, 2, 5_000).tolist(), rng.integers(0, 100, 5_000).tolist())]
+        columns, report = parse_scores("".join(f"1,{text}\n" for text in texts), CFG)
+        assert report == ParseReport(len(texts), len(texts))
+        assert columns.score.tobytes() == np.array([float(text) for text in texts]).tobytes()
+
+    @pytest.mark.parametrize("text", ["1.5", "-0", "1234567.89", "12345678.9", "1" * 19, "1" * 20, "1e5", "٣"])
+    def test_only_plain_decimals_skip_float(self, text):
+        with mock.patch.object(ingest, "_floats", side_effect=ingest._floats) as fallback:
+            columns, _ = parse_scores(f"1,{text}\n", CFG)
+        # The point must lie among the first 8 bytes after the sign, and 19 digits at most.
+        assert fallback.call_args_list == ([mock.call([text])] if text in ("12345678.9", "1" * 20, "1e5", "٣") else [])
+        assert columns.score.tobytes() == (np.array([float(text)]).tobytes() if text != "٣" else b"")
 
 
 # Bad rows far apart: a third field near the top, then NA, 1e999 and an

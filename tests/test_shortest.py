@@ -139,3 +139,23 @@ def test_a_large_curve_is_written_as_by_repr(seed):
     curve = benchmark_curve(20_000, seed)
     for column in (curve.fpr, curve.tpr, curve.threshold):
         assert_reprs(column)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=50))
+def test_the_product_is_exact_for_any_two_words(pairs):
+    a, b = (np.array(column, dtype=np.uint64) for column in zip(*pairs))
+    high, low = _shortest._product(a, b)
+    assert [(h << 64) | l for h, l in zip(high.tolist(), low.tolist())] == [x * y for x, y in pairs]
+    top = np.array([2**64 - 1], dtype=np.uint64)
+    assert [int(half[0]) for half in _shortest._product(top, top)] == [2**64 - 2, 1]
+
+
+def test_the_powers_of_five_are_those_of_fast_float():
+    high, low = _shortest._fives()
+    # The first entries of fast_float's power_of_five_128 for q = 0, -1, -2.
+    assert [hex(h) for h in high[:3].tolist()] == ["0x8000000000000000", "0xcccccccccccccccc", "0xa3d70a3d70a3d70a"]
+    assert [hex(l) for l in low[:3].tolist()] == ["0x0", "0xcccccccccccccccd", "0x3d70a3d70a3d70a4"]
+    # Each is one above 5**-k truncated, so times 5**k it lies just above a power of two.
+    for k, (h, l) in enumerate(zip(high.tolist(), low.tolist())):
+        excess = ((h << 64) | l) * 5**k - (1 << (127 + (5**k - 1).bit_length()))
+        assert (k == 0 and excess == 0) or 0 < excess <= 5**k
