@@ -33,7 +33,6 @@ from binaryeval.metrics import (
     true_positive_rate,
 )
 from binaryeval.report import (
-    EvaluationReport,
     write_json,
     write_svg,
     write_text,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfusionCounts",
-    "EvaluationReport",
     "InputConfig",
     "LabeledColumns",
     "MetricSet",

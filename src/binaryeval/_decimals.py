@@ -16,9 +16,11 @@ Accurately"); a larger ``w`` is read by Eisel-Lemire.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from binaryeval._shortest import _fives, _product
+from binaryeval._shortest import _product
 
 # The chunk's bytes come after _PAD NULs and before 8, so that a word may
 # start 24 bytes before a field or run 8 bytes past one. _TOP[t] keeps the
@@ -123,6 +125,20 @@ def _run(words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, digits: np.nd
         value += word
     digits &= (over & _HIGH) == 0
     return value
+
+
+@functools.cache
+def _fives() -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of ``5**-k`` for ``k`` in [0, 19], scaled into [2**127, 2**128).
+
+    Built on the first score read by Eisel-Lemire, laid out as fast_float
+    lays out its table: ``5**0`` is ``2**127``, and ``5**-k`` for ``k > 0``
+    is ``2**(127 + z) // 5**k + 1``, with ``2**z`` the least power of two
+    not below ``5**k``: one above the truncated value.
+    """
+    fives = [1 << 127] + [(1 << (127 + (5**k - 1).bit_length())) // 5**k + 1 for k in range(1, 20)]
+    return (np.array([five >> 64 for five in fives], dtype=np.uint64),
+            np.array([five & ((1 << 64) - 1) for five in fives], dtype=np.uint64))
 
 
 def _eisel_lemire(w: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -70,20 +70,6 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return g1, g0, 10 ** np.arange(20, dtype=np.uint64), groups
 
 
-@functools.cache
-def _fives() -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of ``5**-k`` for ``k`` in [0, 19], scaled into [2**127, 2**128).
-
-    Built on the first score read by Eisel-Lemire, laid out as fast_float
-    lays out its table: ``5**0`` is ``2**127``, and ``5**-k`` for ``k > 0``
-    is ``2**(127 + z) // 5**k + 1``, with ``2**z`` the least power of two
-    not below ``5**k``: one above the truncated value.
-    """
-    fives = [1 << 127] + [(1 << (127 + (5**k - 1).bit_length())) // 5**k + 1 for k in range(1, 20)]
-    return (np.array([five >> 64 for five in fives], dtype=np.uint64),
-            np.array([five & ((1 << 64) - 1) for five in fives], dtype=np.uint64))
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The high and low 64 bits of ``a * b``, on 32-bit limbs.
 

@@ -17,6 +17,7 @@ pipe while its reader drains it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import math
 import os
@@ -27,7 +28,7 @@ from typing import Callable, ContextManager, Sequence, TextIO, TypeVar
 from binaryeval.counts import from_predictions, threshold_counts
 from binaryeval.ingest import InputConfig, ParseError, ParseReport, parse_hard_labels, parse_scores
 from binaryeval.metrics import all_metrics
-from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
+from binaryeval.report import write_json, write_svg, write_text
 from binaryeval.roc import roc_points
 
 
@@ -153,9 +154,9 @@ def _warn_failures(parse_report: ParseReport, err: TextIO) -> None:
         err.write(f"warning: {skipped} of {parse_report.records_read} rows skipped ({why})\n")
 
 
-def _write_report(report: EvaluationReport, args: argparse.Namespace, out: TextIO) -> None:
+def _write_report(args: argparse.Namespace, out: TextIO, **parts: object) -> None:
     write = write_json if args.format == "json" else write_text
-    write(report, out, zero_division=args.zero_division)
+    write(out, **parts)
 
 
 def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
@@ -175,10 +176,13 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         counts = from_predictions(pairs)
     _warn_failures(parse_report, err)
 
-    meta = _common_meta(args, parse_report)
-    meta["threshold"] = args.threshold
-    meta["zero_division"] = args.zero_division
-    _write_report(EvaluationReport(metrics=all_metrics(counts), meta=meta), args, out)
+    metrics = all_metrics(counts)
+    if args.zero_division == "zero":
+        # The report prints a copy with 0.0 for each undefined metric; the computed set keeps its None.
+        undefined = [name for name, value in metrics.as_dict().items() if value is None]
+        metrics = dataclasses.replace(metrics, **dict.fromkeys(undefined, 0.0))
+    meta = {**_common_meta(args, parse_report), "threshold": args.threshold, "zero_division": args.zero_division}
+    _write_report(args, out, metrics=metrics, meta=meta)
     return 0
 
 
@@ -201,7 +205,7 @@ def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         except OSError as exc:
             err.write(f"error: cannot write --svg file {args.svg!r}: {exc.strerror or exc}\n")
             return 1
-    _write_report(EvaluationReport(curve=curve, meta=_common_meta(args, parse_report)), args, out)
+    _write_report(args, out, curve=curve, meta=_common_meta(args, parse_report))
     return 0
 
 

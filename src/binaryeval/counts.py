@@ -29,6 +29,21 @@ def _real(value: float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _reals(values: object, name: str) -> np.ndarray:
+    """A ``float64`` array copy of ``values``, an integer beyond the float range as an infinity of its sign.
+
+    ValueError naming ``name`` unless they are integers or floats: numpy reads
+    ``[10**400]`` as objects, and ``[True, 0.5]`` as floats, so the items are checked.
+    """
+    array = np.asarray(values)
+    items = values if isinstance(values, (list, tuple)) else ()
+    if array.dtype == object and all(isinstance(item, numbers.Real) and not isinstance(item, bool) for item in array.flat):
+        return np.array([_real(item) for item in array.flat], dtype=np.float64).reshape(array.shape)
+    if array.dtype.kind in "iuf" and not any(isinstance(item, (bool, np.bool_)) for item in items):
+        return np.array(array, dtype=np.float64)
+    raise ValueError(f"{name} must hold integers or floats, not booleans or text")
+
+
 def _mask(values: object, name: str) -> np.ndarray:
     """A ``bool`` array copy of ``values``; ValueError unless they are booleans or empty."""
     mask = np.array(values)
@@ -72,17 +87,7 @@ class ScoredColumns:
     positive: np.ndarray
 
     def __post_init__(self) -> None:
-        # numpy reads [10**400] as an object array, and [True, 0.5] as float64: only the items show that boolean.
-        score = np.asarray(self.score)
-        items = self.score if isinstance(self.score, (list, tuple)) else ()
-        if score.dtype == object and all(
-            isinstance(item, numbers.Real) and not isinstance(item, bool) for item in score.flat
-        ):
-            score = np.array([_real(item) for item in score.flat], dtype=np.float64).reshape(score.shape)
-        elif score.dtype.kind in "iuf" and bool not in map(type, items):
-            score = np.array(score, dtype=np.float64)
-        else:
-            raise ValueError("score must hold integers or floats, not booleans or text")
+        score = _reals(self.score, "score")
         positive = _mask(self.positive, "positive")
         if score.ndim != 1 or score.shape != positive.shape:
             raise ValueError("score and positive must be 1-d arrays of one length")
@@ -190,12 +195,13 @@ def from_predictions(pairs: LabeledColumns) -> ConfusionCounts:
 def threshold_counts(samples: ScoredColumns, threshold: float) -> ConfusionCounts:
     """The tally of hard predictions that are positive iff score >= ``threshold``.
 
-    ``+inf`` predicts everything negative and ``-inf`` everything positive,
-    as does an integer beyond the float range of that sign; NaN is
-    rejected. Counted over the score column, without building one
-    prediction per sample.
+    ``threshold`` is one integer or float, as each score is: booleans and
+    text are rejected, and so is NaN. ``+inf`` predicts everything negative
+    and ``-inf`` everything positive, as does an integer beyond the float
+    range of that sign. Counted over the score column, without building
+    one prediction per sample.
     """
-    threshold = _real(threshold)
-    if math.isnan(threshold):
-        raise ValueError("threshold must be a real number or +/-inf, not NaN")
+    threshold = _reals(threshold, "threshold")
+    if threshold.ndim or math.isnan(threshold):
+        raise ValueError("threshold must be one real number or +/-inf, not NaN")
     return _tally(samples.positive, samples.score >= threshold)

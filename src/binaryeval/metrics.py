@@ -3,8 +3,9 @@
 Every function takes a :class:`~binaryeval.counts.ConfusionCounts` and
 returns either a float or ``None``. ``None`` is the explicit undefined
 marker for zero-denominator cases: the core never substitutes 0 and never
-produces NaN. Mapping undefined to 0 is a rendering concern (see
-:mod:`binaryeval.report`).
+produces NaN. The writers of :mod:`binaryeval.report` print what they are
+given; the CLI's ``--zero-division zero`` hands them a copy of the
+:class:`MetricSet` with 0.0 in place of each ``None``.
 """
 
 from __future__ import annotations

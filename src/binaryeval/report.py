@@ -6,9 +6,9 @@ in a few writes, the curve points in chunks of ``_CHUNK_POINTS``, so
 memory does not grow with the size of the report. A JSON report is laid
 out by one ``json.dumps`` of the whole document, in which a ``null``
 holds the place of the curve points after the first; those are streamed
-in its place. Everything that can raise (the argument checks, that
-``json.dumps``, the title's escaping) runs before the first write. To
-get a report as one string, write it to an ``io.StringIO``.
+in its place. Everything that can raise (that ``json.dumps``, the
+title's escaping) runs before the first write. To get a report as one
+string, write it to an ``io.StringIO``.
 
 Each chunk is laid out as one ``uint8`` matrix of ASCII codes, a row per
 point, whose NUL bytes are dropped as it is written (``_joined``); no
@@ -20,20 +20,18 @@ every threshold are ``repr``'s shortest round-trip digits, computed for
 the whole chunk at once by :func:`binaryeval._shortest.repr_codes`.
 
 All writers are pure: identical inputs produce byte-identical output.
-Undefined metric values render as ``"undefined"`` (text) or ``null``
-(JSON) by default; ``zero_division="zero"`` maps them to 0 at render time
-only, the computed values are never touched.
-
-An :class:`EvaluationReport` holds optional ``metrics`` (a
-:class:`~binaryeval.metrics.MetricSet`, which carries its tally), an
-optional ROC ``curve`` and a ``meta`` echo; each writer emits only the
-parts that are present. JSON key order is part of the contract:
-``counts`` and ``metrics`` (when metrics are present), ``roc`` (when a
-curve is present), ``meta`` (when non-empty); metric keys follow
-:meth:`binaryeval.metrics.MetricSet.as_dict` and count keys the fields of
-:class:`~binaryeval.counts.ConfusionCounts`. Standard JSON has no
-Infinity literal, so an infinite float (in ``meta``, or the initial
-curve point's threshold) is the string ``"inf"`` or ``"-inf"``.
+``write_text`` and ``write_json`` write only the parts they are given,
+each optional: ``metrics`` (a :class:`~binaryeval.metrics.MetricSet`,
+which carries its tally), a ROC ``curve`` and a ``meta`` echo. A metric
+is printed as it is, ``None`` as ``"undefined"`` (text) or ``null``
+(JSON); the CLI's ``--zero-division zero`` hands them a copy of the
+metrics with 0.0 in place of each. JSON key order is part of the contract:
+``counts`` and ``metrics``, ``roc``, then ``meta`` (when non-empty);
+metric keys follow :meth:`binaryeval.metrics.MetricSet.as_dict` and
+count keys the fields of :class:`~binaryeval.counts.ConfusionCounts`.
+Standard JSON has no Infinity literal, so an infinite float (in
+``meta``, or the initial curve point's threshold) is the string
+``"inf"`` or ``"-inf"``.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -50,8 +48,6 @@ from binaryeval._shortest import repr_codes
 from binaryeval.counts import ConfusionCounts
 from binaryeval.metrics import MetricSet
 from binaryeval.roc import RocCurve
-
-_ZERO_DIVISION_MODES = ("undefined", "zero")
 
 # SVG canvas geometry: fixed 640x480 with 50-unit margins.
 _WIDTH = 640
@@ -71,32 +67,6 @@ _NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 # and the C0 controls other than tab (a valid delimiter); nor surrogates,
 # which UTF-8 cannot encode (an undecodable byte of a file name is one).
 _NOT_IN_LINE = "[\x00-\x08\x0a-\x1f\x85\u2028\u2029\ud800-\udfff]"
-
-
-@dataclass(frozen=True, slots=True)
-class EvaluationReport:
-    """Everything one evaluation produced, ready to render.
-
-    ``metrics`` (with the tally in ``metrics.counts``) is set by a
-    threshold evaluation, ``curve`` by a threshold sweep; ``meta`` echoes
-    the input name, record counts and configuration so the rendered
-    output is self-describing.
-    """
-
-    metrics: MetricSet | None = None
-    curve: RocCurve | None = None
-    meta: Mapping[str, object] = field(default_factory=dict)
-
-
-def _check_zero_division(zero_division: str) -> None:
-    if zero_division not in _ZERO_DIVISION_MODES:
-        raise ValueError(f"zero_division must be one of {_ZERO_DIVISION_MODES}, got {zero_division!r}")
-
-
-def _metric_values(metrics: MetricSet, zero_division: str) -> dict[str, float | None]:
-    """The metrics by name; under ``zero_division="zero"`` an undefined one reads 0.0."""
-    zero = zero_division == "zero"
-    return {name: 0.0 if value is None and zero else value for name, value in metrics.as_dict().items()}
 
 
 def _format_metric(value: float | None) -> str:
@@ -199,23 +169,21 @@ def _joined(parts: Sequence[str | np.ndarray]) -> str:
     return np.concatenate(codes, axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
-def write_text(report: EvaluationReport, out: TextIO, *, zero_division: str = "undefined") -> None:
-    """Fixed-order plain-text report, one blank line between blocks.
+def write_text(out: TextIO, *, metrics: MetricSet | None = None, curve: RocCurve | None = None,
+               meta: Mapping[str, object] | None = None) -> None:
+    """Fixed-order plain-text report of the parts given, one blank line between blocks.
 
-    The blocks are the meta echo; the matrix and one line per metric, when
-    metrics are present; the ``fpr tpr threshold`` table and the AUC, when
-    a curve is present.
+    The blocks are the meta echo, when non-empty; the matrix and one line
+    per metric, when metrics are given; the ``fpr tpr threshold`` table
+    and the AUC, when a curve is given.
     """
-    _check_zero_division(zero_division)
     blocks: list[str] = []
-    if report.meta:
-        blocks.append("\n".join(f"{key} {_format_meta_value(value)}" for key, value in report.meta.items()))
-    if report.metrics is not None:
-        blocks.append("\n".join(_matrix_lines(report.metrics.counts) + [""] + [
-            f"{name.upper()} {_format_metric(value)}"
-            for name, value in _metric_values(report.metrics, zero_division).items()
+    if meta:
+        blocks.append("\n".join(f"{key} {_format_meta_value(value)}" for key, value in meta.items()))
+    if metrics is not None:
+        blocks.append("\n".join(_matrix_lines(metrics.counts) + [""] + [
+            f"{name.upper()} {_format_metric(value)}" for name, value in metrics.as_dict().items()
         ]))
-    curve = report.curve
     if curve is None:
         out.write("\n\n".join(blocks) + "\n")
         return
@@ -233,25 +201,24 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def write_json(report: EvaluationReport, out: TextIO, *, zero_division: str = "undefined") -> None:
-    """Machine-readable report; floats use shortest round-trip formatting.
+def write_json(out: TextIO, *, metrics: MetricSet | None = None, curve: RocCurve | None = None,
+               meta: Mapping[str, object] | None = None) -> None:
+    """Machine-readable report of the parts given; floats use shortest round-trip formatting.
 
     The whole report is laid out by one ``json.dumps(..., indent=2)``
     before the first write, with a ``null`` in the place of the curve
     points after the first. Those points are streamed in its place, laid
     out as json lays them out, ``repr`` being what json uses for a float.
     """
-    _check_zero_division(zero_division)
     document: dict[str, object] = {}
-    if report.metrics is not None:
-        document["counts"] = asdict(report.metrics.counts)
-        document["metrics"] = _metric_values(report.metrics, zero_division)
-    curve = report.curve
+    if metrics is not None:
+        document["counts"] = asdict(metrics.counts)
+        document["metrics"] = metrics.as_dict()
     if curve is not None:
         # Every curve starts at (0, 0, +inf), and the infinite threshold is "inf", as in meta.
         document["roc"] = {"points": [{"fpr": 0.0, "tpr": 0.0, "threshold": "inf"}, None], "auc": curve.auc}
-    if report.meta:
-        document["meta"] = {key: _json_safe(value) for key, value in report.meta.items()}
+    if meta:
+        document["meta"] = {key: _json_safe(value) for key, value in meta.items()}
     text = json.dumps(document, indent=2, allow_nan=False)
     if curve is None:
         out.write(text + "\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from binaryeval.counts import ScoredColumns, _hold, _of_own_arrays
+from binaryeval.counts import ScoredColumns, _hold, _of_own_arrays, _reals
 
 __all__ = [
     "RocCurve",
@@ -55,7 +55,7 @@ class RocCurve:
 
     def __post_init__(self) -> None:
         fp, tp = _count_column("fp", np.array(self.fp)), _count_column("tp", np.array(self.tp))
-        threshold = np.array(self.threshold, dtype=np.float64)
+        threshold = _reals(self.threshold, "threshold")
         if fp.ndim != 1 or fp.shape != tp.shape or fp.shape != threshold.shape:
             raise ValueError("fp, tp and threshold must be 1-d arrays of one length")
         if fp.size < 2:

@@ -19,7 +19,7 @@ import numpy as np
 
 from binaryeval.counts import ConfusionCounts, LabeledColumns, ScoredColumns
 from binaryeval.ingest import InputConfig, ParseError, ParseReport
-from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
+from binaryeval.report import write_json, write_svg, write_text
 from binaryeval.roc import RocCurve
 
 T = TypeVar("T")
@@ -248,17 +248,17 @@ def pair_tallies_brute(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
     return greater, equal
 
 
-def render_text(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
-    """What ``write_text`` writes, as one string."""
+def render_text(**parts) -> str:
+    """What ``write_text`` writes of ``parts``, as one string."""
     out = io.StringIO()
-    write_text(report, out, zero_division=zero_division)
+    write_text(out, **parts)
     return out.getvalue()
 
 
-def render_json(report: EvaluationReport, *, zero_division: str = "undefined") -> str:
-    """What ``write_json`` writes, as one string."""
+def render_json(**parts) -> str:
+    """What ``write_json`` writes of ``parts``, as one string."""
     out = io.StringIO()
-    write_json(report, out, zero_division=zero_division)
+    write_json(out, **parts)
     return out.getvalue()
 
 

@@ -157,6 +157,39 @@ class TestEvaluate:
         assert "MCC 0.000000" in out
         assert "undefined" not in out.split("zero_division")[1]
 
+    def test_zero_division_zero_prints_undefined_metrics_as_zeros(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # Actual positives only: FPR, SPC, TNR and MCC are undefined, the other metrics defined.
+        (tmp_path / "positives.csv").write_text("1,1\n1,0\n", newline="")
+        _, undefined, _ = invoke("evaluate", "positives.csv")
+        code, zeros, err = invoke("evaluate", "positives.csv", "--zero-division", "zero")
+        assert (code, err) == (0, "")
+        assert [line for line in undefined.splitlines() if line.endswith(" undefined")] == [
+            "zero_division undefined", "FPR undefined", "SPC undefined", "TNR undefined", "MCC undefined",
+        ]
+        assert zeros == undefined.replace("zero_division undefined\n", "zero_division zero\n").replace(
+            " undefined\n", " 0.000000\n")
+
+    def test_zero_division_zero_encodes_undefined_metrics_as_zeros(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "positives.csv").write_text("1,1\n1,0\n", newline="")
+        payload = json.loads(invoke("evaluate", "positives.csv", "--format", "json")[1])
+        code, out, err = invoke("evaluate", "positives.csv", "--format", "json", "--zero-division", "zero")
+        assert (code, err) == (0, "")
+        zeros = json.loads(out)
+        assert [name for name, value in payload["metrics"].items() if value is None] == ["fpr", "spc", "tnr", "mcc"]
+        assert zeros == {
+            "counts": payload["counts"],
+            "metrics": {name: 0.0 if value is None else value for name, value in payload["metrics"].items()},
+            "meta": {**payload["meta"], "zero_division": "zero"},
+        }
+
+    @pytest.mark.parametrize("subcommand, data", [("evaluate", "preds.csv"), ("roc", "scores.csv")])
+    def test_an_unknown_zero_division_mode_is_a_usage_error(self, worked_files, subcommand, data):
+        code, out, err = invoke(subcommand, data, "--zero-division", "nan")
+        assert (code, out) == (2, "")
+        assert "--zero-division: invalid choice: 'nan'" in err
+
     def test_lenient_mode_warns_and_continues(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "messy.csv").write_text("1,1\nbroken\n0,0\n", newline="")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 
@@ -218,6 +219,23 @@ class TestThresholdCounts:
         with pytest.raises(ValueError, match="NaN"):
             threshold_counts(ScoredColumns([0.5], [True]), math.nan)
 
+    @pytest.mark.parametrize("threshold", ["0.5", b"0.5", " 0.5 ", "1_0", Decimal("0.5"), True, np.True_, None],
+                             ids=["text", "bytes", "padded-text", "underscored-text", "decimal", "bool",
+                                  "numpy-bool", "none"])
+    def test_a_threshold_that_is_not_a_number_is_rejected(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must hold integers or floats, not booleans or text$"):
+            threshold_counts(ScoredColumns([0.5], [True]), threshold)
+
+    @pytest.mark.parametrize("threshold", [[0.5], np.array([0.5, 1.0])], ids=["list", "array"])
+    def test_a_threshold_that_is_not_one_number_is_rejected(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must be one real number"):
+            threshold_counts(ScoredColumns([0.5], [True]), threshold)
+
+    def test_numpy_and_other_real_thresholds_read_as_floats(self):
+        columns = ScoredColumns([0.25, 0.5, 3.0], [True, False, True])
+        for threshold in (np.float32(0.5), np.int64(3), Fraction(1, 2), 3):
+            assert threshold_counts(columns, threshold) == threshold_counts(columns, float(threshold))
+
 
 class TestLabeledColumns:
     def test_columns_are_read_only_and_of_one_length(self):
@@ -280,9 +298,9 @@ class TestScoredColumns:
 
     @pytest.mark.parametrize("score", [
         np.array([True, False]), ["0.5", "1"], np.array(["0.5", "1"]), np.array([b"0.5", b"1"]),
-        [True, 0.5], (0.5, False), [10**400, True], np.array([2**64, True], dtype=object), [None, 0.5],
+        [True, 0.5], (0.5, False), [np.True_, 0.5], [10**400, True], np.array([2**64, True], dtype=object), [None, 0.5],
     ], ids=["bool-dtype", "text-list", "str-dtype", "bytes-dtype", "bool-in-a-float-list", "bool-in-a-tuple",
-            "bool-beside-a-big-integer", "bool-in-an-object-array", "none"])
+            "numpy-bool-in-a-float-list", "bool-beside-a-big-integer", "bool-in-an-object-array", "none"])
     def test_booleans_and_text_are_rejected(self, score):
         with pytest.raises(ValueError, match="^score must hold integers or floats, not booleans or text$"):
             ScoredColumns(score, [True, False])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from binaryeval import ingest
+from binaryeval import _decimals, ingest
 from binaryeval.ingest import (
     InputConfig,
     ParseError,
@@ -287,6 +287,17 @@ class TestDecimalRoute:
         assert columns.score.tobytes() == (np.array([float(text)]).tobytes() if text != "٣" else b"")
 
 
+def test_the_powers_of_five_are_those_of_fast_float():
+    high, low = _decimals._fives()
+    # The first entries of fast_float's power_of_five_128 for q = 0, -1, -2.
+    assert [hex(h) for h in high[:3].tolist()] == ["0x8000000000000000", "0xcccccccccccccccc", "0xa3d70a3d70a3d70a"]
+    assert [hex(l) for l in low[:3].tolist()] == ["0x0", "0xcccccccccccccccd", "0x3d70a3d70a3d70a4"]
+    # Each is one above 5**-k truncated, so times 5**k it lies just above a power of two.
+    for k, (h, l) in enumerate(zip(high.tolist(), low.tolist())):
+        excess = ((h << 64) | l) * 5**k - (1 << (127 + (5**k - 1).bit_length()))
+        assert (k == 0 and excess == 0) or 0 < excess <= 5**k
+
+
 # Bad rows far apart: a third field near the top, then NA, 1e999 and an
 # unknown label under negative_label="0" further down, keyed by line index.
 _BAD_ROWS = {10: "1,0.5,1", 20: "0,1,0", 20_000: "0,NA", 35_000: "1,1e999", 50_000: "2,1", 55_000: "1,NA"}
@@ -413,12 +424,20 @@ _odd_line = st.sampled_from([
 ])
 _soup = st.lists(st.one_of(*[_valid_line] * 9, _odd_line), max_size=25)
 _line_ends = st.sampled_from(["\n", "\r\n", "\r"])
-_configs = st.sampled_from([
+# Delimiters of one, two and four UTF-8 bytes, whitespace among them.
+_delimiters = st.sampled_from([",", ";", "\t", " ", "\u00a7", "\U0001f600"])
+_configs = st.tuples(st.sampled_from([
     {},
     {"negative_label": "0"},
     {"has_header": True},
     {"negative_label": "0", "has_header": True},
-])
+]), _delimiters).map(lambda pair: {**pair[0], "delimiter": pair[1]})
+
+
+def _source(lines, line_end, final_newline, delimiter):
+    """``lines``, their comma-separated fields joined by ``delimiter``; the last ended only if ``final_newline``."""
+    text = line_end.join(delimiter.join(line.split(",")) for line in lines)
+    return text + (line_end if final_newline and lines else "")
 
 
 def _check_skipped(report):
@@ -456,8 +475,10 @@ _LABELS = ["1", "0", "10", "01", "", "\x00", "1\x00", "\U0001f600", "0\U0001f600
 _label_configs = st.fixed_dictionaries({
     "positive_label": st.sampled_from(_LABELS),
     "negative_label": st.none() | st.sampled_from(_LABELS),
+    "delimiter": _delimiters,
     "has_header": st.booleans(),
-}).filter(lambda options: options["positive_label"] != options["negative_label"])
+}).filter(lambda options: options["positive_label"] != options["negative_label"]
+          and options["delimiter"] not in options["positive_label"] + (options["negative_label"] or ""))
 
 
 class TestBulkPath:
@@ -469,7 +490,7 @@ class TestBulkPath:
 
     @given(_soup, _line_ends, st.booleans(), _configs, st.integers(1, 40), st.booleans())
     def test_scores_equal_the_row_loop(self, lines, line_end, final_newline, options, chunk_chars, strict):
-        source = line_end.join(lines) + (line_end if final_newline and lines else "")
+        source = _source(lines, line_end, final_newline, options["delimiter"])
         cfg = InputConfig(**options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             bulk = _scored(source, cfg, strict)
@@ -477,7 +498,7 @@ class TestBulkPath:
 
     @given(_soup, _line_ends, st.booleans(), _configs, st.integers(1, 40), st.booleans())
     def test_hard_labels_equal_the_row_loop(self, lines, line_end, final_newline, options, chunk_chars, strict):
-        source = line_end.join(line.replace(".", "") for line in lines) + (line_end if final_newline and lines else "")
+        source = _source([line.replace(".", "") for line in lines], line_end, final_newline, options["delimiter"])
         cfg = InputConfig(**options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             bulk = _labeled(source, cfg, strict)
@@ -489,7 +510,7 @@ class TestBulkPath:
         field = st.sampled_from([label for label in declared if label is not None]) | st.sampled_from(_LABELS)
         odd = st.sampled_from(_LABELS) | st.tuples(field, field, field).map(",".join)
         lines = data.draw(st.lists(st.one_of(*[st.tuples(field, field).map(",".join)] * 9, odd), max_size=25))
-        source = "\n".join(lines) + ("\n" if final_newline and lines else "")
+        source = _source(lines, "\n", final_newline, options["delimiter"])
         cfg = InputConfig(**options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             bulk = _labeled(source, cfg, strict)
@@ -500,8 +521,8 @@ class TestBulkPath:
         _configs,
     )
     def test_valid_text_is_read_in_full(self, rows, options):
-        scores = "".join(f"{label},{score}\n" for label, score in rows)
-        labels = "".join(f"{label},{label}\n" for label, _ in rows)
+        scores = _source([f"{label},{score}" for label, score in rows], "\n", True, options["delimiter"])
+        labels = _source([f"{label},{label}" for label, _ in rows], "\n", True, options["delimiter"])
         columns, report = parse_scores(scores, InputConfig(**options))
         pairs, _ = parse_hard_labels(labels, InputConfig(**options))
         data_rows = rows[1:] if options.get("has_header") else rows
@@ -536,7 +557,7 @@ class TestStreaming:
 
     @given(_soup, _line_ends, st.booleans(), _configs, st.integers(1, 40), st.booleans())
     def test_a_text_stream_reads_as_the_whole_text(self, lines, line_end, final_newline, options, chunk_chars, strict):
-        text = line_end.join(lines) + (line_end if final_newline and lines else "")
+        text = _source(lines, line_end, final_newline, options["delimiter"])
         cfg = InputConfig(**options)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             # A stream's blocks of chunk_chars characters may end inside a line or a CRLF.

@@ -17,7 +17,6 @@ def test_the_exported_names_are_these():
     # A change to the public API shows here as a diff.
     assert sorted(binaryeval.__all__) == [
         "ConfusionCounts",
-        "EvaluationReport",
         "InputConfig",
         "LabeledColumns",
         "MetricSet",
@@ -79,3 +78,5 @@ def test_the_readme_python_blocks_run_and_print_what_their_comments_state():
             # "0.666..." states leading digits; any other number is the exact value.
             assert repr(value).startswith(text[:-3]) if text.endswith("...") else value == float(text)
     assert json.loads(namespace["report"])["metrics"]["mcc"] == 0.5
+    assert set(namespace["undefined"].as_dict().values()) == {None}
+    assert set(namespace["zeros"].as_dict().values()) == {0.0}

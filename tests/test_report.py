@@ -18,19 +18,16 @@ from hypothesis import strategies as st
 from binaryeval import report as report_module
 from binaryeval.counts import ConfusionCounts, ScoredColumns
 from binaryeval.metrics import all_metrics
-from binaryeval.report import EvaluationReport, write_json, write_svg, write_text
+from binaryeval.report import write_json, write_svg, write_text
 from binaryeval.roc import RocCurve, roc_points
 
 from oracles import render_json, render_svg, render_text, roc_json, roc_svg, roc_text
 
 C_STAR = ConfusionCounts(tp=4, fp=1, fn=2, tn=3)
-EMPTY = ConfusionCounts(tp=0, fp=0, fn=0, tn=0)
+C_STAR_METRICS = all_metrics(C_STAR)
+EMPTY_METRICS = all_metrics(ConfusionCounts(tp=0, fp=0, fn=0, tn=0))
 
 FOUR_SAMPLE_CURVE = roc_points(ScoredColumns(score=[0.9, 0.8, 0.7, 0.6], positive=[True, False, True, False]))
-
-
-def c_star_report(**kwargs) -> EvaluationReport:
-    return EvaluationReport(metrics=all_metrics(C_STAR), **kwargs)
 
 
 def svg_elements(svg: str) -> list[ET.Element]:
@@ -57,13 +54,13 @@ def written(write, *args, chunk_points: int, **kwargs) -> str:
 
 class TestRenderText:
     def test_contains_worked_metric_lines(self):
-        text = render_text(c_star_report())
+        text = render_text(metrics=C_STAR_METRICS)
         assert "ACC 0.700000" in text
         assert "MCC 0.408248" in text
         assert "TPR 0.666667" in text
 
     def test_matrix_layout_rows_actual_columns_predicted(self):
-        lines = render_text(c_star_report()).splitlines()
+        lines = render_text(metrics=C_STAR_METRICS).splitlines()
         start = lines.index("confusion matrix (rows actual, columns predicted)")
         assert lines[start + 2] == "P  4  2"
         assert lines[start + 3] == "N  1  3"
@@ -71,79 +68,52 @@ class TestRenderText:
     def test_metric_order_is_fixed(self):
         names = [
             line.split()[0]
-            for line in render_text(c_star_report()).splitlines()
+            for line in render_text(metrics=C_STAR_METRICS).splitlines()
             if line[:3] in {"ERR", "ACC", "FPR", "TPR", "PRE", "REC", "F1 ", "SEN", "SPC", "TNR", "MCC"}
         ]
         assert names == ["ERR", "ACC", "FPR", "TPR", "PRE", "REC", "F1", "SEN", "SPC", "TNR", "MCC"]
 
     def test_undefined_metrics_render_as_undefined(self):
-        text = render_text(EvaluationReport(metrics=all_metrics(EMPTY)))
+        text = render_text(metrics=EMPTY_METRICS)
         for name in ("ERR", "ACC", "FPR", "TPR", "PRE", "REC", "F1", "SEN", "SPC", "TNR", "MCC"):
             assert f"{name} undefined" in text
 
-    def test_zero_policy_renders_zeros_instead(self):
-        text = render_text(
-            EvaluationReport(metrics=all_metrics(EMPTY)),
-            zero_division="zero",
-        )
-        assert "undefined" not in text
-        assert "MCC 0.000000" in text
-
-    def test_unknown_zero_division_mode_rejected(self):
-        for write in (write_text, write_json):
-            out = io.StringIO()
-            with pytest.raises(ValueError):
-                write(c_star_report(curve=FOUR_SAMPLE_CURVE), out, zero_division="nan")
-            assert out.getvalue() == ""
-
     def test_meta_block_comes_first(self):
-        report = c_star_report(meta={"input": "x.csv", "threshold": None, "header": False})
-        lines = render_text(report).splitlines()
+        meta = {"input": "x.csv", "threshold": None, "header": False}
+        lines = render_text(metrics=C_STAR_METRICS, meta=meta).splitlines()
         assert lines[0] == "input x.csv"
         assert lines[1] == "threshold -"
         assert lines[2] == "header false"
 
     def test_byte_identical_across_calls(self):
-        report = c_star_report(meta={"input": "x.csv"})
-        assert render_text(report) == render_text(report)
+        parts = {"metrics": C_STAR_METRICS, "meta": {"input": "x.csv"}}
+        assert render_text(**parts) == render_text(**parts)
 
     def test_auc_line_present_when_curve_attached(self):
-        report = c_star_report(curve=FOUR_SAMPLE_CURVE)
-        assert render_text(report).rstrip().endswith("AUC 0.750000")
+        assert render_text(metrics=C_STAR_METRICS, curve=FOUR_SAMPLE_CURVE).rstrip().endswith("AUC 0.750000")
 
 
 class TestRenderJson:
     def test_worked_values(self):
-        payload = json.loads(render_json(c_star_report()))
+        payload = json.loads(render_json(metrics=C_STAR_METRICS))
         assert payload["metrics"]["acc"] == 0.7
         assert payload["metrics"]["pre"] == 0.8
 
     def test_counts_round_trip_exactly(self):
-        payload = json.loads(render_json(c_star_report()))
+        payload = json.loads(render_json(metrics=C_STAR_METRICS))
         assert payload["counts"] == {"tp": 4, "fp": 1, "fn": 2, "tn": 3}
 
     def test_defined_metrics_round_trip_exactly(self):
-        report = c_star_report()
-        payload = json.loads(render_json(report))
-        for name, value in report.metrics.as_dict().items():
+        payload = json.loads(render_json(metrics=C_STAR_METRICS))
+        for name, value in C_STAR_METRICS.as_dict().items():
             assert payload["metrics"][name] == value
 
     def test_undefined_encoded_as_null(self):
-        payload = json.loads(render_json(EvaluationReport(metrics=all_metrics(EMPTY))))
+        payload = json.loads(render_json(metrics=EMPTY_METRICS))
         assert all(value is None for value in payload["metrics"].values())
 
-    def test_zero_policy_encodes_zero(self):
-        payload = json.loads(
-            render_json(
-                EvaluationReport(metrics=all_metrics(EMPTY)),
-                zero_division="zero",
-            )
-        )
-        assert all(value == 0.0 for value in payload["metrics"].values())
-
     def test_key_order_is_documented_and_fixed(self):
-        report = c_star_report(curve=FOUR_SAMPLE_CURVE, meta={"input": "x"})
-        payload = json.loads(render_json(report))
+        payload = json.loads(render_json(metrics=C_STAR_METRICS, curve=FOUR_SAMPLE_CURVE, meta={"input": "x"}))
         assert list(payload) == ["counts", "metrics", "roc", "meta"]
         assert list(payload["counts"]) == ["tp", "fp", "fn", "tn"]
         assert list(payload["metrics"]) == [
@@ -151,43 +121,42 @@ class TestRenderJson:
         ]
 
     def test_roc_block_with_null_initial_threshold(self):
-        report = c_star_report(curve=FOUR_SAMPLE_CURVE)
-        payload = json.loads(render_json(report))
+        payload = json.loads(render_json(metrics=C_STAR_METRICS, curve=FOUR_SAMPLE_CURVE))
         points = payload["roc"]["points"]
         assert points[0] == {"fpr": 0.0, "tpr": 0.0, "threshold": "inf"}
         assert points[1]["threshold"] == 0.9
         assert payload["roc"]["auc"] == 0.75
 
     def test_no_roc_key_without_curve(self):
-        assert "roc" not in json.loads(render_json(c_star_report()))
+        assert "roc" not in json.loads(render_json(metrics=C_STAR_METRICS))
 
     def test_output_is_strict_json(self):
         # Would raise on NaN/Infinity literals; parses under the standard grammar.
-        text = render_json(c_star_report(meta={"threshold": math.inf}))
+        text = render_json(metrics=C_STAR_METRICS, meta={"threshold": math.inf})
         payload = json.loads(text)
         assert payload["meta"]["threshold"] == "inf"
 
     def test_unencodable_meta_raises_before_the_first_write(self):
         out = io.StringIO()
         with pytest.raises(TypeError):
-            write_json(c_star_report(curve=FOUR_SAMPLE_CURVE, meta={"input": object()}), out)
+            write_json(out, metrics=C_STAR_METRICS, curve=FOUR_SAMPLE_CURVE, meta={"input": object()})
         assert out.getvalue() == ""
 
-    @pytest.mark.parametrize("report", [
-        EvaluationReport(),
-        c_star_report(curve=FOUR_SAMPLE_CURVE, meta={"input": "x.csv"}),
+    @pytest.mark.parametrize("parts", [
+        {},
+        {"metrics": C_STAR_METRICS, "curve": FOUR_SAMPLE_CURVE, "meta": {"input": "x.csv"}},
         # Meta holding the text json writes for the curve's placeholder, inside and outside a string.
-        EvaluationReport(curve=FOUR_SAMPLE_CURVE, meta={"list": [1, None], "points": None, "text": ",\n      null"}),
-        EvaluationReport(meta={"list": [1, None], "points": None, "text": ",\n      null"}),
+        {"curve": FOUR_SAMPLE_CURVE, "meta": {"list": [1, None], "points": None, "text": ",\n      null"}},
+        {"meta": {"list": [1, None], "points": None, "text": ",\n      null"}},
     ])
-    def test_layout_is_one_json_dumps_indent_2(self, report):
+    def test_layout_is_one_json_dumps_indent_2(self, parts):
         for chunk_points in (1, 2, 4096):
-            text = written(write_json, report, chunk_points=chunk_points)
+            text = written(write_json, chunk_points=chunk_points, **parts)
             payload = json.loads(text)
             assert text == json.dumps(payload, indent=2) + "\n"
-            assert payload.get("meta", {}) == report.meta
-            if report.curve is not None:
-                assert len(payload["roc"]["points"]) == report.curve.threshold.size
+            assert payload.get("meta", {}) == parts.get("meta", {})
+            if "curve" in parts:
+                assert len(payload["roc"]["points"]) == parts["curve"].threshold.size
 
 
 # Meta text, often with the characters JSON must escape, non-ASCII and
@@ -227,31 +196,29 @@ class TestCurveOnlyReport:
     @given(curve_and_meta(), CHUNK_POINTS)
     def test_text_matches_the_reference_roc_renderer(self, case, chunk_points):
         curve, meta = case
-        report = EvaluationReport(curve=curve, meta=meta)
         expected = roc_text(curve, meta)
-        assert written(write_text, report, chunk_points=chunk_points) == expected
-        assert render_text(report) == expected
+        assert written(write_text, curve=curve, meta=meta, chunk_points=chunk_points) == expected
+        assert render_text(curve=curve, meta=meta) == expected
 
     @given(curve_and_meta(), CHUNK_POINTS)
     def test_json_matches_the_reference_roc_renderer(self, case, chunk_points):
         curve, meta = case
-        report = EvaluationReport(curve=curve, meta=meta)
         expected = roc_json(curve, meta)
-        assert written(write_json, report, chunk_points=chunk_points) == expected
-        assert render_json(report) == expected
+        assert written(write_json, curve=curve, meta=meta, chunk_points=chunk_points) == expected
+        assert render_json(curve=curve, meta=meta) == expected
 
     @given(curve_and_meta(), CHUNK_POINTS)
     def test_json_with_metrics_matches_one_json_dumps(self, case, chunk_points):
         curve, meta = case
-        report = c_star_report(curve=curve, meta=meta)
+        parts = {"metrics": C_STAR_METRICS, "curve": curve, "meta": meta}
         expected = {
             "counts": {"tp": 4, "fp": 1, "fn": 2, "tn": 3},
-            "metrics": report.metrics.as_dict(),
+            "metrics": C_STAR_METRICS.as_dict(),
             "roc": json.loads(roc_json(curve, {}))["roc"],
             "meta": meta,
         }
-        assert written(write_json, report, chunk_points=chunk_points) == json.dumps(expected, indent=2) + "\n"
-        assert render_json(report) == json.dumps(expected, indent=2) + "\n"
+        assert written(write_json, chunk_points=chunk_points, **parts) == json.dumps(expected, indent=2) + "\n"
+        assert render_json(**parts) == json.dumps(expected, indent=2) + "\n"
 
     @given(curve_and_meta(), CHUNK_POINTS)
     def test_svg_matches_the_reference_renderer(self, case, chunk_points):
@@ -267,10 +234,10 @@ class TestCurveOnlyReport:
         svg = written(write_svg, curve, "t", chunk_points=chunk_points)
         polyline = re.search(r'<polyline points="([^"]*)"', svg).group(1)
         assert polyline == " ".join(f"{50 + f * 540:.2f},{430 - t * 380:.2f}" for f, t in zip(fpr, tpr))
-        text = written(write_text, EvaluationReport(curve=curve), chunk_points=chunk_points)
+        text = written(write_text, curve=curve, chunk_points=chunk_points)
         table = [line.split()[:2] for line in text.split("fpr tpr threshold\n")[1].splitlines()[:-1]]
         assert table == [[f"{f:.6f}", f"{t:.6f}"] for f, t in zip(fpr, tpr)]
-        payload = written(write_json, EvaluationReport(curve=curve), chunk_points=chunk_points)
+        payload = written(write_json, curve=curve, chunk_points=chunk_points)
         assert re.findall(r'"fpr": (.*),', payload) == list(map(repr, fpr))
         assert re.findall(r'"tpr": (.*),', payload) == list(map(repr, tpr))
 
@@ -278,16 +245,15 @@ class TestCurveOnlyReport:
         # -0.0 == 0.0, but a -0.0 threshold is formatted as itself, as the references do.
         curve = RocCurve(fp=[0, 1, 1, 2], tp=[0, 0, 1, 1], threshold=[math.inf, 0.75, -0.0, -0.25])
         meta = {"input": "zeros.csv"}
-        report = EvaluationReport(curve=curve, meta=meta)
-        assert "\n0.500000 0.000000 0.75\n0.500000 1.000000 -0.0\n" in render_text(report)
-        assert '"threshold": -0.0\n' in render_json(report)
+        assert "\n0.500000 0.000000 0.75\n0.500000 1.000000 -0.0\n" in render_text(curve=curve, meta=meta)
+        assert '"threshold": -0.0\n' in render_json(curve=curve, meta=meta)
         for chunk_points in (1, 2, 4096):
-            assert written(write_text, report, chunk_points=chunk_points) == roc_text(curve, meta)
-            assert written(write_json, report, chunk_points=chunk_points) == roc_json(curve, meta)
+            assert written(write_text, curve=curve, meta=meta, chunk_points=chunk_points) == roc_text(curve, meta)
+            assert written(write_json, curve=curve, meta=meta, chunk_points=chunk_points) == roc_json(curve, meta)
             assert written(write_svg, curve, "t", chunk_points=chunk_points) == roc_svg(curve, "t")
 
     def test_metrics_and_curve_render_both_blocks(self):
-        text = render_text(c_star_report(curve=FOUR_SAMPLE_CURVE))
+        text = render_text(metrics=C_STAR_METRICS, curve=FOUR_SAMPLE_CURVE)
         assert "MCC 0.408248\n\nfpr tpr threshold\n0.000000 0.000000 inf\n" in text
 
 
@@ -320,8 +286,7 @@ class TestLargeCountCurves:
     @given(large_count_curve(), st.sampled_from([1, 2, 3, 7, 4096]))
     def test_text_matches_the_reference_roc_renderer(self, curve, chunk_points):
         meta = {"input": "big.csv", "records_read": int(curve.fp[-1] + curve.tp[-1])}
-        report = EvaluationReport(curve=curve, meta=meta)
-        assert written(write_text, report, chunk_points=chunk_points) == roc_text(curve, meta)
+        assert written(write_text, curve=curve, meta=meta, chunk_points=chunk_points) == roc_text(curve, meta)
 
     @given(large_count_curve(), st.sampled_from([1, 2, 3, 7, 4096]))
     def test_svg_matches_the_reference_renderer(self, curve, chunk_points):
@@ -508,7 +473,7 @@ class TestFixedWidthColumns:
         assert on_a_half(fp, 10**6) + on_a_half(tp, 10**6) > 0
         assert on_a_half(fp, 54_000) + on_a_half(tp, 38_000) > 0
         with mock.patch.object(report_module, "format", create=True, side_effect=format) as fmt:
-            text = render_text(EvaluationReport(curve=curve, meta={"input": "t"}))
+            text = render_text(curve=curve, meta={"input": "t"})
             svg = render_svg(curve, "t")
         assert fmt.call_count == 0
         # As lists: a failure names the first line or point that differs, with no diff of the whole report.
@@ -520,8 +485,8 @@ class TestWriterMemory:
     @pytest.mark.parametrize(
         "write",
         [
-            lambda curve, out: write_text(EvaluationReport(curve=curve), out),
-            lambda curve, out: write_json(EvaluationReport(curve=curve), out),
+            lambda curve, out: write_text(out, curve=curve),
+            lambda curve, out: write_json(out, curve=curve),
             lambda curve, out: write_svg(curve, "t", out),
         ],
         ids=["text", "json", "svg"],

@@ -484,3 +484,17 @@ class TestCurveTypes:
     def test_curve_rejects_counts_that_are_not_counts(self, fp, tp, match):
         with pytest.raises(ValueError, match=match):
             RocCurve(fp=fp, tp=tp, threshold=[math.inf, 0.5])
+
+    @pytest.mark.parametrize("threshold", [
+        ["inf", "0.5"], np.array(["inf", "0.5"]), [math.inf, "0.5"], np.array([math.inf, "0.5"], dtype=object),
+        [math.inf, True], [math.inf, np.True_], np.array([True, False]), [math.inf, None],
+    ], ids=["text-list", "str-dtype", "text-in-a-float-list", "text-in-an-object-array", "bool-in-a-list",
+            "numpy-bool-in-a-list", "bool-dtype", "none"])
+    def test_curve_rejects_thresholds_that_are_not_numbers(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must hold integers or floats, not booleans or text$"):
+            RocCurve(fp=[0, 1], tp=[0, 1], threshold=threshold)
+
+    def test_curve_reads_a_big_integer_threshold_as_an_infinity(self):
+        assert RocCurve(fp=[0, 1], tp=[0, 1], threshold=[10**400, Fraction(1, 2)]).threshold.tolist() == [math.inf, 0.5]
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            RocCurve(fp=[0, 1], tp=[0, 1], threshold=[math.inf, 10**400])

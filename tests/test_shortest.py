@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from binaryeval import _shortest
 from binaryeval._shortest import repr_codes
 from binaryeval.counts import ScoredColumns
-from binaryeval.report import EvaluationReport, write_json, write_text
+from binaryeval.report import write_json, write_text
 from binaryeval.roc import roc_points
 
 
@@ -116,7 +116,7 @@ class TestFallback:
         curve = benchmark_curve(200_000, 1)
         for write, calls in ((write_json, 18), (write_text, 1)):
             with mock.patch.object(_shortest, "repr", create=True, side_effect=repr) as fallback:
-                write(EvaluationReport(curve=curve), io.StringIO())
+                write(io.StringIO(), curve=curve)
             assert fallback.call_count == calls
 
 
@@ -148,14 +148,3 @@ def test_the_product_is_exact_for_any_two_words(pairs):
     assert [(h << 64) | l for h, l in zip(high.tolist(), low.tolist())] == [x * y for x, y in pairs]
     top = np.array([2**64 - 1], dtype=np.uint64)
     assert [int(half[0]) for half in _shortest._product(top, top)] == [2**64 - 2, 1]
-
-
-def test_the_powers_of_five_are_those_of_fast_float():
-    high, low = _shortest._fives()
-    # The first entries of fast_float's power_of_five_128 for q = 0, -1, -2.
-    assert [hex(h) for h in high[:3].tolist()] == ["0x8000000000000000", "0xcccccccccccccccc", "0xa3d70a3d70a3d70a"]
-    assert [hex(l) for l in low[:3].tolist()] == ["0x0", "0xcccccccccccccccd", "0x3d70a3d70a3d70a4"]
-    # Each is one above 5**-k truncated, so times 5**k it lies just above a power of two.
-    for k, (h, l) in enumerate(zip(high.tolist(), low.tolist())):
-        excess = ((h << 64) | l) * 5**k - (1 << (127 + (5**k - 1).bit_length()))
-        assert (k == 0 and excess == 0) or 0 < excess <= 5**k
