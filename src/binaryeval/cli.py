@@ -1,6 +1,6 @@
 """Command-line entry point: ``evaluate`` and ``roc`` subcommands.
 
-Results go to stdout, diagnostics to stderr. The parsers read the open
+Results go to stdout as UTF-8, diagnostics to stderr. The parsers read the open
 input block by block, never held whole, and reports are streamed to
 stdout (and the ROC plot to its ``--svg`` file) in chunks, never built
 as one string. Exit status is 0 on success, 1 on a validation or parse
@@ -252,6 +252,7 @@ def main() -> None:
     if sys.stdout is None:  # started with fd 1 closed
         sys.stderr.write("error: standard output is closed\n")
         sys.exit(1)
+    sys.stdout.reconfigure(encoding="utf-8")  # as the input is read and the --svg file written
     _widen_stdout_pipe()
     try:
         status = run()

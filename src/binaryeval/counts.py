@@ -29,19 +29,36 @@ def _real(value: float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _holds_a_boolean(values: object) -> bool:
+    """Whether ``values`` is a list or tuple holding a boolean: numpy reads ``[True, 0.5]`` as floats."""
+    return isinstance(values, (list, tuple)) and any(isinstance(item, (bool, np.bool_)) for item in values)
+
+
 def _reals(values: object, name: str) -> np.ndarray:
     """A ``float64`` array copy of ``values``, an integer beyond the float range as an infinity of its sign.
 
     ValueError naming ``name`` unless they are integers or floats: numpy reads
-    ``[10**400]`` as objects, and ``[True, 0.5]`` as floats, so the items are checked.
+    ``[10**400]`` as objects, so the items are checked.
     """
     array = np.asarray(values)
-    items = values if isinstance(values, (list, tuple)) else ()
     if array.dtype == object and all(isinstance(item, numbers.Real) and not isinstance(item, bool) for item in array.flat):
         return np.array([_real(item) for item in array.flat], dtype=np.float64).reshape(array.shape)
-    if array.dtype.kind in "iuf" and not any(isinstance(item, (bool, np.bool_)) for item in items):
+    if array.dtype.kind in "iuf" and not _holds_a_boolean(values):
         return np.array(array, dtype=np.float64)
     raise ValueError(f"{name} must hold integers or floats, not booleans or text")
+
+
+def _count_column(values: object, name: str) -> np.ndarray:
+    """An ``int64`` array copy of ``values``, checked first: the cast would truncate 0.5 and wrap 2**63."""
+    column = np.array(values)
+    if column.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers in [0, 2**63), got dtype {column.dtype}")
+    if _holds_a_boolean(values):
+        raise ValueError(f"{name} must hold integers in [0, 2**63), not booleans")
+    if column.size and (column.min() < 0 or column.max() >= 2**63):  # no n-sized mask unless one is out
+        outside = (column < 0) | (column >= 2**63)
+        raise ValueError(f"{name} must hold integers in [0, 2**63), got {column[outside][0].item()}")
+    return column.astype(np.int64, copy=False)
 
 
 def _mask(values: object, name: str) -> np.ndarray:

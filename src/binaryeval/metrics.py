@@ -2,7 +2,8 @@
 
 Every function takes a :class:`~binaryeval.counts.ConfusionCounts` and
 returns either a float or ``None``. ``None`` is the explicit undefined
-marker for zero-denominator cases: the core never substitutes 0 and never
+marker: each rate is ``None`` exactly when its denominator is zero, by the
+one rule of :func:`_ratio`, and the core never substitutes 0 and never
 produces NaN. The writers of :mod:`binaryeval.report` print what they are
 given; the CLI's ``--zero-division zero`` hands them a copy of the
 :class:`MetricSet` with 0.0 in place of each ``None``.
@@ -47,25 +48,24 @@ class MetricSet:
         return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
 
 
+def _ratio(numerator: float, denominator: float) -> MetricValue:
+    """``numerator / denominator``, or ``None`` when the denominator is zero: the one rule of an undefined rate."""
+    return None if denominator == 0 else numerator / denominator
+
+
 def error_rate(c: ConfusionCounts) -> MetricValue:
     """(fp + fn) / total. Undefined on an empty tally."""
-    if c.total == 0:
-        return None
-    return (c.fp + c.fn) / c.total
+    return _ratio(c.fp + c.fn, c.total)
 
 
 def accuracy(c: ConfusionCounts) -> MetricValue:
     """(tp + tn) / total; complements :func:`error_rate`. Undefined on an empty tally."""
-    if c.total == 0:
-        return None
-    return (c.tp + c.tn) / c.total
+    return _ratio(c.tp + c.tn, c.total)
 
 
 def false_positive_rate(c: ConfusionCounts) -> MetricValue:
     """fp / (fp + tn). Undefined without actual negatives."""
-    if c.negatives == 0:
-        return None
-    return c.fp / c.negatives
+    return _ratio(c.fp, c.negatives)
 
 
 def true_positive_rate(c: ConfusionCounts) -> MetricValue:
@@ -73,9 +73,7 @@ def true_positive_rate(c: ConfusionCounts) -> MetricValue:
 
     Also exposed as :func:`recall` and :func:`sensitivity`.
     """
-    if c.positives == 0:
-        return None
-    return c.tp / c.positives
+    return _ratio(c.tp, c.positives)
 
 
 recall = true_positive_rate
@@ -84,10 +82,7 @@ sensitivity = true_positive_rate
 
 def precision(c: ConfusionCounts) -> MetricValue:
     """tp / (tp + fp). Undefined when nothing is predicted positive."""
-    predicted_positive = c.tp + c.fp
-    if predicted_positive == 0:
-        return None
-    return c.tp / predicted_positive
+    return _ratio(c.tp, c.tp + c.fp)
 
 
 def f1_score(c: ConfusionCounts) -> MetricValue:
@@ -96,11 +91,10 @@ def f1_score(c: ConfusionCounts) -> MetricValue:
     Derived from :func:`precision` and :func:`recall` so that it is
     undefined exactly when either constituent is, or when both are zero.
     """
-    pre = precision(c)
-    rec = recall(c)
-    if pre is None or rec is None or pre + rec == 0.0:
+    pre, rec = precision(c), recall(c)
+    if pre is None or rec is None:
         return None
-    return 2.0 * pre * rec / (pre + rec)
+    return _ratio(2.0 * pre * rec, pre + rec)
 
 
 def specificity(c: ConfusionCounts) -> MetricValue:
@@ -108,9 +102,7 @@ def specificity(c: ConfusionCounts) -> MetricValue:
 
     Also exposed as :func:`true_negative_rate`.
     """
-    if c.negatives == 0:
-        return None
-    return c.tn / c.negatives
+    return _ratio(c.tn, c.negatives)
 
 
 true_negative_rate = specificity
@@ -125,14 +117,10 @@ def matthews_corrcoef(c: ConfusionCounts) -> MetricValue:
     beyond the float range takes its integer square root instead, which
     is at least 2**512, so its truncation is far below one ulp.
     """
-    predicted_pos = c.tp + c.fp
-    actual_pos = c.tp + c.fn
-    predicted_neg = c.tn + c.fn
-    actual_neg = c.tn + c.fp
-    if 0 in (predicted_pos, actual_pos, predicted_neg, actual_neg):
+    denominator = (c.tp + c.fp) * c.positives * c.negatives * (c.tn + c.fn)
+    if denominator == 0:
         return None
     numerator = c.tp * c.tn - c.fp * c.fn
-    denominator = predicted_pos * actual_pos * actual_neg * predicted_neg
     try:
         value = numerator / math.sqrt(denominator)
     except OverflowError:

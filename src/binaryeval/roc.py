@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from binaryeval.counts import ScoredColumns, _hold, _of_own_arrays, _reals
+from binaryeval.counts import ScoredColumns, _count_column, _hold, _of_own_arrays, _reals
 
 __all__ = [
     "RocCurve",
@@ -22,17 +22,6 @@ __all__ = [
     "auc_trapezoid",
     "auc_pair_count",
 ]
-
-
-def _count_column(name: str, values: object) -> np.ndarray:
-    """``values`` as an ``int64`` array, checked first: the cast would truncate 0.5 and wrap 2**63."""
-    column = np.asarray(values)
-    if column.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integers in [0, 2**63), got dtype {column.dtype}")
-    if column.size and (column.min() < 0 or column.max() >= 2**63):  # no n-sized mask unless one is out
-        outside = (column < 0) | (column >= 2**63)
-        raise ValueError(f"{name} must hold integers in [0, 2**63), got {column[outside][0].item()}")
-    return column.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -54,7 +43,7 @@ class RocCurve:
     threshold: np.ndarray
 
     def __post_init__(self) -> None:
-        fp, tp = _count_column("fp", np.array(self.fp)), _count_column("tp", np.array(self.tp))
+        fp, tp = _count_column(self.fp, "fp"), _count_column(self.tp, "tp")
         threshold = _reals(self.threshold, "threshold")
         if fp.ndim != 1 or fp.shape != tp.shape or fp.shape != threshold.shape:
             raise ValueError("fp, tp and threshold must be 1-d arrays of one length")

@@ -125,12 +125,12 @@ def test_mcc_equals_pearson_r_oracle():
 
 
 def test_auc_oracle_equivalence():
-    """1e4 random score sets with forced ties: trapezoid == pair count, 1e-12."""
+    """1e4 random score sets with forced ties: trapezoid == pair count, equal floats."""
     rng = np.random.default_rng(31415)
     for i in range(10_000):
         samples = _random_sample_set(rng, tie_grid=(i % 2 == 0))
         curve = roc_points(samples)
-        assert abs(auc_trapezoid(curve) - auc_pair_count(samples)) <= 1e-12
+        assert auc_trapezoid(curve) == auc_pair_count(samples)
     print("ACCEPTANCE AUC oracle equivalence (1e4 score sets): PASS")
 
 

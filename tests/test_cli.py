@@ -363,6 +363,29 @@ class TestStdoutPipe:
         assert (tmp_path / "report.json").read_bytes() == expected.encode()
 
 
+class TestStdoutEncoding:
+    @pytest.mark.parametrize(
+        ("subcommand", "rows"),
+        [("roc", "é,0.9\nb,0.8\né,0.7\nb,0.6\n"), ("evaluate", "é,é\né,b\nb,é\nb,b\n")],
+        ids=["roc", "evaluate"],
+    )
+    def test_a_text_report_is_utf8_whatever_the_stdout_encoding(self, tmp_path, monkeypatch, subcommand, rows):
+        (tmp_path / "é.csv").write_text(rows, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        argv = [subcommand, "é.csv", "--positive-label", "é"]
+        code, expected, err = invoke(*argv)
+        assert code == 0, err
+        assert "positive_label é\n" in expected
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        env.pop("PYTHONIOENCODING", None)
+        for encoding in (None, "ascii", "latin-1"):
+            child = subprocess.run(
+                [sys.executable, "-m", "binaryeval", *argv], cwd=tmp_path, capture_output=True, timeout=120,
+                env=env if encoding is None else dict(env, PYTHONIOENCODING=encoding),
+            )
+            assert (child.returncode, child.stdout) == (0, expected.encode("utf-8")), (encoding, child.stderr)
+
+
 class TestDecoding:
     BOM_ROWS = b"\xef\xbb\xbf1,1\n0,0\n1,0\n"
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +123,25 @@ class TestUndefined:
     def test_mcc_undefined_when_any_marginal_is_zero(self):
         assert matthews_corrcoef(ConfusionCounts(tp=1, fp=1, fn=0, tn=0)) is None
         assert matthews_corrcoef(ConfusionCounts(tp=0, fp=0, fn=1, tn=1)) is None
+
+
+class TestExactRates:
+    RATES = [
+        (error_rate, lambda c: (c.fp + c.fn, c.total)),
+        (accuracy, lambda c: (c.tp + c.tn, c.total)),
+        (false_positive_rate, lambda c: (c.fp, c.fp + c.tn)),
+        (true_positive_rate, lambda c: (c.tp, c.tp + c.fn)),
+        (precision, lambda c: (c.tp, c.tp + c.fp)),
+        (specificity, lambda c: (c.tn, c.fp + c.tn)),
+    ]
+
+    @pytest.mark.parametrize("rate, terms", RATES, ids=[rate.__name__ for rate, _ in RATES])
+    def test_each_rate_is_its_correctly_rounded_ratio_or_none_on_a_zero_denominator(self, rate, terms):
+        for cells in itertools.product(range(5), repeat=4):
+            c = ConfusionCounts(*cells)
+            numerator, denominator = terms(c)
+            expected = None if denominator == 0 else float(Fraction(numerator, denominator))
+            assert rate(c) == expected, c
 
 
 class TestAliases:

@@ -418,12 +418,12 @@ class TestOracleEquivalence:
     @given(sample_sets(tie_heavy=True))
     def test_trapezoid_equals_pair_count_with_ties(self, s):
         columns = scored_columns(s)
-        assert auc_trapezoid(roc_points(columns)) == pytest.approx(auc_pair_count(columns), abs=1e-12)
+        assert auc_trapezoid(roc_points(columns)) == auc_pair_count(columns)
 
     @given(sample_sets())
     def test_trapezoid_equals_pair_count_continuous(self, s):
         columns = scored_columns(s)
-        assert auc_trapezoid(roc_points(columns)) == pytest.approx(auc_pair_count(columns), abs=1e-12)
+        assert auc_trapezoid(roc_points(columns)) == auc_pair_count(columns)
 
     @pytest.mark.parametrize(
         "scores", [CONTINUOUS, TIE_HEAVY, INTEGER, EDGES], ids=["continuous", "tie-heavy", "integer", "edges"]
@@ -478,8 +478,12 @@ class TestCurveTypes:
             # numpy reads these lists of Python ints as float64 and as object.
             ([0, 2**63], [0, 1], "fp must hold integers in .*, got dtype float64"),
             ([0, 1], [0, 2**64], "tp must hold integers in .*, got dtype object"),
+            # numpy reads these as int64.
+            ([0, True], [0, 1], r"fp must hold integers in .*, not booleans\Z"),
+            ([0, 1], (0, np.True_), r"tp must hold integers in .*, not booleans\Z"),
         ],
-        ids=["fraction", "float", "negative", "beyond-int64", "beyond-int64-list", "beyond-uint64-list"],
+        ids=["fraction", "float", "negative", "beyond-int64", "beyond-int64-list", "beyond-uint64-list",
+             "bool-in-a-list", "numpy-bool-in-a-tuple"],
     )
     def test_curve_rejects_counts_that_are_not_counts(self, fp, tp, match):
         with pytest.raises(ValueError, match=match):
