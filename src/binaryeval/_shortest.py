@@ -31,14 +31,16 @@ _K_MIN = -20
 
 _U32 = np.uint64(0xFFFFFFFF)
 _U63 = np.uint64((1 << 63) - 1)
+# The powers of ten that fit a uint64, from Python ints: numpy's power loop faults in more of its library.
+_TEN_TO = np.array([10**k for k in range(20)], dtype=np.uint64)
 
 # Offsets into the table of 4-digit groups; see _tables.
 _LEAD, _TRAIL, _UNIT_ZERO, _FRACTION_ZERO = 10_000, 20_000, 30_000, 30_001
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``g`` in two 63-bit halves for each ``k``, the powers of ten that fit a ``uint64``, and the groups.
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``g`` in two 63-bit halves for each ``k``, and the groups.
 
     Built on the first column formatted, so a run that writes no curve
     never pays for them.
@@ -67,7 +69,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     groups[_UNIT_ZERO] = [0, 0, 0, ord("0")]
     groups[_FRACTION_ZERO] = [ord("0"), 0, 0, 0]
     groups = groups.view(np.uint32).ravel()
-    return g1, g0, 10 ** np.arange(20, dtype=np.uint64), groups
+    return g1, g0, groups
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +106,7 @@ def _digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     around it; the one in the rounding interval wins, the nearer one if
     both are, an even ``s`` on a tie.
     """
-    g1_of, g0_of, _, _ = _tables()
+    g1_of, g0_of, _ = _tables()
     one, two = np.uint64(1), np.uint64(2)
     c = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
     q = (bits >> np.uint64(52)).astype(np.int64) - 1075
@@ -155,7 +157,7 @@ def repr_codes(column: np.ndarray) -> np.ndarray:
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
     if not starts.all():
         return repr_codes(column[starts])[np.cumsum(starts) - 1]
-    _, _, pow10, groups = _tables()
+    _, _, groups = _tables()
     magnitude = bits & _U63
     fixed = (magnitude >= _LOWEST) & (magnitude < _BEYOND)
     digits, k = _digits(np.where(fixed, magnitude, _LOWEST))
@@ -163,13 +165,13 @@ def repr_codes(column: np.ndarray) -> np.ndarray:
     places = np.where(fixed, -k, 0).astype(np.uint64)  # in [0, 20]
     # d 10**-places is whole + fraction, the fraction held as its first twelve
     # and its last eight of twenty decimals: 10**20 does not fit a uint64.
-    scale = pow10[np.minimum(places, np.uint64(19))]
+    scale = _TEN_TO[np.minimum(places, np.uint64(19))]
     whole = digits // scale
     rest = digits - whole * scale
-    cut = pow10[np.maximum(places, np.uint64(12)) - np.uint64(12)]
+    cut = _TEN_TO[np.maximum(places, np.uint64(12)) - np.uint64(12)]
     high = rest // cut
-    low = (rest - high * cut) * pow10[np.minimum(np.uint64(20) - places, np.uint64(19))]
-    high *= pow10[np.uint64(12) - np.minimum(places, np.uint64(12))]
+    low = (rest - high * cut) * _TEN_TO[np.minimum(np.uint64(20) - places, np.uint64(19))]
+    high *= _TEN_TO[np.uint64(12) - np.minimum(places, np.uint64(12))]
     del digits, k, places, scale, rest, cut
     words = []
     negative = bits >> np.uint64(63) == 1
@@ -178,7 +180,7 @@ def repr_codes(column: np.ndarray) -> np.ndarray:
     ten4 = np.uint64(10_000)
     # Integer groups, most significant first: NULs above the leading digit.
     for exponent in range(4 * ((len(str(int(whole.max()))) - 1) // 4), 0, -4):
-        group = whole // pow10[exponent]
+        group = whole // _TEN_TO[exponent]
         leading = group < ten4
         group -= group // ten4 * ten4
         words.append(groups[group + leading * np.uint64(_LEAD)])

@@ -8,10 +8,12 @@ failure (strict mode), input that is not UTF-8 (in either mode; the
 parsers name its line), degenerate input or a stdout closed before the
 run, with nothing written to stdout, and 2 on a usage error, such as an
 input that cannot be opened or read or a closed stdin. A stdout
-closed by its reader ends the run quietly with exit 1. Identical argv and input
-bytes produce identical output bytes. A stdout pipe is widened to
-``_PIPE_BYTES`` where the OS allows it, so that a report streams into the
-pipe while its reader drains it.
+closed by its reader ends the run quietly with exit 1, and a stdout that
+fails a write otherwise ends it with exit 1 and an ``error:`` line; a
+stderr closed at the start changes neither the report nor the status.
+Identical argv and input bytes produce identical output bytes. A stdout
+pipe is widened to ``_PIPE_BYTES`` where the OS allows it, so that a
+report streams into the pipe while its reader drains it.
 """
 
 from __future__ import annotations
@@ -248,7 +250,14 @@ def _widen_stdout_pipe() -> None:
         pass  # no pipe sizes (Windows, macOS), stdout not a pipe (EBADF), or over the pipe quota (EPERM)
 
 
+def _to_devnull(stream: TextIO) -> None:
+    """Point ``stream``'s file descriptor at devnull, so that the interpreter's last flush of what it buffers cannot fail."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main() -> None:
+    if sys.stderr is None:  # started with fd 2 closed: the diagnostics go nowhere, the run is as with it open
+        sys.stderr = open(os.devnull, "w")
     if sys.stdout is None:  # started with fd 1 closed
         sys.stderr.write("error: standard output is closed\n")
         sys.exit(1)
@@ -257,9 +266,13 @@ def main() -> None:
     try:
         status = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout. Point it at devnull, so that the
-        # interpreter's last flush of what is buffered does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # A reader that closed stdout ends the run quietly; any other failed write (a full disk) is an error line.
+        if not isinstance(exc, BrokenPipeError):
+            try:
+                sys.stderr.write(f"error: cannot write output: {exc.strerror or exc}\n")
+            except OSError:
+                _to_devnull(sys.stderr)
+        _to_devnull(sys.stdout)
         status = 1
     sys.exit(status)

@@ -69,6 +69,12 @@ def _mask(values: object, name: str) -> np.ndarray:
     return mask.astype(bool, copy=False)
 
 
+def _one_length(names: str, first: np.ndarray, *rest: np.ndarray) -> None:
+    """ValueError naming ``names`` unless the arrays are 1-d and of one length."""
+    if first.ndim != 1 or any(column.shape != first.shape for column in rest):
+        raise ValueError(f"{names} must be 1-d arrays of one length")
+
+
 def _hold(owner: object, **columns: np.ndarray) -> None:
     """Store each array on the frozen ``owner`` under its name, read-only."""
     for name, column in columns.items():
@@ -106,8 +112,7 @@ class ScoredColumns:
     def __post_init__(self) -> None:
         score = _reals(self.score, "score")
         positive = _mask(self.positive, "positive")
-        if score.ndim != 1 or score.shape != positive.shape:
-            raise ValueError("score and positive must be 1-d arrays of one length")
+        _one_length("score and positive", score, positive)
         # The least and the greatest score are finite exactly when every score
         # is (a NaN is both), and finding them allocates no n-sized mask.
         if score.size and not (math.isfinite(score.min()) and math.isfinite(score.max())):
@@ -135,8 +140,7 @@ class LabeledColumns:
     def __post_init__(self) -> None:
         actual = _mask(self.actual, "actual")
         predicted = _mask(self.predicted, "predicted")
-        if actual.ndim != 1 or actual.shape != predicted.shape:
-            raise ValueError("actual and predicted must be 1-d arrays of one length")
+        _one_length("actual and predicted", actual, predicted)
         _hold(self, actual=actual, predicted=predicted)
 
     def __len__(self) -> int:

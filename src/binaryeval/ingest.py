@@ -17,13 +17,9 @@ Each chunk is checked once, in bulk, and each row gets one verdict:
 good, not UTF-8, wrong field count, bad score or unknown label. The
 first that applies wins, in that order; a hard-label row's actual label
 is judged before its predicted one. The chunk's code points give the
-field counts, the label matches and the UTF-8 check. A score that is a
-plain decimal, ``[+-]?digits[.digits]`` with at most 19 digits and any
-point among the first 8 characters after the sign, is read from the
-chunk's bytes in bulk, with no Python string per field, to the double
-``float()`` reads from it, bit for bit (:mod:`binaryeval._decimals`). Any
-other score, such as one with an exponent or of more digits, is checked
-against the grammar and read by ``float()``, one text at a time. Flagged
+field counts, the label matches and the UTF-8 check; the scores are
+read from the chunk by :func:`binaryeval._decimals.read`, each to the
+double ``float()`` reads from it, bit for bit. Flagged
 rows are counted by kind; only the first 20 are put into words, from
 their own text and in line order: strict mode raises :class:`ParseError`
 at the first, and lenient mode records them by line. A reason quotes at
@@ -37,20 +33,12 @@ byte 0xNN as U+DCNN, ``surrogateescape``) raises :class:`ParseError`.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 import numpy as np
 
 from binaryeval.counts import LabeledColumns, ScoredColumns, _of_own_arrays
-
-
-# The score grammar: a text made only of these characters that float()
-# accepts, which is plain decimal or scientific notation in ASCII digits.
-# It rejects nan/inf spellings, hex, underscores, other scripts' digits
-# and locale-specific decimal commas.
-_SCORE_CHARS = b"0123456789.+-eE"
 
 # Row verdicts, in rising precedence: a row takes the highest that applies.
 _GOOD, _UNKNOWN_PREDICTED, _UNKNOWN_ACTUAL, _NON_FINITE, _MALFORMED, _FIELD_COUNT, _HEADER, _NOT_UTF8 = range(8)
@@ -287,48 +275,19 @@ def _scores(
     """The good score rows' label mask and scores; a score outside the grammar or not finite flags its row.
 
     The rows where ``has_score`` holds their scores in ``chunk[starts:ends]``,
-    in order. :func:`binaryeval._decimals.read` reads the plain decimals
-    among them, bit for bit as ``float()`` reads them; :func:`_floats`
-    reads the rest by ``float()``.
+    in order, read by :func:`binaryeval._decimals.read`: NaN marks a score
+    outside the grammar, an infinity one past the float range.
     """
-    from binaryeval import _decimals  # imported by parse_scores before its first chunk
+    from binaryeval import _decimals  # here, so that no hard-label run pays ~2.6 ms (2 vCPU) to import it
 
-    simple, score = _decimals.read(chunk, starts, ends)
-    rest = np.flatnonzero(~simple)
-    if rest.size:
-        score[rest] = _floats([chunk[start:end] for start, end in zip(starts[rest].tolist(), ends[rest].tolist())])
-        at = np.flatnonzero(has_score)[rest]
-        verdict[at[np.isnan(score[rest])]] = _MALFORMED
-        verdict[at[np.isinf(score[rest])]] = _NON_FINITE
+    score = _decimals.read(chunk, starts, ends)
+    bad = np.flatnonzero(~np.isfinite(score))
+    if bad.size:
+        verdict[np.flatnonzero(has_score)[bad]] = np.where(np.isnan(score[bad]), _MALFORMED, _NON_FINITE)
     if not verdict.any():
         return positive, score
     good = verdict == _GOOD
     return positive[good], score[good[has_score]]
-
-
-def _floats(texts: list[str]) -> np.ndarray:
-    """``float()`` of each text, NaN for one outside the score grammar or that ``float()`` rejects.
-
-    ``float()`` maps over all of them at once unless one holds a character
-    outside the grammar or, such as ``1e`` or ``.``, is no number.
-    """
-    joined = "".join(texts)
-    if joined.isascii() and not joined.encode().translate(None, _SCORE_CHARS):
-        try:
-            return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
-        except ValueError:
-            pass
-    return np.fromiter(map(_float, texts), dtype=np.float64, count=len(texts))
-
-
-def _float(text: str) -> float:
-    """``float(text)`` for a text in the score grammar; NaN for one outside it or that ``float()`` rejects."""
-    if not text.isascii() or text.encode().translate(None, _SCORE_CHARS):
-        return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
 
 
 def _reason(kind: int, row: str, delimiter: str) -> str:
@@ -369,7 +328,5 @@ def parse_scores(
     Scores must be finite decimals (plain or scientific notation in ASCII
     digits); an empty input yields empty columns rather than an error.
     """
-    from binaryeval import _decimals  # noqa: F401
-
     positive, score, report = _parse_chunks(source, cfg, strict, scored=True)
     return _of_own_arrays(ScoredColumns, score=score, positive=positive), report

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from binaryeval.counts import ScoredColumns, _count_column, _hold, _of_own_arrays, _reals
-
-__all__ = [
-    "RocCurve",
-    "roc_points",
-    "auc_trapezoid",
-    "auc_pair_count",
-]
+from binaryeval.counts import ScoredColumns, _count_column, _hold, _of_own_arrays, _one_length, _reals
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -45,8 +38,7 @@ class RocCurve:
     def __post_init__(self) -> None:
         fp, tp = _count_column(self.fp, "fp"), _count_column(self.tp, "tp")
         threshold = _reals(self.threshold, "threshold")
-        if fp.ndim != 1 or fp.shape != tp.shape or fp.shape != threshold.shape:
-            raise ValueError("fp, tp and threshold must be 1-d arrays of one length")
+        _one_length("fp, tp and threshold", fp, tp, threshold)
         if fp.size < 2:
             raise ValueError("a curve needs at least the initial and final point")
         if (fp[0], tp[0]) != (0, 0) or threshold[0] != math.inf:

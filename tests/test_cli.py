@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -337,6 +338,34 @@ class TestRoc:
             stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120,
         )
         assert (child.returncode, child.stderr) == (1, b"error: standard output is closed\n")
+
+
+class TestFailedStreams:
+    """A stdout that fails to take the report, and a stderr closed at the start, in child processes."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_full_stdout_is_an_error_line_and_exit_one(self, worked_files, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            child = subprocess.run([sys.executable, "-m", "binaryeval", "evaluate", "preds.csv"], cwd=worked_files,
+                                   env=env, stdout=full, stderr=subprocess.PIPE, timeout=120)
+        message = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+        assert (child.returncode, child.stderr.decode()) == (1, message)
+
+    @pytest.mark.parametrize("name, status", [("dirty.csv", 0), ("missing.csv", 2)])
+    def test_a_closed_stderr_changes_neither_the_report_nor_the_exit_status(self, worked_files, name, status):
+        (worked_files / "dirty.csv").write_text("1,0.9\n0,NA\n1,0.2\n0,1e400\n0,0.7\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        argv = [sys.executable, "-m", "binaryeval", "evaluate", name, "--mode", "scores", "--threshold", "0.5"]
+        with_stderr = subprocess.run(argv, cwd=worked_files, env=env, capture_output=True, timeout=120)
+        closed = subprocess.run(argv, cwd=worked_files, env=env, stdout=subprocess.PIPE,
+                                preexec_fn=lambda: os.close(2), timeout=120)
+        assert with_stderr.returncode == status and with_stderr.stderr.startswith((b"warning: ", b"error: "))
+        assert (closed.returncode, closed.stdout) == (with_stderr.returncode, with_stderr.stdout)
 
 
 class TestStdoutPipe:

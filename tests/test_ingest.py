@@ -280,15 +280,32 @@ class TestDecimalRoute:
 
     @pytest.mark.parametrize("text", ["1.5", "-0", "1234567.89", "12345678.9", "1" * 19, "1" * 20, "1e5", "٣"])
     def test_only_plain_decimals_skip_float(self, text):
-        with mock.patch.object(ingest, "_floats", side_effect=ingest._floats) as fallback:
+        with mock.patch.object(_decimals, "_floats", side_effect=_decimals._floats) as fallback:
             columns, _ = parse_scores(f"1,{text}\n", CFG)
         # The point must lie among the first 8 bytes after the sign, and 19 digits at most.
         assert fallback.call_args_list == ([mock.call([text])] if text in ("12345678.9", "1" * 20, "1e5", "٣") else [])
         assert columns.score.tobytes() == (np.array([float(text)]).tobytes() if text != "٣" else b"")
 
+    def test_read_gives_nan_outside_the_grammar_and_an_infinity_past_the_range(self):
+        texts = ["nan", "inf", "1_0", " 1", "\u0663", "1e", ".", "+-1", "0x1p-2", "1e400", "-1e400"]
+        values = _read(texts)
+        assert np.isnan(values[:-2]).all() and values[-2:].tolist() == [math.inf, -math.inf]
+
+    def test_read_gives_float_bit_for_bit(self):
+        texts = ["0.5", "-0", "+12.25", "1e-05", "-2.5E+3", "12345678.9", "9" * 19, "1234567890123456789012345",
+                 "0.0000000000000000000001234567", "1e-400"]
+        assert _read(texts).tobytes() == np.array([float(text) for text in texts]).tobytes()
+
+
+def _read(texts: list[str]) -> np.ndarray:
+    """``_decimals.read`` of ``texts``, each on a line of its own."""
+    lengths = np.array([len(text) for text in texts])
+    ends = np.cumsum(lengths + 1) - 1
+    return _decimals.read("".join(f"{text}\n" for text in texts), ends - lengths, ends)
+
 
 def test_the_powers_of_five_are_those_of_fast_float():
-    high, low = _decimals._fives()
+    high, low = _decimals._HIGH_FIVES, _decimals._LOW_FIVES
     # The first entries of fast_float's power_of_five_128 for q = 0, -1, -2.
     assert [hex(h) for h in high[:3].tolist()] == ["0x8000000000000000", "0xcccccccccccccccc", "0xa3d70a3d70a3d70a"]
     assert [hex(l) for l in low[:3].tolist()] == ["0x0", "0xcccccccccccccccd", "0x3d70a3d70a3d70a4"]
@@ -537,7 +554,7 @@ class TestBulkPath:
             converts = True
         except ValueError:
             converts = False
-        in_charset = set(text.encode("utf-8")) <= set(ingest._SCORE_CHARS)
+        in_charset = set(text.encode("utf-8")) <= set(_decimals._SCORE_CHARS)
         assert (in_charset and converts) == bool(SCORE_PATTERN.match(text))
 
     @pytest.mark.parametrize("chunk_chars", [1, 2, 3, 5, 8, 13])
