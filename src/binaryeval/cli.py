@@ -10,7 +10,8 @@ run, with nothing written to stdout, and 2 on a usage error, such as an
 input that cannot be opened or read or a closed stdin. A stdout
 closed by its reader ends the run quietly with exit 1, and a stdout that
 fails a write otherwise ends it with exit 1 and an ``error:`` line; a
-stderr closed at the start changes neither the report nor the status.
+stderr closed at the start or that fails a write changes neither the
+report nor the status.
 Identical argv and input bytes produce identical output bytes. A stdout
 pipe is widened to ``_PIPE_BYTES`` where the OS allows it, so that a
 report streams into the pipe while its reader drains it.
@@ -255,24 +256,35 @@ def _to_devnull(stream: TextIO) -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
+class _Diagnostics:
+    """A run's stderr: a failed write (``2>/dev/full``) points fd 2 at devnull and drops the text."""
+
+    def __init__(self, stream: TextIO) -> None:
+        self._stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except OSError:
+            _to_devnull(self._stream)
+            return len(text)
+
+
 def main() -> None:
-    if sys.stderr is None:  # started with fd 2 closed: the diagnostics go nowhere, the run is as with it open
-        sys.stderr = open(os.devnull, "w")
+    # Started with fd 2 closed, the diagnostics go nowhere and the run is as with it open.
+    err = _Diagnostics(open(os.devnull, "w") if sys.stderr is None else sys.stderr)
     if sys.stdout is None:  # started with fd 1 closed
-        sys.stderr.write("error: standard output is closed\n")
+        err.write("error: standard output is closed\n")
         sys.exit(1)
     sys.stdout.reconfigure(encoding="utf-8")  # as the input is read and the --svg file written
     _widen_stdout_pipe()
     try:
-        status = run()
+        status = run(stderr=err)
         sys.stdout.flush()
     except OSError as exc:
         # A reader that closed stdout ends the run quietly; any other failed write (a full disk) is an error line.
         if not isinstance(exc, BrokenPipeError):
-            try:
-                sys.stderr.write(f"error: cannot write output: {exc.strerror or exc}\n")
-            except OSError:
-                _to_devnull(sys.stderr)
+            err.write(f"error: cannot write output: {exc.strerror or exc}\n")
         _to_devnull(sys.stdout)
         status = 1
     sys.exit(status)

@@ -16,14 +16,14 @@ at a time and the source is never joined into one string.
 Each chunk is checked once, in bulk, and each row gets one verdict:
 good, not UTF-8, wrong field count, bad score or unknown label. The
 first that applies wins, in that order; a hard-label row's actual label
-is judged before its predicted one. The chunk's code points give the
-field counts, the label matches and the UTF-8 check; the scores are
-read from the chunk by :func:`binaryeval._decimals.read`, each to the
-double ``float()`` reads from it, bit for bit. Flagged
-rows are counted by kind; only the first 20 are put into words, from
-their own text and in line order: strict mode raises :class:`ParseError`
-at the first, and lenient mode records them by line. A reason quotes at
-most 40 characters of a field, then ``...``.
+is judged before its predicted one. The chunk's characters (one byte
+each if ASCII, else UCS-4 code points) give the field counts, the label
+matches and the UTF-8 check; the scores are read from the chunk by
+:func:`binaryeval._decimals.read`, each to the double ``float()`` reads
+from it, bit for bit. Flagged rows are counted by kind; only the first
+20 are put into words, from their own text and in line order: strict
+mode raises :class:`ParseError` at the first, and lenient mode records
+them by line. A reason quotes at most 40 characters of a field, then ``...``.
 
 Text that is not UTF-8 fails in either mode: the first line, the header
 included, that holds a surrogate code point (the CLI decodes an invalid
@@ -51,13 +51,13 @@ _MAX_FAILURES = 20
 _MAX_QUOTED = 40
 
 # The text is read in chunks of about this many characters, so at most
-# one chunk's code points, separator indices and per-field arrays are
-# alive at a time; only a score that is not a plain decimal (such as
-# 1e-05) is made a string, for float(). On 2x10^5-row inputs, the CLI's
-# peak RSS was 30.9 MB (hard labels) and 33.5 MB (scores) with this size,
-# against 35.6 and 36.0 MB with 256 Ki-character chunks, and parsing took
-# no longer. A str is read in slices, and a text stream (the CLI's open
-# input) in blocks, this long.
+# one chunk's characters (one byte each for ASCII text, four otherwise),
+# separator indices and per-field arrays are alive at a time; only a
+# score that is not a plain decimal (such as 1e-05) is made a string, for
+# float(). On 2x10^5-row inputs, the CLI's peak RSS was 30.3 MB (hard
+# labels) and 31.9 MB (scores) with this size, against 34.1 and 33.3 MB
+# with 256 Ki-character chunks, and parsing took no longer. A str is read
+# in slices, and a text stream (the CLI's open input) in blocks, this long.
 _CHUNK_CHARS = 1 << 16
 
 # Each parsed column starts this many bytes long: large enough that glibc
@@ -126,17 +126,20 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-def _matches(codes: np.ndarray, ends: np.ndarray, gaps: np.ndarray, label: str) -> np.ndarray:
-    """Which fields equal ``label``, compared code point by code point.
+def _matches(codes: np.ndarray, is_separator: np.ndarray, separators: np.ndarray, label: str) -> np.ndarray:
+    """Which fields equal ``label``, compared character by character.
 
-    Field ``i`` is ``gaps[i] - 1`` code points long and ends just before
-    ``codes[ends[i]]``. A field of another length is unmatched before any
-    of its code points is read, so clipping the indices changes no result.
+    Field ``i`` ends just before ``codes[separators[i]]``. A run of the
+    label's characters is marked where it ends if a separator or the
+    chunk's start comes just before it, and one gather reads the marks.
     """
-    match = gaps == len(label) + 1
-    for back, char in zip(range(len(label), 0, -1), label):
-        match &= codes.take(ends - back, mode="clip") == ord(char)
-    return match
+    marks = np.zeros(codes.size, dtype=bool)
+    ends = marks[len(label):]  # ends[i] marks the run codes[i:i + len(label)]
+    ends[:1] = True
+    ends[1:] = is_separator[:ends.size][:-1]
+    for offset, char in enumerate(label):
+        ends &= codes[offset:offset + ends.size] == ord(char)
+    return marks[separators]
 
 
 def _chunks(source: str | TextIO) -> Iterator[str]:
@@ -227,17 +230,15 @@ def _judge(chunk: str, cfg: InputConfig, scored: bool, header: bool) -> tuple[np
     The first line is a header when ``header``: it is judged only on being UTF-8.
     """
     delimiter, line_end = ord(cfg.delimiter), ord("\n")
-    codes = np.array([chunk]).view(np.uint32)  # numpy holds str as UCS-4 code points
+    codes = np.frombuffer(chunk.encode("ascii"), np.uint8) if chunk.isascii() else np.array([chunk]).view(np.uint32)
     # Each temporary is deleted once used: they set the peak RSS of a large input.
     is_separator = codes == delimiter
     is_separator |= codes == line_end
     separators = np.flatnonzero(is_separator)
-    del is_separator
-    # Each field ends at a separator, and is one code point shorter than its distance from the one before.
-    gaps = np.diff(separators, prepend=-1)
-    positive = _matches(codes, separators, gaps, cfg.positive_label)
+    positive = _matches(codes, is_separator, separators, cfg.positive_label)
     if cfg.negative_label is not None:
-        unknown = ~(positive | _matches(codes, separators, gaps, cfg.negative_label))
+        unknown = ~(positive | _matches(codes, is_separator, separators, cfg.negative_label))
+    del is_separator
     # Each line's last field ends at its LF: a row's fields are its LF's and the one before.
     lines = np.flatnonzero(codes[separators] == line_end)
     verdict = np.zeros(lines.size, dtype=np.uint8)
@@ -248,8 +249,7 @@ def _judge(chunk: str, cfg: InputConfig, scored: bool, header: bool) -> tuple[np
         del unknown
     if scored:
         positive = positive[lines - 1]
-        verdict[gaps[lines] == 1] = _MALFORMED  # an empty score
-    del gaps
+        verdict[separators[lines] - separators[lines - 1] == 1] = _MALFORMED  # an empty score
     verdict[np.diff(lines, prepend=-1) != 2] = _FIELD_COUNT
     if header:
         verdict[0] = _HEADER

@@ -147,13 +147,14 @@ def auc_trapezoid(curve: RocCurve) -> float:
 def _pair_tallies_ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[int, int]:
     """Rank-based tallies: sort the negatives once, binary-search each positive.
 
-    ``pos`` is sorted in place: the searches then walk the negatives in
-    order, and each finds the rows it reads still in the cache.
+    Both arrays are sorted in place, so no sorted copy is made: sorted
+    ``pos`` makes the searches walk the negatives in order, and each finds
+    the rows it reads still in the cache.
     """
     pos.sort()
-    neg_sorted = np.sort(neg)
-    below = np.searchsorted(neg_sorted, pos, side="left")
-    through = np.searchsorted(neg_sorted, pos, side="right")
+    neg.sort()
+    below = np.searchsorted(neg, pos, side="left")
+    through = np.searchsorted(neg, pos, side="right")
     greater = int(below.sum())
     equal = int((through - below).sum())
     return greater, equal

@@ -341,7 +341,7 @@ class TestRoc:
 
 
 class TestFailedStreams:
-    """A stdout that fails to take the report, and a stderr closed at the start, in child processes."""
+    """A stdout that fails to take the report, and a stderr closed at the start or full, in child processes."""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
@@ -366,6 +366,21 @@ class TestFailedStreams:
                                 preexec_fn=lambda: os.close(2), timeout=120)
         assert with_stderr.returncode == status and with_stderr.stderr.startswith((b"warning: ", b"error: "))
         assert (closed.returncode, closed.stdout) == (with_stderr.returncode, with_stderr.stdout)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("name, strict, status", [("dirty.csv", False, 0), ("missing.csv", False, 2),
+                                                      ("dirty.csv", True, 1)])
+    def test_a_full_stderr_changes_neither_the_report_nor_the_exit_status(self, worked_files, name, strict, status):
+        (worked_files / "dirty.csv").write_text("1,0.9\n0,NA\n1,0.2\n0,0.7\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        argv = [sys.executable, "-m", "binaryeval", "evaluate", name, "--mode", "scores", "--threshold", "0.5",
+                *["--strict"] * strict]
+        with open(os.devnull, "w") as devnull:
+            quiet = subprocess.run(argv, cwd=worked_files, env=env, stdout=subprocess.PIPE, stderr=devnull, timeout=120)
+        with open("/dev/full", "w") as full:
+            failing = subprocess.run(argv, cwd=worked_files, env=env, stdout=subprocess.PIPE, stderr=full, timeout=120)
+        assert (quiet.returncode, bool(quiet.stdout)) == (status, status == 0)
+        assert (failing.returncode, failing.stdout) == (quiet.returncode, quiet.stdout)
 
 
 class TestStdoutPipe:

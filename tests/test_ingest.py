@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import re
@@ -567,6 +568,57 @@ class TestBulkPath:
             assert _scored(source, cfg) == whole
             labels = _labeled(source.replace(".", ""), InputConfig(has_header=True))
         assert labels == _labeled(source.replace(".", ""), InputConfig(has_header=True))
+
+
+def _lines_back(result):
+    """A parse's outcome with each line number it names one less."""
+    if result[0] == "error":
+        return ("error", result[1] - 1, result[2])
+    *columns, report = result
+    return (*columns, dataclasses.replace(report, failures=tuple((line - 1, why) for line, why in report.failures)))
+
+
+class TestTwoViews:
+    """One judge reads an ASCII chunk one byte per character and any other as its UCS-4 code points.
+
+    The same rows are parsed from an ASCII source and from one made
+    non-ASCII by a header line holding é; each source is one chunk.
+    """
+
+    HEADER = "\u00e9,\u00e9\n"
+
+    @given(st.lists(st.one_of(*[_valid_line] * 3, _odd_line).filter(str.isascii), max_size=25),
+           st.sampled_from([{}, {"negative_label": "0"}, {"positive_label": "0", "negative_label": "1"}]),
+           st.booleans())
+    @pytest.mark.parametrize("outcome", [_scored, _labeled], ids=["scores", "hard_labels"])
+    def test_both_views_judge_alike(self, outcome, lines, options, strict):
+        text = "".join(f"{line}\n" for line in lines)
+        narrow = outcome(text, InputConfig(**options), strict)
+        wide = outcome(self.HEADER + text, InputConfig(**options, has_header=True), strict)
+        assert _lines_back(wide) == narrow
+
+    @pytest.mark.parametrize("header", ["", HEADER], ids=["ascii", "ucs4"])
+    def test_a_label_outside_ascii_matches_no_ascii_field(self, header):
+        has_header = bool(header)
+        text = header + "1,0\n0,1\n0,0\n"
+        pairs, report = parse_hard_labels(text, InputConfig(positive_label="\U0001f600", has_header=has_header))
+        assert pairs_of(pairs) == [(False, False)] * 3 and report == ParseReport(3, 3)
+        # A negative label whose first character is a field of every row matches none of them either.
+        cfg = InputConfig(positive_label="\U0001f600", negative_label="0\U0001f600", has_header=has_header)
+        pairs, report = parse_hard_labels(text, cfg)
+        assert len(pairs) == 0 and report.skipped == (("unknown label", 3),)
+        columns, report = parse_scores(header + "1,0.5\n0,0.25\n", cfg)
+        assert len(columns) == 0 and report.skipped == (("unknown label", 2),)
+
+    @pytest.mark.parametrize("header", ["", HEADER], ids=["ascii", "ucs4"])
+    def test_an_empty_label_matches_only_empty_fields(self, header):
+        text = header + ",1\n1,\n,\n0,1\n10,01\n"
+        pairs, report = parse_hard_labels(text, InputConfig(positive_label="", has_header=bool(header)))
+        assert pairs_of(pairs) == [(True, False), (False, True), (True, True), (False, False), (False, False)]
+        cfg = InputConfig(positive_label="1", negative_label="", has_header=bool(header))
+        pairs, report = parse_hard_labels(text, cfg)
+        assert pairs_of(pairs) == [(False, True), (True, False), (False, False)]
+        assert report.failures == ((4 + bool(header), "unknown label '0'"), (5 + bool(header), "unknown label '10'"))
 
 
 class TestStreaming:

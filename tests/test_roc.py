@@ -378,7 +378,7 @@ class TestAucPairCount:
     def test_brute_and_ranked_tallies_agree(self, pos, neg):
         pos_arr = np.asarray(pos, dtype=np.float64)
         neg_arr = np.asarray(neg, dtype=np.float64)
-        assert pair_tallies_brute(pos_arr, neg_arr) == _pair_tallies_ranked(pos_arr.copy(), neg_arr)
+        assert pair_tallies_brute(pos_arr, neg_arr) == _pair_tallies_ranked(pos_arr.copy(), neg_arr.copy())
 
     # Few distinct values, so most pairs tie, -0.0 among them: it ties 0.0.
     tie_heavy = st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, math.inf]), min_size=1, max_size=60)
@@ -386,13 +386,13 @@ class TestAucPairCount:
     @given(tie_heavy, tie_heavy)
     def test_ranked_tallies_match_brute_with_ties_and_signed_zeros(self, pos, neg):
         pos_arr, neg_arr = np.array(pos), np.array(neg)
-        assert pair_tallies_brute(pos_arr, neg_arr) == _pair_tallies_ranked(pos_arr.copy(), neg_arr)
+        assert pair_tallies_brute(pos_arr, neg_arr) == _pair_tallies_ranked(pos_arr.copy(), neg_arr.copy())
 
     @given(st.sampled_from([-0.0, 0.0, 0.5]), tie_heavy)
     def test_ranked_tallies_match_brute_with_a_one_sample_class(self, one, many):
         one_arr, many_arr = np.array([one]), np.array(many)
-        assert pair_tallies_brute(one_arr, many_arr) == _pair_tallies_ranked(one_arr.copy(), many_arr)
-        assert pair_tallies_brute(many_arr, one_arr) == _pair_tallies_ranked(many_arr.copy(), one_arr)
+        assert pair_tallies_brute(one_arr, many_arr) == _pair_tallies_ranked(one_arr.copy(), many_arr.copy())
+        assert pair_tallies_brute(many_arr, one_arr) == _pair_tallies_ranked(many_arr.copy(), one_arr.copy())
 
     def test_signed_zeros_tie_in_the_pair_count(self):
         assert auc_pair_count(samples((-0.0, P), (0.0, N))) == 0.5
@@ -402,6 +402,11 @@ class TestAucPairCount:
         pos, neg = np.array([0.9, 0.1, 0.5]), np.array([0.5, 0.2])
         assert _pair_tallies_ranked(pos, neg) == (3, 1)
         assert pos.tolist() == [0.1, 0.5, 0.9]
+
+    def test_ranked_tallies_sort_the_negatives_in_place(self):
+        pos, neg = np.array([0.9, 0.1, 0.5]), np.array([0.5, 0.95, 0.2])
+        assert _pair_tallies_ranked(pos, neg) == (3, 1)
+        assert neg.tolist() == [0.2, 0.5, 0.95]
 
     def test_large_input_uses_ranked_route_and_matches_brute(self):
         rng = np.random.default_rng(3)
