@@ -12,9 +12,7 @@ closed by its reader ends the run quietly with exit 1, and a stdout that
 fails a write otherwise ends it with exit 1 and an ``error:`` line; a
 stderr closed at the start or that fails a write changes neither the
 report nor the status.
-Identical argv and input bytes produce identical output bytes. A stdout
-pipe is widened to ``_PIPE_BYTES`` where the OS allows it, so that a
-report streams into the pipe while its reader drains it.
+Identical argv and input bytes produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -34,9 +32,6 @@ from binaryeval.metrics import all_metrics
 from binaryeval.report import write_json, write_svg, write_text
 from binaryeval.roc import roc_points
 
-
-# What a stdout pipe is widened to: Linux's default limit for an unprivileged process.
-_PIPE_BYTES = 1 << 20
 
 _Columns = TypeVar("_Columns")
 
@@ -240,17 +235,6 @@ def run(
         return 1
 
 
-def _widen_stdout_pipe() -> None:
-    """Widen a stdout pipe to ``_PIPE_BYTES``, never narrow it; leave stdout as it is where that fails."""
-    try:
-        import fcntl
-
-        if fcntl.fcntl(1, fcntl.F_GETPIPE_SZ) < _PIPE_BYTES:
-            fcntl.fcntl(1, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (ImportError, AttributeError, OSError):
-        pass  # no pipe sizes (Windows, macOS), stdout not a pipe (EBADF), or over the pipe quota (EPERM)
-
-
 def _to_devnull(stream: TextIO) -> None:
     """Point ``stream``'s file descriptor at devnull, so that the interpreter's last flush of what it buffers cannot fail."""
     os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
@@ -277,7 +261,6 @@ def main() -> None:
         err.write("error: standard output is closed\n")
         sys.exit(1)
     sys.stdout.reconfigure(encoding="utf-8")  # as the input is read and the --svg file written
-    _widen_stdout_pipe()
     try:
         status = run(stderr=err)
         sys.stdout.flush()

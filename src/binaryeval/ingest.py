@@ -9,10 +9,10 @@ Parsing is lenient by default (malformed rows are counted and skipped);
 ``strict=True`` aborts on the first failure instead.
 
 The source, a ``str`` read in 64 Ki-character slices or a text stream
-(anything with ``read``) read in blocks as long, is read lazily through
-the standard library's newline decoder (CR and CRLF read as LF) in chunks
-of about 64 Ki characters that end on LF, so only one chunk is worked on
-at a time and the source is never joined into one string.
+(anything whose ``read`` returns ``str``) read in blocks as long, is read
+lazily through the standard library's newline decoder (CR and CRLF read
+as LF) in chunks of about 64 Ki characters that end on LF, so only one
+chunk is worked on at a time and the source is never joined into one string.
 Each chunk is checked once, in bulk, and each row gets one verdict:
 good, not UTF-8, wrong field count, bad score or unknown label. The
 first that applies wins, in that order; a hard-label row's actual label
@@ -146,16 +146,15 @@ def _chunks(source: str | TextIO) -> Iterator[str]:
     """The lines of ``source`` in chunks of about ``_CHUNK_CHARS`` characters, each ending on LF.
 
     A ``str`` is read in slices of ``_CHUNK_CHARS`` characters, and a
-    source with a ``read`` method (an open file) in blocks of as many
+    source whose ``read`` returns text (an open file) in blocks of as many
     until it returns ``""``. A slice or block may end inside a line or a
     CRLF: one newline decoder reads CR and CRLF as LF across them, and
     each chunk ends at the last LF read so far.
     """
     if isinstance(source, str):
         pieces = (source[start:start + _CHUNK_CHARS] for start in range(0, len(source), _CHUNK_CHARS))
-    elif hasattr(source, "read"):
-        # A byte stream's b"" ends the blocks too; its bytes then fail the decoder.
-        pieces = iter(lambda: source.read(_CHUNK_CHARS) or "", "")
+    elif hasattr(source, "read") and isinstance(source.read(0), str):
+        pieces = iter(lambda: source.read(_CHUNK_CHARS), "")
     else:
         raise TypeError(f"source must be a str or a text stream (with read), not {type(source).__name__}")
     newlines = io.IncrementalNewlineDecoder(None, translate=True)

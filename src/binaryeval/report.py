@@ -78,8 +78,7 @@ def _format_meta_value(value: object) -> str:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    # str of a float, numpy's included, is its shortest repr.
     return re.sub(_NOT_IN_LINE, "\ufffd", str(value))
 
 
@@ -197,7 +196,7 @@ def write_text(out: TextIO, *, metrics: MetricSet | None = None, curve: RocCurve
 
 def _json_safe(value: object) -> object:
     if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
+        return str(value)
     return value
 
 

@@ -275,7 +275,7 @@ def _format_meta_value(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)  # a numpy float's too, not its repr object
     # One line per meta value: a character that could end it, any C0
     # control but tab, or a surrogate, which UTF-8 cannot encode, reads U+FFFD.
     return "".join(

@@ -639,10 +639,12 @@ class TestStreaming:
             with pytest.raises(TypeError, match="^source must be a str or a text stream"):
                 parse(source, CFG)
 
-    def test_a_byte_stream_is_a_type_error(self):
-        # Its empty read is b"", not "": it must end the reads all the same.
-        with pytest.raises(TypeError):
-            parse_scores(io.BytesIO(b"1,0.5\n"), CFG)
+    @pytest.mark.parametrize("data", [b"", b"1,0.5\n"], ids=["empty", "one-row"])
+    def test_a_byte_stream_is_a_type_error(self, data):
+        # An empty one too: it is no text stream, not a text with no rows.
+        for parse in (parse_scores, parse_hard_labels):
+            with pytest.raises(TypeError, match="^source must be a str or a text stream"):
+                parse(io.BytesIO(data), CFG)
 
     def test_cr_only_text_is_read_in_several_chunks(self):
         lf_text = "".join(f"{i % 2},{i / 7!r}\n" for i in range(200))

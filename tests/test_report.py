@@ -79,11 +79,14 @@ class TestRenderText:
             assert f"{name} undefined" in text
 
     def test_meta_block_comes_first(self):
-        meta = {"input": "x.csv", "threshold": None, "header": False}
+        meta = {"input": "x.csv", "threshold": None, "header": False,
+                "cut": np.float64(0.5), "high": np.float64("inf"), "low": np.float64("-inf")}
         lines = render_text(metrics=C_STAR_METRICS, meta=meta).splitlines()
         assert lines[0] == "input x.csv"
         assert lines[1] == "threshold -"
         assert lines[2] == "header false"
+        # A numpy float prints as the float it is, not as its repr object.
+        assert lines[3:6] == ["cut 0.5", "high inf", "low -inf"]
 
     def test_byte_identical_across_calls(self):
         parts = {"metrics": C_STAR_METRICS, "meta": {"input": "x.csv"}}
@@ -132,9 +135,11 @@ class TestRenderJson:
 
     def test_output_is_strict_json(self):
         # Would raise on NaN/Infinity literals; parses under the standard grammar.
-        text = render_json(metrics=C_STAR_METRICS, meta={"threshold": math.inf})
+        meta = {"threshold": math.inf, "cut": np.float64(0.5), "high": np.float64("inf"), "low": np.float64("-inf")}
+        text = render_json(metrics=C_STAR_METRICS, meta=meta)
         payload = json.loads(text)
         assert payload["meta"]["threshold"] == "inf"
+        assert text.endswith('\n    "threshold": "inf",\n    "cut": 0.5,\n    "high": "inf",\n    "low": "-inf"\n  }\n}\n')
 
     def test_unencodable_meta_raises_before_the_first_write(self):
         out = io.StringIO()
