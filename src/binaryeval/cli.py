@@ -3,15 +3,16 @@
 Results go to stdout as UTF-8, diagnostics to stderr. The parsers read the open
 input block by block, never held whole, and reports are streamed to
 stdout (and the ROC plot to its ``--svg`` file) in chunks, never built
-as one string. Exit status is 0 on success, 1 on a validation or parse
-failure (strict mode), input that is not UTF-8 (in either mode; the
-parsers name its line), degenerate input or a stdout closed before the
-run, with nothing written to stdout, and 2 on a usage error, such as an
-input that cannot be opened or read or a closed stdin. A stdout
-closed by its reader ends the run quietly with exit 1, and a stdout that
-fails a write otherwise ends it with exit 1 and an ``error:`` line; a
-stderr closed at the start or that fails a write changes neither the
-report nor the status.
+as one string. Exit status is 0 on success. Each stage raises its
+failure, and ``run`` alone writes the ``error:`` line, with nothing on
+stdout, and decides the status: 2 on a usage error, such as an input
+that cannot be opened or read or a closed stdin, and 1 on a validation
+or parse failure (strict mode), input that is not UTF-8 (in either mode;
+the parsers name its line), degenerate input or an unwritable ``--svg``
+file. ``main`` adds only stdout's own failures, each exit 1: closed
+before the run (an ``error:`` line), closed by its reader (quietly) or
+failing a write (an ``error:`` line). A stderr closed at the start or
+that fails a write changes neither the report nor the status.
 Identical argv and input bytes produce identical output bytes.
 """
 
@@ -23,11 +24,11 @@ import io
 import math
 import os
 import sys
-from contextlib import nullcontext, redirect_stderr, redirect_stdout
-from typing import Callable, ContextManager, Sequence, TextIO, TypeVar
+from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
+from typing import Callable, ContextManager, Iterator, Sequence, TextIO, TypeVar
 
 from binaryeval.counts import from_predictions, threshold_counts
-from binaryeval.ingest import InputConfig, ParseError, ParseReport, parse_hard_labels, parse_scores
+from binaryeval.ingest import InputConfig, ParseReport, parse_hard_labels, parse_scores
 from binaryeval.metrics import all_metrics
 from binaryeval.report import write_json, write_svg, write_text
 from binaryeval.roc import roc_points
@@ -36,8 +37,21 @@ from binaryeval.roc import roc_points
 _Columns = TypeVar("_Columns")
 
 
-class _UsageError(Exception):
-    pass
+class _Failure(Exception):
+    """A failed run: ``run`` writes its ``error:`` line and exits 1."""
+
+
+class _UsageError(_Failure):
+    """A failure of the invocation itself: exit 2."""
+
+
+@contextmanager
+def _failing(failure: type[_Failure], doing: str, *errors: type[Exception]) -> Iterator[None]:
+    """Raise ``errors`` as ``failure``: ``doing`` and the ``strerror``, else the text, of the error."""
+    try:
+        yield
+    except errors as exc:
+        raise failure(f"{doing}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,17 +102,14 @@ def _read_input(path: str) -> ContextManager[TextIO]:
     Standard input is never closed.
     """
     if path != "-":
-        try:
+        with _failing(_UsageError, f"cannot open input {path!r}", OSError, ValueError):  # ValueError: NUL in the path
             return open(path, encoding="utf-8-sig", errors="surrogateescape", newline="")
-        except OSError as exc:
-            raise _UsageError(f"cannot open input {path!r}: {exc.strerror or exc}") from None
     if sys.stdin is None:  # started with fd 0 closed
         raise _UsageError("cannot read input '-': standard input is closed")
     if hasattr(sys.stdin, "reconfigure"):
-        try:
+        # io.UnsupportedOperation: an in-process caller has already read from it.
+        with _failing(_UsageError, "cannot read input '-'", io.UnsupportedOperation):
             sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape", newline="")
-        except io.UnsupportedOperation as exc:  # an in-process caller has already read from it
-            raise _UsageError(f"cannot read input '-': {exc}") from None
     return nullcontext(sys.stdin)
 
 
@@ -107,11 +118,8 @@ def _parse(
 ) -> tuple[_Columns, ParseReport]:
     """``parse`` of the input named by ``args``; a failed read is a usage error."""
     cfg = _input_config(args)
-    with _read_input(args.input) as text:
-        try:
-            return parse(text, cfg, strict=args.strict)
-        except OSError as exc:
-            raise _UsageError(f"cannot read input {args.input!r}: {exc.strerror or exc}") from None
+    with _read_input(args.input) as text, _failing(_UsageError, f"cannot read input {args.input!r}", OSError):
+        return parse(text, cfg, strict=args.strict)
 
 
 def _input_config(args: argparse.Namespace) -> InputConfig:
@@ -157,7 +165,7 @@ def _write_report(args: argparse.Namespace, out: TextIO, **parts: object) -> Non
     write(out, **parts)
 
 
-def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     scored = args.mode == "scores"
     if scored and args.threshold is None:
         raise _UsageError("--threshold is required with --mode scores")
@@ -181,30 +189,23 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         metrics = dataclasses.replace(metrics, **dict.fromkeys(undefined, 0.0))
     meta = {**_common_meta(args, parse_report), "threshold": args.threshold, "zero_division": args.zero_division}
     _write_report(args, out, metrics=metrics, meta=meta)
-    return 0
 
 
-def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _run_roc(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     samples, parse_report = _parse(args, parse_scores)
     _warn_failures(parse_report, err)
 
-    try:
-        curve = roc_points(samples)
-    except ValueError as exc:
-        err.write(f"error: {exc}\n")
-        return 1
+    curve = roc_points(samples)
     # The writers need only the curve: the parsed columns are freed before they run.
     del samples
 
     if args.svg is not None:
-        try:
-            with open(args.svg, "w", encoding="utf-8") as svg:
-                write_svg(curve, f"ROC curve ({args.input})", svg)
-        except OSError as exc:
-            err.write(f"error: cannot write --svg file {args.svg!r}: {exc.strerror or exc}\n")
-            return 1
+        doing = f"cannot write --svg file {args.svg!r}"
+        with _failing(_Failure, doing, OSError, ValueError):
+            svg = open(args.svg, "w", encoding="utf-8")
+        with _failing(_Failure, doing, OSError), svg:  # a ValueError from write_svg is a bug, not an unwritable file
+            write_svg(curve, f"ROC curve ({args.input})", svg)
     _write_report(args, out, curve=curve, meta=_common_meta(args, parse_report))
-    return 0
 
 
 def run(
@@ -213,7 +214,7 @@ def run(
     stdout: TextIO | None = None,
     stderr: TextIO | None = None,
 ) -> int:
-    """Parse ``argv`` and run one evaluation pipeline; returns the exit status."""
+    """Parse ``argv``, run one pipeline and return the exit status: the one place a failure becomes an ``error:`` line."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
@@ -224,15 +225,11 @@ def run(
         return exc.code
 
     try:
-        if args.subcommand == "evaluate":
-            return _run_evaluate(args, out, err)
-        return _run_roc(args, out, err)
-    except _UsageError as exc:
+        (_run_evaluate if args.subcommand == "evaluate" else _run_roc)(args, out, err)
+    except (_Failure, ValueError) as exc:  # ValueError: a ParseError, or degenerate input to roc_points
         err.write(f"error: {exc}\n")
-        return 2
-    except ParseError as exc:
-        err.write(f"error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
+    return 0
 
 
 def _to_devnull(stream: TextIO) -> None:

@@ -239,9 +239,7 @@ class TestRoc:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "one_class.csv").write_text("1,0.9\n1,0.4\n", newline="")
         code, out, err = invoke("roc", "one_class.csv")
-        assert code == 1
-        assert out == ""
-        assert "need both classes" in err
+        assert (code, out, err) == (1, "", "error: need both classes: got 2 positive and 0 negative samples\n")
 
     def test_mode_is_not_an_option(self, worked_files):
         # roc reads only actual,score rows; --mode is evaluate's flag.
@@ -261,10 +259,9 @@ class TestRoc:
         assert json.loads(out)["meta"]["mode"] == "scores"
 
     def test_unwritable_svg_fails_before_any_report_output(self, worked_files):
-        code, out, err = invoke("roc", "scores.csv", "--svg", "no_such_dir/out.svg")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: cannot write --svg file")
+        for path, reason in [("no_such_dir/out.svg", "No such file or directory"), ("x\x00.svg", "embedded null byte")]:
+            code, out, err = invoke("roc", "scores.csv", "--svg", path)
+            assert (code, out, err) == (1, "", f"error: cannot write --svg file {path!r}: {reason}\n")
 
     def test_svg_path_that_is_a_directory_fails_before_any_json_output(self, worked_files):
         (worked_files / "plots").mkdir()
@@ -594,9 +591,9 @@ class TestUsageErrors:
         assert "--bogus" in err
 
     def test_missing_file_names_the_path(self, worked_files):
-        code, _, err = invoke("evaluate", "nope.csv")
-        assert code == 2
-        assert "nope.csv" in err
+        for path, reason in [("nope.csv", "No such file or directory"), ("a\x00b.csv", "embedded null byte")]:
+            code, out, err = invoke("evaluate", path)
+            assert (code, out, err) == (2, "", f"error: cannot open input {path!r}: {reason}\n")
 
     def test_scores_mode_requires_threshold(self, worked_files):
         code, _, err = invoke("evaluate", "scores.csv", "--mode", "scores")
@@ -669,6 +666,4 @@ class TestStrict:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "messy.csv").write_text("1,1\nbroken\n", newline="")
         code, out, err = invoke("evaluate", "messy.csv", "--strict")
-        assert code == 1
-        assert out == ""
-        assert "line 2" in err
+        assert (code, out, err) == (1, "", "error: line 2: expected 2 fields, got 1\n")
