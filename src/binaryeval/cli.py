@@ -1,9 +1,10 @@
 """Command-line entry point: ``evaluate`` and ``roc`` subcommands.
 
 Results go to stdout as UTF-8, diagnostics to stderr. The parsers read the open
-input block by block, never held whole, and reports are streamed to
-stdout (and the ROC plot to its ``--svg`` file) in chunks, never built
-as one string. Exit status is 0 on success. Each stage raises its
+input block by block, never held whole; ``evaluate`` tallies each chunk as it
+is parsed, so it holds four cells, never the columns. Reports are streamed to
+stdout (and the ROC plot to its ``--svg`` file) in chunks, never built as one
+string. Exit status is 0 on success. Each stage raises its
 failure, and ``run`` alone writes the ``error:`` line, with nothing on
 stdout, and decides the status: 2 on a usage error, such as an input
 that cannot be opened or read or a closed stdin, and 1 on a validation
@@ -25,9 +26,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
+from functools import partial
 from typing import Callable, ContextManager, Iterator, Sequence, TextIO, TypeVar
 
-from binaryeval.counts import from_predictions, threshold_counts
+from binaryeval.counts import LabeledColumns, ScoredColumns, empty, from_predictions, merge, threshold_counts
 from binaryeval.ingest import InputConfig, ParseReport, parse_hard_labels, parse_scores
 from binaryeval.metrics import all_metrics
 from binaryeval.report import write_json, write_svg, write_text
@@ -174,12 +176,13 @@ def _run_evaluate(args: argparse.Namespace, out: TextIO, err: TextIO) -> None:
     if args.threshold is not None and math.isnan(args.threshold):
         raise _UsageError("--threshold must not be NaN")
 
-    if scored:
-        samples, parse_report = _parse(args, parse_scores)
-        counts = threshold_counts(samples, args.threshold)
-    else:
-        pairs, parse_report = _parse(args, parse_hard_labels)
-        counts = from_predictions(pairs)
+    counts = empty()
+
+    def tally(chunk: ScoredColumns | LabeledColumns) -> None:  # as it is parsed: the run holds four cells, not the columns
+        nonlocal counts
+        counts = merge(counts, threshold_counts(chunk, args.threshold) if scored else from_predictions(chunk))
+
+    _, parse_report = _parse(args, partial(parse_scores if scored else parse_hard_labels, each_chunk=tally))
     _warn_failures(parse_report, err)
 
     metrics = all_metrics(counts)

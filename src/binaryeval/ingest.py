@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -54,10 +54,11 @@ _MAX_QUOTED = 40
 # one chunk's characters (one byte each for ASCII text, four otherwise),
 # separator indices and per-field arrays are alive at a time; only a
 # score that is not a plain decimal (such as 1e-05) is made a string, for
-# float(). On 2x10^5-row inputs, the CLI's peak RSS was 30.3 MB (hard
-# labels) and 31.9 MB (scores) with this size, against 34.1 and 33.3 MB
-# with 256 Ki-character chunks, and parsing took no longer. A str is read
-# in slices, and a text stream (the CLI's open input) in blocks, this long.
+# float(). On the seed-1 2x10^5-row benchmark inputs, `python -m binaryeval
+# evaluate` children, which keep no column, peaked (wait4, 2 vCPU) at 29.9 MB
+# on hard labels and 30.0 MB with --mode scores with this size, against 33.4
+# and 31.8 MB with 256 Ki-character chunks. A str is read in slices, and a
+# text stream (the CLI's open input) in blocks, this long.
 _CHUNK_CHARS = 1 << 16
 
 # Each parsed column starts this many bytes long: large enough that glibc
@@ -171,15 +172,16 @@ def _chunks(source: str | TextIO) -> Iterator[str]:
 
 
 def _parse_chunks(
-    source: str | TextIO, cfg: InputConfig, strict: bool, scored: bool
-) -> tuple[np.ndarray, np.ndarray, ParseReport]:
-    """The good rows' two columns and the report, chunk by chunk.
+    source: str | TextIO, cfg: InputConfig, strict: bool, scored: bool, each_chunk: Callable[..., object] | None
+) -> tuple[ScoredColumns | LabeledColumns, ParseReport]:
+    """The good rows' columns and the report, chunk by chunk.
 
     Score rows, when ``scored``, give the positive mask of their labels
     and their scores; hard-label rows give the positive masks of their
     actual and their predicted labels. The first flagged row is raised as
     :class:`ParseError` when ``strict`` or not UTF-8; else flagged rows
     are counted by kind, and the first ``_MAX_FAILURES`` put into words.
+    With ``each_chunk``, each chunk's good rows go to it and are not kept.
     """
     # The columns grow in place, chunk by chunk: per-chunk arrays joined
     # at the end would hold every row twice. They start mapped and grow by
@@ -187,7 +189,8 @@ def _parse_chunks(
     # leave a hole its size, so peak RSS hung on the checkout's path length.
     # The bool column is mapped first: the other way round, the score parse's peak RSS rose.
     dtype = np.dtype(np.float64 if scored else bool)
-    columns = np.empty(_COLUMN_BYTES, dtype=bool), np.empty(_COLUMN_BYTES // dtype.itemsize, dtype=dtype)
+    size = _COLUMN_BYTES if each_chunk is None else 0
+    columns = np.empty(size, dtype=bool), np.empty(size // dtype.itemsize, dtype=dtype)
     failures: list[tuple[int, str]] = []
     skipped: dict[str, int] = {}  # in order of first occurrence
     kept = lines = 0
@@ -206,13 +209,23 @@ def _parse_chunks(
             values, first, counts = np.unique(kinds, return_index=True, return_counts=True)
             for _, kind, count in sorted(zip(first.tolist(), values.tolist(), counts.tolist())):
                 skipped[_KIND[kind]] = skipped.get(_KIND[kind], 0) + count
-        for column, part in zip(columns, parts):
-            _append(column, kept, part)
+        if each_chunk is None:
+            for column, part in zip(columns, parts):
+                _append(column, kept, part)
+        else:
+            each_chunk(_held(scored, *parts))
         kept += parts[0].size
         lines += verdict.size
     for column in columns:
-        column.resize(kept, refcheck=False)
-    return *columns, ParseReport(max(lines - cfg.has_header, 0), kept, tuple(failures), tuple(skipped.items()))
+        column.resize(kept if each_chunk is None else 0, refcheck=False)
+    return _held(scored, *columns), ParseReport(max(lines - cfg.has_header, 0), kept, tuple(failures), tuple(skipped.items()))
+
+
+def _held(scored: bool, first: np.ndarray, second: np.ndarray) -> ScoredColumns | LabeledColumns:
+    """Two columns of good rows, held read-only as the parse's scored or labeled columns."""
+    if scored:
+        return _of_own_arrays(ScoredColumns, score=second, positive=first)
+    return _of_own_arrays(LabeledColumns, actual=first, predicted=second)
 
 
 def _append(column: np.ndarray, size: int, part: np.ndarray) -> None:
@@ -310,10 +323,10 @@ def parse_hard_labels(
     cfg: InputConfig,
     *,
     strict: bool = False,
+    each_chunk: Callable[[LabeledColumns], object] | None = None,
 ) -> tuple[LabeledColumns, ParseReport]:
-    """Parse ``actual<delim>predicted`` rows into label columns, in input order."""
-    actual, predicted, report = _parse_chunks(source, cfg, strict, scored=False)
-    return _of_own_arrays(LabeledColumns, actual=actual, predicted=predicted), report
+    """Parse ``actual<delim>predicted`` rows into label columns, in input order; ``each_chunk`` as in :func:`parse_scores`."""
+    return _parse_chunks(source, cfg, strict, False, each_chunk)
 
 
 def parse_scores(
@@ -321,11 +334,14 @@ def parse_scores(
     cfg: InputConfig,
     *,
     strict: bool = False,
+    each_chunk: Callable[[ScoredColumns], object] | None = None,
 ) -> tuple[ScoredColumns, ParseReport]:
     """Parse ``actual<delim>score`` rows into scored columns, in input order.
 
     Scores must be finite decimals (plain or scientific notation in ASCII
     digits); an empty input yields empty columns rather than an error.
+    With ``each_chunk``, each chunk's good rows are handed to it as read-only
+    columns of their own, in input order, and not kept: the columns returned are
+    empty, the report the same. A strict :class:`ParseError` follows the chunks before its row's.
     """
-    positive, score, report = _parse_chunks(source, cfg, strict, scored=True)
-    return _of_own_arrays(ScoredColumns, score=score, positive=positive), report
+    return _parse_chunks(source, cfg, strict, True, each_chunk)

@@ -23,7 +23,8 @@ from binaryeval import ingest
 from binaryeval.cli import run
 from binaryeval.counts import ConfusionCounts, threshold_counts
 from binaryeval.ingest import InputConfig, ParseError, parse_scores
-from oracles import parse_hard_labels_rows, parse_scores_rows
+from binaryeval.metrics import all_metrics
+from oracles import parse_hard_labels_rows, parse_scores_rows, render_json, render_text, tally_pairs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -224,6 +225,67 @@ class TestEvaluate:
             "warning: 6 of 60000 rows skipped (2 expected 2 fields, 2 non-finite or malformed score, "
             "1 non-finite score, 1 unknown label)",
         ]
+
+
+
+# Bad rows of several kinds from line 20,001 of the scored input and 35,001 of
+# the hard-label one on: their 64 Ki-character chunks hold about 8,190 and
+# 16,380 rows each, so in either the first bad row lies in the third chunk and
+# the rest spread over the later ones.
+_SCORED_BAD = ("0,NA", "1,0.5,1", "", "1,1e999", "x")
+_LABELED_BAD = ("2,1", "1,2", "1,0,1", "", "0,")
+
+
+def _chunked_input(scored: bool) -> str:
+    """Rows of one input for the chunked-tally test: scores on a 0.001 grid, 0.5 among them, or label pairs."""
+    rows, bad, first = (40_000, _SCORED_BAD, 20_000) if scored else (80_000, _LABELED_BAD, 35_000)
+    bad_rows = {i: bad[j % len(bad)] for j, i in enumerate(range(first, rows, 700 if scored else 1_500))}
+    second = (lambda i: f"{i * 7919 % 1000 / 1000:.3f}") if scored else (lambda i: f"{i % 5 == 0:d}")
+    return "".join(f"{bad_rows[i] if i in bad_rows else f'{i % 3 == 0:d},{second(i)}'}\n" for i in range(rows))
+
+
+def _reference_run(text: str, scored: bool, negative_label: str | None, strict: bool, fmt: str) -> tuple[int, str, str]:
+    """What ``evaluate`` on ``rows.csv`` holding ``text`` gives, by the row-loop parser and one-pair-at-a-time tally."""
+    cfg = InputConfig(negative_label=negative_label)
+    try:
+        columns, report = (parse_scores_rows if scored else parse_hard_labels_rows)(text, cfg, strict)
+    except ParseError as exc:
+        return 1, "", f"error: {exc}\n"
+    if scored:
+        counts = tally_pairs(zip(columns.positive.tolist(), (columns.score >= 0.5).tolist()))
+    else:
+        counts = tally_pairs(zip(columns.actual.tolist(), columns.predicted.tolist()))
+    meta = {"input": "rows.csv", "mode": "scores" if scored else "hard-labels", "positive_label": "1",
+            "negative_label": negative_label, "delimiter": ",", "header": False, "strict": strict,
+            "records_read": report.records_read, "records_accepted": report.records_accepted,
+            "threshold": 0.5 if scored else None, "zero_division": "undefined"}
+    warnings = [f"warning: line {line}: {reason}\n" for line, reason in report.failures]
+    why = ", ".join(f"{count} {kind}" for kind, count in report.skipped)
+    skipped = report.records_read - report.records_accepted
+    warnings.append(f"warning: {skipped} of {report.records_read} rows skipped ({why})\n")
+    render = render_json if fmt == "json" else render_text
+    return 0, render(metrics=all_metrics(counts), meta=meta), "".join(warnings)
+
+
+class TestChunkedTally:
+    """``evaluate`` on inputs of several chunks, with bad rows in several: the bytes of a whole-input parse and tally."""
+
+    @pytest.mark.parametrize("strict, fmt", [(False, "text"), (False, "json"), (True, "text")],
+                             ids=["lenient-text", "lenient-json", "strict"])
+    @pytest.mark.parametrize("scored, negative_label", [(True, None), (False, "0")], ids=["scores", "hard-labels"])
+    def test_output_equals_the_reference(self, tmp_path, monkeypatch, scored, negative_label, strict, fmt):
+        monkeypatch.chdir(tmp_path)
+        text = _chunked_input(scored)
+        (tmp_path / "rows.csv").write_text(text, newline="")
+        chunk_ends = np.cumsum([chunk.count("\n") for chunk in ingest._chunks(text)])
+        bad_lines = [i for i, row in enumerate(text.split("\n")[:-1]) if row in (_SCORED_BAD if scored else _LABELED_BAD)]
+        chunk_of_bad = np.searchsorted(chunk_ends, bad_lines, side="right")
+        assert chunk_ends.size >= 4 and chunk_of_bad[0] == 2 and np.unique(chunk_of_bad).size >= 2
+        argv = ["evaluate", "rows.csv", "--format", fmt, *(["--strict"] * strict)]
+        argv += ["--mode", "scores", "--threshold", "0.5"] if scored else ["--negative-label", negative_label]
+        expected = _reference_run(text, scored, negative_label, strict, fmt)
+        assert expected[0] == strict  # the strict run fails at the first bad row, in the third chunk
+        assert invoke(*argv) == expected
 
 
 class TestRoc:

@@ -9,6 +9,7 @@ import re
 import time
 import tracemalloc
 from decimal import Decimal
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from binaryeval import _decimals, ingest
+from binaryeval.counts import empty, from_predictions, merge, threshold_counts
 from binaryeval.ingest import (
     InputConfig,
     ParseError,
@@ -682,3 +684,48 @@ class TestStreaming:
         assert report == ParseReport(rows, rows)
         # Read whole, the file's text alone would take about twice the columns.
         assert peak < 2.5 * (columns.score.nbytes + columns.positive.nbytes)
+
+
+# Rows of every kind for the each_chunk differential: good in either layout
+# under some configuration, a header, a wrong field count, a malformed, empty
+# or non-finite score, a label neither of two declared ones, and not UTF-8.
+_ANY_ROW = st.sampled_from([
+    "1,1", "0,0", "1,0", "é,ñ", "ñ,é", "1,0.5", "0,0.25", "é,-3e2", "ñ,0.75",
+    "actual,predicted", "1", "1,0,1", "", "1,NA", "0,", "1,1e999", "2,1", "1,2", "x,0.5", "1,\udcff",
+])
+_CONFIGS = [InputConfig(), InputConfig(negative_label="0"), InputConfig(positive_label="é"),
+            InputConfig(positive_label="é", negative_label="ñ")]
+
+
+class TestEachChunk:
+    """``each_chunk`` is handed, chunk by chunk, what the parse without it returns, with the same report or failure."""
+
+    @given(st.lists(st.tuples(_ANY_ROW, st.sampled_from(["\n", "\r\n", "\r"])).map("".join), max_size=60).map("".join),
+           st.sampled_from(_CONFIGS), st.booleans(), st.integers(4, 60))
+    def test_the_chunks_join_to_the_columns_and_fold_to_the_tally(self, text, cfg, header, chunk_chars):
+        cfg = dataclasses.replace(cfg, has_header=header)
+        for parse, fields, tally in ((parse_scores, ("score", "positive"), lambda c: threshold_counts(c, 0.5)),
+                                     (parse_hard_labels, ("actual", "predicted"), from_predictions)):
+            for strict in (False, True):
+                chunks = []
+                with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+                    whole = _outcome(parse, text, cfg, strict)
+                    handed = _outcome(parse, text, cfg, strict, each_chunk=chunks.append)
+                if isinstance(whole, ParseError):
+                    assert isinstance(handed, ParseError) and (str(handed), handed.line_number) == (str(whole), whole.line_number)
+                    continue
+                (columns, report), (rest, handed_report) = whole, handed
+                assert handed_report == report and len(rest) == 0
+                for field in fields:
+                    joined = np.concatenate([getattr(columns, field)[:0], *(getattr(chunk, field) for chunk in chunks)])
+                    assert (joined.dtype, joined.tobytes()) == (getattr(columns, field).dtype, getattr(columns, field).tobytes())
+                    assert not any(getattr(chunk, field).flags.writeable for chunk in chunks)
+                assert reduce(merge, map(tally, chunks), empty()) == tally(columns)
+
+
+def _outcome(parse, text, cfg, strict, **each_chunk):
+    """The parse's columns and report, or the ParseError it raised."""
+    try:
+        return parse(text, cfg, strict=strict, **each_chunk)
+    except ParseError as exc:
+        return exc
