@@ -8,11 +8,12 @@ by :func:`parse_scores` into :class:`ScoredColumns`.
 Parsing is lenient by default (malformed rows are counted and skipped);
 ``strict=True`` aborts on the first failure instead.
 
-The source, a ``str`` read in 64 Ki-character slices or a text stream
+The source, a ``str`` read in 16 Ki-character slices or a text stream
 (anything whose ``read`` returns ``str``) read in blocks as long, is read
 lazily through the standard library's newline decoder (CR and CRLF read
-as LF) in chunks of about 64 Ki characters that end on LF, so only one
-chunk is worked on at a time and the source is never joined into one string.
+as LF) in chunks that end on LF once they hold 64 Ki characters or 4 Ki
+rows, so only one chunk is worked on at a time and the source is never
+joined into one string.
 Each chunk is checked once, in bulk, and each row gets one verdict:
 good, not UTF-8, wrong field count, bad score or unknown label. The
 first that applies wins, in that order; a hard-label row's actual label
@@ -50,16 +51,20 @@ _MAX_FAILURES = 20
 # A reason quotes at most this many characters of a field, then "...".
 _MAX_QUOTED = 40
 
-# The text is read in chunks of about this many characters, so at most
-# one chunk's characters (one byte each for ASCII text, four otherwise),
-# separator indices and per-field arrays are alive at a time; only a
-# score that is not a plain decimal (such as 1e-05) is made a string, for
-# float(). On the seed-1 2x10^5-row benchmark inputs, `python -m binaryeval
-# evaluate` children, which keep no column, peaked (wait4, 2 vCPU) at 29.9 MB
-# on hard labels and 30.0 MB with --mode scores with this size, against 33.4
-# and 31.8 MB with 256 Ki-character chunks. A str is read in slices, and a
-# text stream (the CLI's open input) in blocks, this long.
+# A str is read in slices, and a text stream (the CLI's open input) in
+# blocks, of _READ_CHARS characters, and parsed in chunks that end on LF
+# once they hold _CHUNK_CHARS characters or _CHUNK_ROWS rows (see _chunks).
+# So at most one chunk's characters (one byte each if ASCII, else four),
+# separator indices and per-row arrays are alive at a time, and those of
+# `1,0` rows stay under glibc's 128 KiB mmap threshold; only a score that is
+# not a plain decimal (such as 1e-05) is made a string, for float(). On the
+# seed-1 2x10^5-row benchmark inputs, `python -m binaryeval` children peaked
+# (wait4, 2 vCPU) at 29.2 MB (evaluate, hard labels), 29.9 MB (--mode
+# scores) and 33.3 MB (roc, 2-decimal scores), against 30.0, 30.0 and 33.4
+# MB without the row bound.
+_READ_CHARS = 1 << 14
 _CHUNK_CHARS = 1 << 16
+_CHUNK_ROWS = 1 << 12
 
 # Each parsed column starts this many bytes long: large enough that glibc
 # maps it rather than carving it from the heap, and under the 4 MiB from
@@ -144,28 +149,38 @@ def _matches(codes: np.ndarray, is_separator: np.ndarray, separators: np.ndarray
 
 
 def _chunks(source: str | TextIO) -> Iterator[str]:
-    """The lines of ``source`` in chunks of about ``_CHUNK_CHARS`` characters, each ending on LF.
+    """The lines of ``source`` in chunks, each ending on LF.
 
-    A ``str`` is read in slices of ``_CHUNK_CHARS`` characters, and a
+    A ``str`` is read in slices of ``_READ_CHARS`` characters, and a
     source whose ``read`` returns text (an open file) in blocks of as many
     until it returns ``""``. A slice or block may end inside a line or a
-    CRLF: one newline decoder reads CR and CRLF as LF across them, and
-    each chunk ends at the last LF read so far.
+    CRLF: one newline decoder reads CR and CRLF as LF across them. A chunk
+    ends at the last LF of the read that brings it to ``_CHUNK_ROWS`` rows
+    or ``_CHUNK_CHARS`` characters, or of the first read after that to hold
+    an LF. It held fewer than ``_CHUNK_ROWS`` rows before that read, and a
+    read ends at most ``_READ_CHARS // w + 1`` rows of ``w`` characters or
+    more (the one more ended by a CR the read before held back): so no
+    chunk holds more than ``_CHUNK_ROWS + _READ_CHARS // w`` such rows
+    (8,192 rows of ``1,0``).
     """
     if isinstance(source, str):
-        pieces = (source[start:start + _CHUNK_CHARS] for start in range(0, len(source), _CHUNK_CHARS))
+        pieces = (source[start:start + _READ_CHARS] for start in range(0, len(source), _READ_CHARS))
     elif hasattr(source, "read") and isinstance(source.read(0), str):
-        pieces = iter(lambda: source.read(_CHUNK_CHARS), "")
+        pieces = iter(lambda: source.read(_READ_CHARS), "")
     else:
         raise TypeError(f"source must be a str or a text stream (with read), not {type(source).__name__}")
     newlines = io.IncrementalNewlineDecoder(None, translate=True)
-    pending: list[str] = []  # what was read after the last LF, joined only once an LF ends it
+    pending: list[str] = []  # what was read after the last chunk, joined only once a chunk ends
+    rows = chars = 0  # the LFs and characters in pending
     for piece in map(newlines.decode, pieces):
+        pending.append(piece)
+        rows += piece.count("\n")
+        chars += len(piece)
         end = piece.rfind("\n") + 1
-        if end:
-            yield "".join([*pending, piece[:end]])
-            pending = []
-        pending.append(piece[end:])
+        if end and (rows >= _CHUNK_ROWS or chars >= _CHUNK_CHARS):
+            pending[-1] = piece[:end]
+            yield "".join(pending)
+            pending, rows, chars = [piece[end:]], 0, len(piece) - end
     text = "".join(pending) + newlines.decode("", final=True)
     if text:
         yield text if text.endswith("\n") else text + "\n"

@@ -12,7 +12,6 @@ import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,7 +207,7 @@ class TestEvaluate:
         assert json.loads(out)["meta"]["records_accepted"] == 2
 
     def test_the_skip_summary_counts_each_kind_in_order_of_first_occurrence(self, tmp_path, monkeypatch):
-        # The kinds first appear in different 64 Ki-character chunks of the parse.
+        # The kinds first appear in different chunks of the parse.
         bad = {10: "1,0.5,1", 20: "0,1,0", 20_000: "0,NA", 35_000: "1,1e999", 50_000: "2,1", 55_000: "1,NA"}
         monkeypatch.chdir(tmp_path)
         (tmp_path / "mixed.csv").write_text("".join(bad.get(i, ("0,0.25", "1,0.5")[i % 2]) + "\n"
@@ -228,20 +227,23 @@ class TestEvaluate:
 
 
 
-# Bad rows of several kinds from line 20,001 of the scored input and 35,001 of
-# the hard-label one on: their 64 Ki-character chunks hold about 8,190 and
-# 16,380 rows each, so in either the first bad row lies in the third chunk and
-# the rest spread over the later ones.
+# Bad rows of several kinds, one in every 700 scored or 1,500 hard-label rows
+# from the middle of the third chunk on, as ingest._chunks cuts the input
+# without them: so the first bad row lies in the third chunk and the rest
+# spread over the later ones, whatever the chunks' size in rows.
 _SCORED_BAD = ("0,NA", "1,0.5,1", "", "1,1e999", "x")
 _LABELED_BAD = ("2,1", "1,2", "1,0,1", "", "0,")
 
 
 def _chunked_input(scored: bool) -> str:
     """Rows of one input for the chunked-tally test: scores on a 0.001 grid, 0.5 among them, or label pairs."""
-    rows, bad, first = (40_000, _SCORED_BAD, 20_000) if scored else (80_000, _LABELED_BAD, 35_000)
-    bad_rows = {i: bad[j % len(bad)] for j, i in enumerate(range(first, rows, 700 if scored else 1_500))}
+    rows, bad, step = (40_000, _SCORED_BAD, 700) if scored else (80_000, _LABELED_BAD, 1_500)
     second = (lambda i: f"{i * 7919 % 1000 / 1000:.3f}") if scored else (lambda i: f"{i % 5 == 0:d}")
-    return "".join(f"{bad_rows[i] if i in bad_rows else f'{i % 3 == 0:d},{second(i)}'}\n" for i in range(rows))
+    lines = [f"{i % 3 == 0:d},{second(i)}\n" for i in range(rows)]
+    chunk_ends = np.cumsum([chunk.count("\n") for chunk in ingest._chunks("".join(lines))])
+    for j, i in enumerate(range((chunk_ends[1] + chunk_ends[2]) // 2, rows, step)):
+        lines[i] = f"{bad[j % len(bad)]}\n"
+    return "".join(lines)
 
 
 def _reference_run(text: str, scored: bool, negative_label: str | None, strict: bool, fmt: str) -> tuple[int, str, str]:
@@ -513,17 +515,23 @@ class TestDecoding:
             assert err == f"error: line {line}: invalid UTF-8 byte 0xff\n"
 
 
-class TestStreamedInput:
-    """The parsers read the input through the text layer in blocks of ``ingest._CHUNK_CHARS`` characters.
+def _read_in_blocks(monkeypatch: pytest.MonkeyPatch, chars: int) -> None:
+    """Make the parsers read in blocks of ``chars`` characters, each block's last LF ending a chunk."""
+    monkeypatch.setattr(ingest, "_READ_CHARS", chars)
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chars)
 
-    The block size is patched small here.
+
+class TestStreamedInput:
+    """The parsers read the input through the text layer in blocks of ``ingest._READ_CHARS`` characters.
+
+    The block size is patched small here, and each block's last LF ends a chunk.
     """
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
     def test_a_character_split_between_blocks_decodes(self, tmp_path, monkeypatch, block):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "labels.csv").write_bytes("\ufeff\u00e9,\u00e9\nnon,\u00e9\r\n\u00e9,x\n".encode())
-        monkeypatch.setattr(ingest, "_CHUNK_CHARS", block)
+        _read_in_blocks(monkeypatch, block)
         code, out, err = invoke("evaluate", "labels.csv", "--positive-label", "\u00e9", "--format", "json")
         assert (code, err) == (0, "")
         assert json.loads(out)["counts"] == {"tp": 1, "fp": 1, "fn": 1, "tn": 0}
@@ -531,7 +539,7 @@ class TestStreamedInput:
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
     def test_an_invalid_byte_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, block):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(ingest, "_CHUNK_CHARS", block)
+        _read_in_blocks(monkeypatch, block)
         # With 4-character blocks, the first CRLF is split between the first two
         # blocks; the second input ends inside a two-byte character.
         for data, line, byte in ((b"1,1\r\n0,0\r\n1,0\r0,1\n\xff,0\n", 5, "ff"), (b"1,1\r\n\xc3\xa9,0\r\n\xc3", 3, "c3")):
@@ -540,7 +548,7 @@ class TestStreamedInput:
             assert (code, out, err) == (1, "", f"error: line {line}: invalid UTF-8 byte 0x{byte}\n")
 
     def test_standard_input_and_a_text_stand_in_are_read_in_blocks(self, monkeypatch):
-        monkeypatch.setattr(ingest, "_CHUNK_CHARS", 3)
+        _read_in_blocks(monkeypatch, 3)
         rows = "1,0.9\r\n0,0.8\n\u00e9,0.7\r0,0.6\n"
         for stdin in (io.TextIOWrapper(io.BytesIO(rows.encode())), io.StringIO(rows)):
             monkeypatch.setattr("sys.stdin", stdin)
@@ -581,7 +589,7 @@ class TestStreamedInput:
     def test_a_strict_failure_mid_file_closes_the_input(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "rows.csv").write_text("1,0.5\n" * 50 + "1,oops\n" + "0,0.5\n" * 50)
-        monkeypatch.setattr(ingest, "_CHUNK_CHARS", 16)
+        _read_in_blocks(monkeypatch, 16)
         opened = []
 
         def spy(*args, real_open=open, **kwargs):
@@ -631,9 +639,11 @@ class TestBlockSize:
         for strict in (False, True):
             argv = ["evaluate", "-", *mode, *(["--header"] * header), *(["--strict"] * strict)]
             results = set()
-            for block in (*range(1, 8), ingest._CHUNK_CHARS):
-                with mock.patch.object(ingest, "_CHUNK_CHARS", block), \
-                        mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(data))):
+            for block in (*range(1, 8), None):  # None reads in blocks of the default size
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    if block is not None:
+                        _read_in_blocks(monkeypatch, block)
+                    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
                     results.add(invoke(*argv))
             assert len(results) == 1
             (code, out, err), = results

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import math
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 from binaryeval import _decimals, ingest
@@ -29,6 +30,14 @@ from binaryeval.ingest import (
 from oracles import MAX_QUOTED, SCORE_PATTERN, parse_hard_labels_rows, parse_scores_rows, utf8_failure
 
 CFG = InputConfig()
+
+
+def _blocks(chars: int | None):
+    """Read sources in slices or blocks of ``chars`` characters, each read's last LF ending a chunk; None keeps the sizes."""
+    if chars is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(ingest, _READ_CHARS=chars, _CHUNK_CHARS=chars)
+
 
 label_text = st.text(
     alphabet=st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)),
@@ -268,7 +277,7 @@ class TestDecimalRoute:
     @given(st.lists(st.tuples(st.sampled_from(["1", "0"]), _decimal_texts()), max_size=40), st.integers(8, 200))
     def test_scores_equal_the_row_loop(self, rows, chunk_chars):
         source = "".join(f"{label},{text}\n" for label, text in rows)
-        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        with _blocks(chunk_chars):
             bulk = _scored(source, CFG)
         assert bulk == _scored(source, CFG, parse=parse_scores_rows)
 
@@ -351,16 +360,16 @@ class TestSkippedByKind:
         text = "".join(f"{line}\n" for good, bad in rows for line in (*good, bad))
         cfg = InputConfig(negative_label="0")
         for parse, oracle in ((parse_scores, parse_scores_rows), (parse_hard_labels, parse_hard_labels_rows)):
-            with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+            with _blocks(chunk_chars):
                 _, report = parse(text, cfg)
             assert report == oracle(text, cfg)[1]  # the first 20 failures, and the counts in order of first occurrence
             _check_skipped(report)  # the invariant, and 20 rows in words when as many were skipped
 
-    @pytest.mark.parametrize("chunk_chars", [16, ingest._CHUNK_CHARS])
+    @pytest.mark.parametrize("chunk_chars", [16, None])
     @pytest.mark.parametrize("parse", [parse_scores, parse_hard_labels])
     def test_a_line_not_utf8_after_the_worded_rows_still_fails_the_parse(self, parse, chunk_chars):
         text = "1,1\n" + "broken\n" * 25 + "1,\udcff\n0,0\n"
-        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
+        with _blocks(chunk_chars), \
                 pytest.raises(ParseError, match="^line 27: invalid UTF-8 byte 0xff$"):
             parse(text, CFG)
 
@@ -504,7 +513,7 @@ _label_configs = st.fixed_dictionaries({
 class TestBulkPath:
     """The chunked parser against the row loop over the whole text in ``oracles``.
 
-    A ``str`` is read in slices of ``_CHUNK_CHARS`` characters, which may
+    A ``str`` is read in slices of ``_READ_CHARS`` characters, which may
     end inside a line or between the CR and the LF of a CRLF.
     """
 
@@ -512,7 +521,7 @@ class TestBulkPath:
     def test_scores_equal_the_row_loop(self, lines, line_end, final_newline, options, chunk_chars, strict):
         source = _source(lines, line_end, final_newline, options["delimiter"])
         cfg = InputConfig(**options)
-        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        with _blocks(chunk_chars):
             bulk = _scored(source, cfg, strict)
         assert bulk == _scored(source, cfg, strict, parse_scores_rows)
 
@@ -520,7 +529,7 @@ class TestBulkPath:
     def test_hard_labels_equal_the_row_loop(self, lines, line_end, final_newline, options, chunk_chars, strict):
         source = _source([line.replace(".", "") for line in lines], line_end, final_newline, options["delimiter"])
         cfg = InputConfig(**options)
-        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        with _blocks(chunk_chars):
             bulk = _labeled(source, cfg, strict)
         assert bulk == _labeled(source, cfg, strict, parse_hard_labels_rows)
 
@@ -532,7 +541,7 @@ class TestBulkPath:
         lines = data.draw(st.lists(st.one_of(*[st.tuples(field, field).map(",".join)] * 9, odd), max_size=25))
         source = _source(lines, "\n", final_newline, options["delimiter"])
         cfg = InputConfig(**options)
-        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        with _blocks(chunk_chars):
             bulk = _labeled(source, cfg, strict)
         assert bulk == _labeled(source, cfg, strict, parse_hard_labels_rows)
 
@@ -566,7 +575,7 @@ class TestBulkPath:
         cfg = InputConfig(negative_label="0", has_header=True)
         whole = _scored(source, cfg)
         assert whole[2] == ParseReport(6, 6, ())
-        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        with _blocks(chunk_chars):
             assert _scored(source, cfg) == whole
             labels = _labeled(source.replace(".", ""), InputConfig(has_header=True))
         assert labels == _labeled(source.replace(".", ""), InputConfig(has_header=True))
@@ -630,7 +639,7 @@ class TestStreaming:
     def test_a_text_stream_reads_as_the_whole_text(self, lines, line_end, final_newline, options, chunk_chars, strict):
         text = _source(lines, line_end, final_newline, options["delimiter"])
         cfg = InputConfig(**options)
-        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        with _blocks(chunk_chars):
             # A stream's blocks of chunk_chars characters may end inside a line or a CRLF.
             assert _scored(io.StringIO(text, newline=""), cfg, strict) == _scored(text, cfg, strict)
             assert _labeled(io.StringIO(text, newline=""), cfg, strict) == _labeled(text, cfg, strict)
@@ -651,7 +660,7 @@ class TestStreaming:
     def test_cr_only_text_is_read_in_several_chunks(self):
         lf_text = "".join(f"{i % 2},{i / 7!r}\n" for i in range(200))
         cr_text = lf_text.replace("\n", "\r")
-        with mock.patch.object(ingest, "_CHUNK_CHARS", 64):
+        with _blocks(64):
             assert len(list(ingest._chunks(cr_text))) > 1
             # A CR that ends a block waits for the next one, which may start with LF.
             assert len(list(ingest._chunks(io.StringIO(cr_text, newline="")))) > 1
@@ -662,7 +671,7 @@ class TestStreaming:
         # Joined again at each block, a line of n blocks would cost about n * n / 2 block copies.
         line = "1," + "5" * (1 << 20) + "\n"
         seconds = []
-        with mock.patch.object(ingest, "_CHUNK_CHARS", 64):
+        with _blocks(64):
             for text in (line, "1,5\n" * (len(line) // 4)):  # one line, then as many characters in short lines
                 start = time.perf_counter()
                 chunks = list(ingest._chunks(io.StringIO(text, newline="")))
@@ -701,14 +710,21 @@ class TestEachChunk:
     """``each_chunk`` is handed, chunk by chunk, what the parse without it returns, with the same report or failure."""
 
     @given(st.lists(st.tuples(_ANY_ROW, st.sampled_from(["\n", "\r\n", "\r"])).map("".join), max_size=60).map("".join),
-           st.sampled_from(_CONFIGS), st.booleans(), st.integers(4, 60))
-    def test_the_chunks_join_to_the_columns_and_fold_to_the_tally(self, text, cfg, header, chunk_chars):
+           st.sampled_from(_CONFIGS), st.booleans(), st.integers(1, 16), st.integers(4, 60), st.integers(1, 8))
+    def test_the_chunks_join_to_the_columns_and_fold_to_the_tally(self, text, cfg, header, read_chars, chunk_chars, chunk_rows):
         cfg = dataclasses.replace(cfg, has_header=header)
+        sizes = mock.patch.multiple(ingest, _READ_CHARS=read_chars, _CHUNK_CHARS=chunk_chars, _CHUNK_ROWS=chunk_rows)
+        with sizes:
+            rows = [chunk.count("\n") for chunk in ingest._chunks(text)]
+        # _chunks' bound for rows of 1 character or more.
+        assert max(rows, default=0) <= chunk_rows + read_chars
+        for cut in rows[:-1]:
+            event("a chunk cut by rows" if cut >= chunk_rows else "a chunk cut by characters")
         for parse, fields, tally in ((parse_scores, ("score", "positive"), lambda c: threshold_counts(c, 0.5)),
                                      (parse_hard_labels, ("actual", "predicted"), from_predictions)):
             for strict in (False, True):
                 chunks = []
-                with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+                with sizes:
                     whole = _outcome(parse, text, cfg, strict)
                     handed = _outcome(parse, text, cfg, strict, each_chunk=chunks.append)
                 if isinstance(whole, ParseError):
@@ -721,6 +737,15 @@ class TestEachChunk:
                     assert (joined.dtype, joined.tobytes()) == (getattr(columns, field).dtype, getattr(columns, field).tobytes())
                     assert not any(getattr(chunk, field).flags.writeable for chunk in chunks)
                 assert reduce(merge, map(tally, chunks), empty()) == tally(columns)
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["str", "text-stream"])
+    def test_no_chunk_of_short_rows_passes_the_row_bound(self, stream):
+        text = "1,0\n" * 10_000
+        sizes = []
+        _, report = parse_hard_labels(io.StringIO(text) if stream else text, CFG, each_chunk=lambda chunk: sizes.append(len(chunk)))
+        assert report == ParseReport(10_000, 10_000) and sum(sizes) == 10_000
+        # _chunks' bound for rows of 4 characters or more.
+        assert max(sizes) <= ingest._CHUNK_ROWS + ingest._READ_CHARS // 4
 
 
 def _outcome(parse, text, cfg, strict, **each_chunk):
